@@ -20,6 +20,7 @@ from functools import cache
 from collections.abc import Mapping
 from types import MappingProxyType
 
+from .labels import INDEX_PAIRS
 from .lattice import QuadraticSpace, RationalVector
 
 HALF = Fraction(1, 2)
@@ -42,13 +43,8 @@ class PlaneConfig:
     conic: str = "W"
     tangency_multiplicity: int = 2
 
-    def double_points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i in range(1, 7) for j in range(i + 1, 7)
-        )
-
     def points_on_line(self, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(p for p in self.double_points() if i in p)
+        return tuple(p for p in INDEX_PAIRS if i in p)
 
     def quartic_lines(self) -> tuple[str, ...]:
         return self.lines[2:]
@@ -136,7 +132,7 @@ class BranchData:
 
 def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
     """The plane: e = 3, K^2 = 9, Pic = ZH, canonical -3H; curves by degree."""
-    pic = QuadraticSpace.diagonal(("H",), [1])
+    pic = QuadraticSpace(("H",), [1])
     h = pic.basis_vector("H")
     curves = {name: deg * h for name, deg in tracked_degrees.items()}
     return SurfaceModel(3, 9, pic, -3 * h, curves)
@@ -150,11 +146,7 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
     their strict transforms.
     """
     old = s.pic
-    labels = old.labels + (exceptional,)
-    gram = tuple(
-        tuple(row) + (Fraction(0),) for row in old.gram
-    ) + (tuple(Fraction(0) for _ in old.labels) + (Fraction(-1),),)
-    pic = QuadraticSpace(labels, gram)
+    pic = QuadraticSpace(old.labels + (exceptional,), old.diag + (-1,))
 
     def extend(v: RationalVector, exc_coeff: int) -> RationalVector:
         return RationalVector(pic, v.coords + (Fraction(exc_coeff),))
@@ -189,9 +181,7 @@ def double_cover(s: SurfaceModel, branch: BranchData) -> SurfaceModel:
     half = HALF * branch.divisor_class
     if not half.is_integral:
         raise CoverError("branch not 2-divisible in the modeled Picard group")
-    pic = QuadraticSpace(
-        s.pic.labels, tuple(tuple(2 * x for x in row) for row in s.pic.gram)
-    )
+    pic = QuadraticSpace(s.pic.labels, tuple(2 * d for d in s.pic.diag))
 
     def pull(v: RationalVector) -> RationalVector:
         return RationalVector(pic, v.coords)

@@ -194,10 +194,6 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
     return fibration
 
 
-def build_jacobian_fibration(model: JacobianKummerNS) -> Fibration:
-    return build_fibration(model, 1, 2)
-
-
 def _validate(fib: Fibration) -> None:
     if fib.fiber_class.norm() != 0:
         raise FibrationError("fiber class must have norm 0")

@@ -15,7 +15,6 @@ from functools import cache, cached_property
 
 from .labels import (
     BASIS_LABELS,
-    INDEX_PAIRS,
     NODE_LABELS,
     TROPE_LABELS,
     complement_triple,
@@ -63,7 +62,7 @@ class JacobianKummerNS:
     """
 
     def __init__(self) -> None:
-        self.space = QuadraticSpace.diagonal(BASIS_LABELS, [4] + [-2] * 16)
+        self.space = QuadraticSpace(BASIS_LABELS, [4] + [-2] * 16)
         gens = [self.space.basis_vector(label) for label in BASIS_LABELS]
         gens += [self.trope_class(label) for label in TROPE_LABELS]
         self.ns = SublatticeModel(self.space, tuple(gens))
@@ -201,10 +200,6 @@ def even_eight(i: int, j: int) -> NodeSet:
     return NodeSet.from_labels(labels)
 
 
-def all_even_eight_pairs() -> tuple[tuple[int, int], ...]:
-    return INDEX_PAIRS
-
-
 def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int, ...]:
     """Pull a polarization type back along an isogeny of the given degree.
 
@@ -232,7 +227,6 @@ __all__ = [
     "EMPTY",
     "FULL",
     "JacobianKummerNS",
-    "all_even_eight_pairs",
     "even_eight",
     "isogeny_polarization_type",
     "jacobian_kummer_ns",

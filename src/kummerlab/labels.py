@@ -32,10 +32,6 @@ def node_label(i: int, j: int) -> str:
     return pair_label("E", i, j)
 
 
-def trope_label(i: int, j: int) -> str:
-    return pair_label("C", i, j)
-
-
 def complement_triple(j: int, k: int) -> tuple[int, int, int]:
     """The increasing triple {1..6} minus {1, j, k}; requires 2 <= j < k <= 6."""
     if not (2 <= j < k <= 6):

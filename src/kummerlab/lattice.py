@@ -1,5 +1,9 @@
 """Exact rational quadratic spaces and integral sublattice arithmetic.
 
+Every quadratic space is diagonal: a labelled orthogonal basis with one
+rational square per label, which covers every lattice of the package (the
+divisor lattice diag(4, -2, ..., -2), the rank-8 root lattice and the surface
+tower, whose blowups append -1 and whose double covers double the form).
 Everything is computed with `fractions.Fraction`; no floating point appears
 anywhere in the package.  A sublattice is stored as a generator matrix over a
 fixed ambient space.  Normal forms (Hermite, Smith) run on integer matrices
@@ -239,29 +243,6 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_fraction(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of fractions by Gaussian elimination."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # quadratic space and vectors
 # ---------------------------------------------------------------------------
@@ -269,37 +250,20 @@ def _det_fraction(mat: Sequence[Sequence[Fraction]]) -> Fraction:
 
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """A labelled basis with a symmetric bilinear form given by exact rationals."""
+    """A labelled orthogonal basis: <e_i, e_i> = diag[i], distinct e_i pair to 0."""
 
     labels: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    diag: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
+        diag = tuple(Fraction(x) for x in self.diag)
         if len(set(labels)) != len(labels):
             raise LatticeError("basis labels must be unique")
-        n = len(labels)
-        if len(gram) != n or any(len(row) != n for row in gram):
-            raise LatticeError("Gram matrix shape must match the label count")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError("Gram matrix must be symmetric")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "gram", gram)
-
-    @classmethod
-    def diagonal(cls, labels: Iterable[str], entries: Iterable[int | Fraction]) -> "QuadraticSpace":
-        labels = tuple(labels)
-        diag = [Fraction(e) for e in entries]
         if len(diag) != len(labels):
             raise LatticeError("diagonal length must match the label count")
-        gram = tuple(
-            tuple(diag[i] if i == j else Fraction(0) for j in range(len(labels)))
-            for i in range(len(labels))
-        )
-        return cls(labels, gram)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "diag", diag)
 
     @property
     def dim(self) -> int:
@@ -340,19 +304,13 @@ class QuadraticSpace:
             raise LatticeError("vector belongs to a different quadratic space")
 
     def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
-        """The bilinear form v^T * gram * w, computed exactly."""
+        """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
         self._check_member(v)
         self._check_member(w)
-        total = Fraction(0)
-        for i, vi in enumerate(v.coords):
-            if vi:
-                row = self.gram[i]
-                acc = Fraction(0)
-                for j, wj in enumerate(w.coords):
-                    if wj:
-                        acc += row[j] * wj
-                total += vi * acc
-        return total
+        return sum(
+            (d * a * b for d, a, b in zip(self.diag, v.coords, w.coords) if a and b),
+            Fraction(0),
+        )
 
 
 @dataclass(frozen=True)
@@ -413,10 +371,6 @@ class RationalVector:
     __rmul__ = __mul__
 
 
-# every divisor symbol in the package is carried as one of these
-DivisorClass = RationalVector
-
-
 def vector_to_json(v: RationalVector) -> dict:
     """Interchange form: decimal-string numerators/denominators, exact round trip."""
     return {
@@ -425,10 +379,23 @@ def vector_to_json(v: RationalVector) -> dict:
     }
 
 
+def _json_int(x: object) -> int:
+    if not isinstance(x, (str, int)):
+        raise TypeError(f"expected a decimal string, got {x!r}")
+    return int(x)
+
+
 def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
-    if tuple(payload["basis"]) != space.labels:
+    """Inverse of `vector_to_json`; any malformed payload raises LatticeError."""
+    try:
+        basis = tuple(payload["basis"])
+        coords = tuple(
+            Fraction(_json_int(num), _json_int(den)) for num, den in payload["coords"]
+        )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise LatticeError(f"malformed vector payload: {exc!r}") from exc
+    if basis != space.labels:
         raise LatticeError("serialized basis labels do not match the target space")
-    coords = tuple(Fraction(int(num), int(den)) for num, den in payload["coords"])
     return RationalVector(space, coords)
 
 
@@ -531,28 +498,28 @@ class SublatticeModel:
                     x[k] -= q * row[k]
         return not any(x)
 
-    def contains(self, v: RationalVector) -> bool:
-        """True iff v is an integer combination of the generators."""
+    def _scale(self, v: RationalVector) -> list[int] | None:
+        """The integer vector denominator * v, or None if that is not integral."""
         self.space._check_member(v)
         den = self.denominator
         scaled = []
         for c in v.coords:
-            s = c * den
-            if s.denominator != 1:
-                return False
-            scaled.append(s.numerator)
-        return self.contains_scaled(scaled)
+            if den % c.denominator:
+                return None
+            scaled.append(c.numerator * (den // c.denominator))
+        return scaled
+
+    def contains(self, v: RationalVector) -> bool:
+        """True iff v is an integer combination of the generators."""
+        scaled = self._scale(v)
+        return scaled is not None and self.contains_scaled(scaled)
 
     def coordinates_of(self, v: RationalVector) -> tuple[int, ...] | None:
         """Integer coordinates of v in the canonical HNF basis, or None."""
-        self.space._check_member(v)
-        den, hnf, pivots = self._scaled
-        x = []
-        for c in v.coords:
-            s = c * den
-            if s.denominator != 1:
-                return None
-            x.append(s.numerator)
+        x = self._scale(v)
+        if x is None:
+            return None
+        _, hnf, pivots = self._scaled
         coeffs = []
         for row, p in zip(hnf, pivots):
             c = x[p]
@@ -571,41 +538,54 @@ class SublatticeModel:
 
     # -- invariants ----------------------------------------------------------
 
+    @cached_property
+    def _zgram(self) -> tuple[list[list[int]], int]:
+        """(M, s) with Z-basis Gram = M / s; M is integral and s > 0."""
+        den, hnf, _ = self._scaled
+        ddiag = 1
+        for d in self.space.diag:
+            ddiag = lcm(ddiag, d.denominator)
+        weights = [int(d * ddiag) for d in self.space.diag]
+        gram = [
+            [sum(c * x * y for c, x, y in zip(weights, a, b) if x and y) for b in hnf]
+            for a in hnf
+        ]
+        return gram, den * den * ddiag
+
+    def _integral_zgram(self) -> list[list[int]] | None:
+        """The Z-basis Gram matrix if all its entries are integers, else None."""
+        gram, scale = self._zgram
+        if any(x % scale for row in gram for x in row):
+            return None
+        return [[x // scale for x in row] for row in gram]
+
     def gram_zbasis(self) -> list[list[Fraction]]:
-        basis = self.zbasis()
-        return [[self.space.inner(a, b) for b in basis] for a in basis]
+        gram, scale = self._zgram
+        return [[Fraction(x, scale) for x in row] for row in gram]
+
+    def _hnf_combination(self, combo: Sequence[int], divisor: int = 1) -> RationalVector:
+        """The vector sum_r combo[r] * zbasis[r] / divisor."""
+        den, hnf, _ = self._scaled
+        coords = [0] * self.space.dim
+        for c, row in zip(combo, hnf):
+            if c:
+                coords = [x + c * y for x, y in zip(coords, row)]
+        return RationalVector(
+            self.space, tuple(Fraction(x, den * divisor) for x in coords)
+        )
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Smith normal form of the Z-basis Gram matrix, with lifted generators."""
-        basis = self.zbasis()
-        if not basis:
+        if not self.rank:
             return DiscriminantGroup((), ())
-        gram = self.gram_zbasis()
-        int_gram = []
-        for row in gram:
-            int_row = []
-            for x in row:
-                if x.denominator != 1:
-                    raise LatticeError("Gram matrix of the Z-basis is not integral")
-                int_row.append(x.numerator)
-            int_gram.append(int_row)
+        int_gram = self._integral_zgram()
+        if int_gram is None:
+            raise LatticeError("Gram matrix of the Z-basis is not integral")
         diag, u, _ = _smith_normal_form(int_gram)
-        if len(diag) < len(basis) or any(d == 0 for d in diag):
+        if len(diag) < self.rank or any(d == 0 for d in diag):
             raise LatticeError("degenerate lattice: Gram determinant is zero")
-        factors = []
-        lifts = []
-        for i, d in enumerate(diag):
-            if d > 1:
-                factors.append(d)
-                coords = [Fraction(0)] * self.space.dim
-                for k, c in enumerate(u[i]):
-                    if c:
-                        for a in range(self.space.dim):
-                            coords[a] += c * basis[k].coords[a]
-                lift = RationalVector(
-                    self.space, tuple(c / d for c in coords)
-                )
-                lifts.append(lift)
+        factors = [d for d in diag if d > 1]
+        lifts = [self._hnf_combination(u[i], d) for i, d in enumerate(diag) if d > 1]
         return DiscriminantGroup(tuple(factors), tuple(lifts))
 
     def in_dual(self, v: RationalVector) -> bool:
@@ -617,23 +597,19 @@ class SublatticeModel:
 
     def is_even(self) -> bool:
         """Integral Gram with even diagonal, i.e. every vector has even norm."""
-        gram = self.gram_zbasis()
-        n = len(gram)
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j].denominator != 1:
-                    return False
-        return all(gram[i][i].numerator % 2 == 0 for i in range(n))
+        gram = self._integral_zgram()
+        return gram is not None and all(gram[i][i] % 2 == 0 for i in range(len(gram)))
 
     def is_negative_definite(self) -> bool:
-        """All leading principal minors of the negated Z-basis Gram are positive."""
-        gram = self.gram_zbasis()
-        neg = [[-x for x in row] for row in gram]
-        for k in range(1, len(neg) + 1):
-            minor = [row[:k] for row in neg[:k]]
-            if _det_fraction(minor) <= 0:
-                return False
-        return True
+        """All leading principal minors of the negated Z-basis Gram are positive.
+
+        The minors are taken of the integer matrix M = s * Gram; scaling by
+        s > 0 does not change their signs.
+        """
+        neg = [[-x for x in row] for row in self._zgram[0]]
+        return all(
+            _det_int([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(neg) + 1)
+        )
 
     # -- maps and sublattices --------------------------------------------------
 
@@ -651,7 +627,7 @@ class SublatticeModel:
         n = self.space.dim
         for i in range(n):
             for j in range(i, n):
-                if rows[i].dot(rows[j]) != self.space.gram[i][j]:
+                if rows[i].dot(rows[j]) != (self.space.diag[i] if i == j else 0):
                     return False
         # the lattice must map into itself with unimodular coefficient matrix
         coeff_rows = []
@@ -676,24 +652,13 @@ class SublatticeModel:
         """
         keep = {self.space.index(label) for label in labels}
         others = [i for i in range(self.space.dim) if i not in keep]
-        den, hnf, _ = self._scaled
         if not others:
             return self.hnf_basis()
-        restricted = [[row[c] for c in others] for row in hnf]
+        restricted = [[row[c] for c in others] for row in self._scaled[1]]
         _, _, kernel = _hnf_rows(restricted, len(others), want_kernel=True)
-        vectors = []
-        for combo in kernel:
-            coords = [0] * self.space.dim
-            for r, c in enumerate(combo):
-                if c:
-                    for a in range(self.space.dim):
-                        coords[a] += c * hnf[r][a]
-            vectors.append(
-                RationalVector(
-                    self.space, tuple(Fraction(x, den) for x in coords)
-                )
-            )
-        return SublatticeModel(self.space, tuple(vectors))
+        return SublatticeModel(
+            self.space, tuple(self._hnf_combination(combo) for combo in kernel)
+        )
 
     def index_of_sublattice(self, sub: "SublatticeModel") -> int:
         """Index [self : sub] for a finite-index sublattice of equal rank."""

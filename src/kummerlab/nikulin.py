@@ -27,7 +27,7 @@ class NikulinLattice:
     """Span of c1..c8 (pairwise orthogonal, norm -2) and d = half their sum."""
 
     def __init__(self) -> None:
-        self.space = QuadraticSpace.diagonal(ROOT_BASIS_LABELS, [-2] * 8)
+        self.space = QuadraticSpace(ROOT_BASIS_LABELS, [-2] * 8)
         basis = [self.space.basis_vector(label) for label in ROOT_BASIS_LABELS]
         self.halfsum = HALF * sum(basis[1:], basis[0])
         self.lattice = SublatticeModel(self.space, tuple(basis) + (self.halfsum,))

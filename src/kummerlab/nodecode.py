@@ -29,8 +29,8 @@ class NodeSet:
     bits: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits <= _FULL_MASK:
-            raise CodeError(f"bitmask out of range: {self.bits}")
+        if not isinstance(self.bits, int) or not 0 <= self.bits <= _FULL_MASK:
+            raise CodeError(f"bitmask must be an int in [0, 2^16), got {self.bits!r}")
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "NodeSet":
@@ -52,7 +52,11 @@ class NodeSet:
         return self.bits.bit_count()
 
     def __contains__(self, label: str) -> bool:
-        return bool(self.bits >> NODE_INDEX[label] & 1)
+        try:
+            k = NODE_INDEX[label]
+        except (KeyError, TypeError):
+            raise CodeError(f"unknown node label {label!r}") from None
+        return bool(self.bits >> k & 1)
 
     def __xor__(self, other: "NodeSet") -> "NodeSet":
         return NodeSet(self.bits ^ other.bits)

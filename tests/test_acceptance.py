@@ -13,7 +13,6 @@ from kummerlab import covers
 from kummerlab.cli import build_report, render_json
 from kummerlab.fibration import (
     build_fibration,
-    build_jacobian_fibration,
     euler_sum,
     even_eight_from_fibers,
     transform_double_cover,
@@ -144,7 +143,7 @@ def test_criterion_06_containment_and_discriminant():
 
 
 def test_criterion_07_fibration():
-    fib = build_jacobian_fibration(MODEL)
+    fib = build_fibration(MODEL)
     types = [f.kodaira_type for f in fib.fibers]
     out = transform_double_cover(fib, even_eight(1, 2), MODEL)
     sweep = True

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from kummerlab import __version__
 from kummerlab.checks import REGISTRY, list_checks, run_checks
-from kummerlab.cli import build_report, main, render_json, select_ids
+from kummerlab.cli import build_report, main, render_check_list, render_json, select_ids
+
+# outputs captured before any change to the package; the stdout fixed points
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 class TestRegistry:
@@ -98,6 +102,10 @@ class TestReport:
         first = render_json(build_report())
         second = render_json(build_report())
         assert first == second
+        assert first == (GOLDEN / "report.json").read_text(encoding="utf-8")
+
+    def test_check_list_matches_golden(self):
+        assert render_check_list() == (GOLDEN / "list.txt").read_text(encoding="utf-8")
 
 
 class TestMain:

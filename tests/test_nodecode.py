@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from kummerlab.kummer_ns import jacobian_kummer_ns
@@ -41,6 +43,16 @@ class TestNodeSet:
     def test_out_of_range_mask(self):
         with pytest.raises(CodeError):
             NodeSet(1 << 16)
+
+    @pytest.mark.parametrize("bits", ["3", None, Fraction(1)])
+    def test_non_integer_mask_rejected(self, bits):
+        with pytest.raises(CodeError):
+            NodeSet(bits)
+
+    @pytest.mark.parametrize("label", ["E99", "E11", 3, None, ["E0"]])
+    def test_unknown_label_membership_rejected(self, label):
+        with pytest.raises(CodeError):
+            label in NodeSet(3)
 
 
 class TestCodeConstruction:
