@@ -26,7 +26,7 @@ from .lattice import (
     SublatticeModel,
     _smith_normal_form,
 )
-from .nodecode import EMPTY, FULL, NodeSet
+from .nodecode import EMPTY, FULL, NodeSet, f2_basis, f2_reduce
 
 HALF = Fraction(1, 2)
 
@@ -128,23 +128,36 @@ class JacobianKummerNS:
 
     @cached_property
     def even_sets(self) -> tuple[NodeSet, ...]:
-        """All node subsets whose half-sum lies in the lattice (full 2^16 scan)."""
-        den = self.ns.denominator
+        """All node subsets whose half-sum lies in the lattice, over all 2^16.
+
+        The lattice must contain Z^17 (ValueError otherwise), so the scaled
+        half-sum of S, the 0/1 vector of S, lies in the scaled lattice exactly
+        when it does modulo 2, where membership is linear in S over F2.  Each
+        node gets the syndrome of its unit vector modulo the scaled HNF rows
+        mod 2; a binary-reflected Gray code then visits every nonempty subset
+        with one XOR per step, and S is even exactly when its syndrome is zero.
+        """
+        den, hnf, _ = self.ns._scaled
         if den != 2:
             raise ValueError(f"unexpected lattice denominator {den}")
-        positions = [self.space.index(label) for label in NODE_LABELS]
         dim = self.space.dim
-        tester = self.ns.contains_scaled
-        found = []
-        for mask in range(1 << 16):
-            vec = [0] * dim
-            m = mask
-            while m:
-                low = m & -m
-                vec[positions[low.bit_length() - 1]] = 1
-                m ^= low
-            if tester(vec):
-                found.append(NodeSet(mask))
+        for i in range(dim):
+            if not self.ns.contains_scaled([2 if k == i else 0 for k in range(dim)]):
+                raise ValueError(f"lattice lacks the basis vector {self.space.labels[i]}")
+        basis = f2_basis(
+            sum(1 << k for k, x in enumerate(row) if x & 1) for row in hnf
+        )
+        syndromes = [
+            f2_reduce(1 << self.space.index(label), basis) for label in NODE_LABELS
+        ]
+        # step k of the Gray code flips the lowest set bit of k and reaches
+        # the subset k ^ (k >> 1)
+        found = [EMPTY]
+        syndrome = 0
+        for step in range(1, 1 << len(syndromes)):
+            syndrome ^= syndromes[(step & -step).bit_length() - 1]
+            if not syndrome:
+                found.append(NodeSet(step ^ step >> 1))
         return tuple(sorted(found))
 
     def is_even_set(self, s: NodeSet) -> bool:

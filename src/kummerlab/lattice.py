@@ -380,8 +380,13 @@ def vector_to_json(v: RationalVector) -> dict:
 
 
 def _json_int(x: object) -> int:
-    if not isinstance(x, (str, int)):
-        raise TypeError(f"expected a decimal string, got {x!r}")
+    """Parse one entry as `vector_to_json` writes it: a string ``-?[0-9]+``.
+
+    ``int`` alone would also take ints, bools, whitespace, underscores, a
+    plus sign and non-ASCII digits; on ASCII text ``isdigit`` means 0-9.
+    """
+    if not (isinstance(x, str) and x.isascii() and x.removeprefix("-").isdigit()):
+        raise ValueError(f"expected a decimal string, got {x!r}")
     return int(x)
 
 

@@ -102,17 +102,34 @@ class BinaryCode:
         return len(self.codewords).bit_length() - 1
 
 
-def _span(masks: Iterable[int]) -> set[int]:
-    """Linear span over F2 via a reduced bit basis."""
+def f2_reduce(mask: int, basis: Iterable[int]) -> int:
+    """Reduce a bit mask modulo the span of an echelon basis over F2.
+
+    ``basis`` must list masks with distinct leading bits in descending order,
+    as `f2_basis` returns them.  The result has none of those leading bits
+    set, so it is the same for every mask of a coset of the span: it is
+    linear in ``mask`` and zero exactly when ``mask`` lies in the span.
+    """
+    for b in basis:
+        mask = min(mask, mask ^ b)
+    return mask
+
+
+def f2_basis(masks: Iterable[int]) -> list[int]:
+    """Echelon basis over F2 of the span of the given bit masks."""
     basis: list[int] = []
     for mask in masks:
-        for b in basis:
-            mask = min(mask, mask ^ b)
+        mask = f2_reduce(mask, basis)
         if mask:
             basis.append(mask)
             basis.sort(reverse=True)
+    return basis
+
+
+def _span(masks: Iterable[int]) -> set[int]:
+    """Linear span over F2 via a reduced bit basis."""
     span = {0}
-    for b in basis:
+    for b in f2_basis(masks):
         span |= {w ^ b for w in span}
     return span
 

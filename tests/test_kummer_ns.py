@@ -3,13 +3,22 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.kummer_ns import (
+    JacobianKummerNS,
     even_eight,
     isogeny_polarization_type,
     jacobian_kummer_ns,
     trope_support,
 )
-from kummerlab.labels import NODE_LABELS, TROPE_LABELS
-from kummerlab.nodecode import EMPTY, FULL, NodeSet
+from kummerlab.labels import BASIS_LABELS, NODE_LABELS, TROPE_LABELS
+from kummerlab.lattice import SublatticeModel
+from kummerlab.nodecode import (
+    EMPTY,
+    FULL,
+    NodeSet,
+    code_from_even_sets,
+    f2_basis,
+    f2_reduce,
+)
 
 MODEL = jacobian_kummer_ns()
 HALF = Fraction(1, 2)
@@ -17,6 +26,43 @@ HALF = Fraction(1, 2)
 
 def vec(mapping):
     return MODEL.space.vector(mapping)
+
+
+def model_with_lattice(gens):
+    """A fresh model whose divisor lattice is replaced by the span of gens."""
+    model = JacobianKummerNS()
+    model.ns = SublatticeModel(model.space, tuple(gens))
+    return model
+
+
+def unit_vectors(model, scale=1):
+    return [scale * model.space.basis_vector(label) for label in BASIS_LABELS]
+
+
+def hnf_scan(model):
+    """Reference even-set scan: one HNF membership test per node subset."""
+    assert model.ns.denominator == 2
+    positions = [model.space.index(label) for label in NODE_LABELS]
+    found = []
+    for mask in range(1 << 16):
+        scaled = [0] * model.space.dim  # 2 * half-sum of the subset
+        for k, p in enumerate(positions):
+            if mask >> k & 1:
+                scaled[p] = 1
+        if model.ns.contains_scaled(scaled):
+            found.append(NodeSet(mask))
+    return tuple(found)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The model and a perturbed lattice (Z^17 plus only the tropes C0 and
+    C12), each with its even sets by the reference scan; the only place in
+    the suite where the per-subset scan runs."""
+    perturbed = model_with_lattice(
+        unit_vectors(MODEL) + [MODEL.trope_class("C0"), MODEL.trope_class("C12")]
+    )
+    return [(MODEL, hnf_scan(MODEL)), (perturbed, hnf_scan(perturbed))]
 
 
 class TestTropeClasses:
@@ -166,6 +212,36 @@ class TestScan:
         assert not MODEL.is_even_set(NodeSet.from_labels(["E12", "E13"]))
         for s in list(evens)[:5]:
             assert MODEL.is_even_set(s)
+
+
+class TestGrayCodeScan:
+    def test_matches_hnf_oracle(self, oracle):
+        (model, expected), (perturbed, perturbed_expected) = oracle
+        assert len(expected) == 32
+        assert model.even_sets == expected
+        assert perturbed_expected == (EMPTY, even_eight(1, 2))
+        assert perturbed.even_sets == perturbed_expected
+
+    def test_denominator_guard(self):
+        model = model_with_lattice(unit_vectors(MODEL))
+        with pytest.raises(ValueError, match="denominator 1"):
+            model.even_sets
+
+    def test_integer_lattice_guard(self):
+        gens = unit_vectors(MODEL, 2) + [MODEL.trope_class(t) for t in TROPE_LABELS]
+        model = model_with_lattice(gens)
+        assert model.ns.denominator == 2
+        with pytest.raises(ValueError, match="lacks the basis vector"):
+            model.even_sets
+
+    def test_code_dimension_from_syndrome_rank(self):
+        _, hnf, _ = MODEL.ns._scaled
+        basis = f2_basis(sum(x % 2 << k for k, x in enumerate(row)) for row in hnf)
+        syndromes = [
+            f2_reduce(1 << MODEL.space.index(label), basis) for label in NODE_LABELS
+        ]
+        dimension = code_from_even_sets(MODEL.even_sets).dimension
+        assert 16 - len(f2_basis(syndromes)) == dimension == 5
 
 
 class TestEvenEightIdentity:

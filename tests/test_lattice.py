@@ -329,6 +329,12 @@ class TestJson:
             {"basis": list(SPACE.labels), "coords": [[1.5, 1]] + [["0", "1"]] * 16},
             {"basis": list(SPACE.labels), "coords": [["1"]] + [["0", "1"]] * 16},
             {"basis": list(SPACE.labels), "coords": [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [[" 1_0 ", "1"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["1", True]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["+1", "1"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["\u0661", "1"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [[3, "1"]] + [["0", "1"]] * 16},
+            {"basis": list(SPACE.labels), "coords": [["1\n", "1"]] + [["0", "1"]] * 16},
         ],
     )
     def test_malformed_payload_rejected(self, payload):
