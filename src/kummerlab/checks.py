@@ -1,15 +1,16 @@
 """Registry of verification checks.
 
-Every finite claim the package certifies appears here exactly once, with a
-stable identifier, a one-line description of what is computed, and the
-mathematical claim being verified.  Checks marked ``flagged`` record known
-ambiguities in the source material; they never fail a run.
+Every finite claim the package certifies appears here exactly once: an
+``@check`` decorator on the function that computes it gives a stable
+identifier, a one-line description of what is computed, and the mathematical
+claim being verified.  Checks marked ``flagged`` record known ambiguities in
+the source material; they never fail a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from . import covers, fibration as fib_mod, nikulin as nik_mod
@@ -21,6 +22,7 @@ from .kummer_ns import (
 )
 from .labels import INDEX_PAIRS, NODE_LABELS, TROPE_LABELS
 from .nodecode import (
+    BinaryCode,
     NodeSet,
     check_affine_hyperplane_family,
     code_from_even_sets,
@@ -53,6 +55,37 @@ class CheckDef:
     flagged: bool = False
 
 
+_REGISTERED: dict[str, CheckDef] = {}
+
+
+def check(id: str, description: str, claim: str, flagged: bool = False):
+    """Register the decorated body as the check ``id``; ids must be unique."""
+
+    def register(body):
+        if id in _REGISTERED:
+            raise ValueError(f"duplicate check id {id!r}")
+        _REGISTERED[id] = CheckDef(id, description, claim, body, flagged)
+        return body
+
+    return register
+
+
+def check_pairs(id: str, description: str, claim: str):
+    """Register a ``(ctx, i, j)`` body once per index pair.
+
+    ``{i}`` and ``{j}`` in the id and the description name the pair.
+    """
+
+    def register(body):
+        for i, j in INDEX_PAIRS:
+            check(id.format(i=i, j=j), description.format(i=i, j=j), claim)(
+                partial(body, i=i, j=j)
+            )
+        return body
+
+    return register
+
+
 class CheckContext:
     """Shared lazily-built objects so expensive scans run once per process."""
 
@@ -63,6 +96,10 @@ class CheckContext:
     @cached_property
     def eights(self) -> tuple[NodeSet, ...]:
         return self.model.even_eights()
+
+    @cached_property
+    def code(self) -> BinaryCode:
+        return code_from_even_sets(self.model.even_sets)
 
     @cached_property
     def fibration(self):
@@ -84,11 +121,21 @@ def _labels(sets) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "even_sets.count30",
+    "census the weight-8 results of the exhaustive even-set scan",
+    "the sixteen nodes admit exactly thirty even eights",
+)
 def _count30(ctx: CheckContext):
     count = len(ctx.eights)
     return count == 30, f"{count} even eights among the sixteen nodes", {"count": count}
 
 
+@check(
+    "even_sets.census",
+    "scan all 65536 node subsets for half-sum membership in the lattice",
+    "even node sets have weight 0, 8 or 16, with counts 1/30/1",
+)
 def _census(ctx: CheckContext):
     hist: dict[int, int] = {}
     for s in ctx.model.even_sets:
@@ -99,6 +146,11 @@ def _census(ctx: CheckContext):
     }
 
 
+@check(
+    "even_sets.delta15",
+    "filter the even eights avoiding E0 and compare with the index-pair family",
+    "exactly fifteen even eights avoid E0 and they are the index-pair eights",
+)
 def _delta15(ctx: CheckContext):
     no_e0 = [s for s in ctx.eights if "E0" not in s]
     deltas = {even_eight(i, j) for i, j in INDEX_PAIRS}
@@ -108,8 +160,13 @@ def _delta15(ctx: CheckContext):
     }
 
 
+@check(
+    "code.linear_dim5",
+    "take the linear closure of the even-set family over F2",
+    "the 32 even sets already form a linear code of dimension 5",
+)
 def _code_dim(ctx: CheckContext):
-    code = code_from_even_sets(ctx.model.even_sets)
+    code = ctx.code
     ok = code.dimension == 5 and len(code.codewords) == 32
     return ok, f"even sets form a closed linear code of dimension {code.dimension}", {
         "dimension": code.dimension,
@@ -117,20 +174,34 @@ def _code_dim(ctx: CheckContext):
     }
 
 
+@check(
+    "code.weight_enumerator",
+    "histogram the codeword weights",
+    "weight enumerator 1 + 30 z^8 + z^16",
+)
 def _code_weights(ctx: CheckContext):
-    code = code_from_even_sets(ctx.model.even_sets)
-    hist = weight_enumerator(code)
+    hist = weight_enumerator(ctx.code)
     ok = hist == {0: 1, 8: 30, 16: 1}
     return ok, f"weight enumerator {hist}", {
         "weights": {str(k): v for k, v in hist.items()}
     }
 
 
+@check(
+    "code.affine_hyperplanes",
+    "pairwise-intersect the thirty weight-8 codewords",
+    "distinct even eights meet in 0 or 4 nodes and complements are members",
+)
 def _code_affine(ctx: CheckContext):
     ok = check_affine_hyperplane_family(ctx.eights)
     return ok, "weight-8 words pairwise meet in 0 or 4 nodes, complements included", None
 
 
+@check(
+    "config.sixteen_six",
+    "compute the 16x16 trope-node intersection table",
+    "a (16,6) configuration: 0/1 entries, all rows and columns sum to 6",
+)
 def _sixteen_six(ctx: CheckContext):
     table = ctx.model.incidence_matrix()
     zero_one = all(x in (0, 1) for row in table for x in row)
@@ -144,6 +215,11 @@ def _sixteen_six(ctx: CheckContext):
     }
 
 
+@check(
+    "ns.tropes_contained",
+    "test lattice membership of every trope class",
+    "all sixteen half-integer trope classes lie in the divisor lattice",
+)
 def _tropes_contained(ctx: CheckContext):
     missing = [
         t for t in TROPE_LABELS if not ctx.model.ns.contains(ctx.model.trope_class(t))
@@ -153,6 +229,11 @@ def _tropes_contained(ctx: CheckContext):
     }
 
 
+@check(
+    "ns.trope_pairings",
+    "compute all trope norms and pairwise trope intersections",
+    "tropes have norm -2, meet L twice, and are mutually orthogonal",
+)
 def _trope_pairings(ctx: CheckContext):
     m = ctx.model
     tropes = [m.trope_class(t) for t in TROPE_LABELS]
@@ -172,6 +253,11 @@ def _trope_pairings(ctx: CheckContext):
     }
 
 
+@check(
+    "ns.rank17",
+    "reduce the node and trope generators to a Hermite basis",
+    "the divisor lattice has rank 17",
+)
 def _rank17(ctx: CheckContext):
     rank = ctx.model.ns.rank
     gens = len(ctx.model.ns.generators)
@@ -181,6 +267,11 @@ def _rank17(ctx: CheckContext):
     }
 
 
+@check(
+    "ns.discriminant",
+    "Smith normal form of the Z-basis Gram matrix",
+    "discriminant group of order 64 with invariant factors (2,2,2,2,4)",
+)
 def _ns_discriminant(ctx: CheckContext):
     group = ctx.model.ns.discriminant_group()
     ok = group.invariant_factors == NS_INVARIANT_FACTORS and group.order == 64
@@ -190,6 +281,11 @@ def _ns_discriminant(ctx: CheckContext):
     }
 
 
+@check(
+    "alpha.isometry",
+    "verify the covering involution of the double-plane model on the lattice",
+    "an involutive isometry fixing nodes and ramification tropes",
+)
 def _alpha(ctx: CheckContext):
     m = ctx.model
     images = m.covering_involution_images()
@@ -224,14 +320,21 @@ def _alpha(ctx: CheckContext):
     }
 
 
-def _delta_identity(i: int, j: int):
-    def body(ctx: CheckContext):
-        ok = ctx.model.even_eight_identity(i, j)
-        return ok, f"node sum of the ({i},{j}) even eight equals 2(L-E0) - 2C_1{i} - 2C_1{j} - 2E_{i}{j}", None
+@check_pairs(
+    "delta.identity.{i}{j}",
+    "expand the trope identity for the ({i},{j}) even eight",
+    "the even eight is cut out by two tropes, L - E0 and one node",
+)
+def _delta_identity(ctx: CheckContext, i: int, j: int):
+    ok = ctx.model.even_eight_identity(i, j)
+    return ok, f"node sum of the ({i},{j}) even eight equals 2(L-E0) - 2C_1{i} - 2C_1{j} - 2E_{i}{j}", None
 
-    return body
 
-
+@check(
+    "containment.quadruple_1324",
+    "scan the even eights containing E13, E14, E23, E24",
+    "among E0-avoiding even eights, exactly the (1,2) and (3,4) eights",
+)
 def _containment_1324(ctx: CheckContext):
     query = NodeSet.from_labels(["E13", "E14", "E23", "E24"])
     matches = ctx.model.even_eights_containing(query)
@@ -244,6 +347,11 @@ def _containment_1324(ctx: CheckContext):
     }
 
 
+@check(
+    "containment.quadruple_1235",
+    "scan the even eights containing E12, E23, E15, E35",
+    "exactly two E0-avoiding even eights, one of them the (2,5) eight",
+)
 def _containment_1235(ctx: CheckContext):
     query = NodeSet.from_labels(["E12", "E23", "E15", "E35"])
     matches = ctx.model.even_eights_containing(query)
@@ -255,11 +363,21 @@ def _containment_1235(ctx: CheckContext):
     }
 
 
+@check(
+    "ns.disc_elements",
+    "test two half-sums of four nodes against lattice and dual lattice",
+    "two independent order-2 classes in the discriminant group",
+)
 def _disc_elements(ctx: CheckContext):
     ok = ctx.model.independent_discriminant_elements()
     return ok, "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice", None
 
 
+@check(
+    "nikulin.roots16",
+    "enumerate all norm -2 vectors of the rank-8 half-sum lattice",
+    "the only norm -2 classes are the sixteen signed basis vectors",
+)
 def _nik_roots(ctx: CheckContext):
     n = nik_mod.nikulin_lattice()
     found = nik_mod.roots(n)
@@ -274,6 +392,11 @@ def _nik_roots(ctx: CheckContext):
     }
 
 
+@check(
+    "nikulin.eps1_none",
+    "enumerate the half-integer branch of the root search",
+    "no norm -2 vector involves the half-sum generator",
+)
 def _nik_eps1(ctx: CheckContext):
     count = nik_mod.halfsum_branch_root_count(nik_mod.nikulin_lattice())
     return count == 0, "the half-integer branch of the enumeration is empty", {
@@ -281,6 +404,11 @@ def _nik_eps1(ctx: CheckContext):
     }
 
 
+@check(
+    "nikulin.disc64",
+    "Smith normal form of the canonical rank-8 Gram matrix",
+    "discriminant group of order 2^6",
+)
 def _nik_disc(ctx: CheckContext):
     group = nik_mod.nikulin_lattice().lattice.discriminant_group()
     ok = group.invariant_factors == NIKULIN_INVARIANT_FACTORS and group.order == 64
@@ -290,6 +418,11 @@ def _nik_disc(ctx: CheckContext):
     }
 
 
+@check(
+    "nikulin.even_negdef",
+    "check parity and definiteness of the rank-8 lattice",
+    "an even negative-definite lattice whose half-sum has norm -4",
+)
 def _nik_shape(ctx: CheckContext):
     n = nik_mod.nikulin_lattice()
     even = n.lattice.is_even()
@@ -303,25 +436,37 @@ def _nik_shape(ctx: CheckContext):
     }
 
 
-def _nik_saturation(i: int, j: int):
-    def body(ctx: CheckContext):
-        eight = even_eight(i, j)
-        index = nik_mod.saturation_index(eight, ctx.model)
-        gram_ok = nik_mod.saturation_gram_matches(eight, ctx.model)
-        ok = index == 2 and gram_ok
-        return ok, f"({i},{j}) eight saturates with index {index}; Gram matches the abstract lattice", {
-            "index": index,
-            "gram_matches": gram_ok,
-        }
+@check_pairs(
+    "nikulin.saturation.{i}{j}",
+    "saturate the ({i},{j}) even eight inside the divisor lattice",
+    "index-2 saturation generated by the nodes and their half-sum",
+)
+def _nik_saturation(ctx: CheckContext, i: int, j: int):
+    eight = even_eight(i, j)
+    index = nik_mod.saturation_index(eight, ctx.model)
+    gram_ok = nik_mod.saturation_gram_matches(eight, ctx.model)
+    ok = index == 2 and gram_ok
+    return ok, f"({i},{j}) eight saturates with index {index}; Gram matches the abstract lattice", {
+        "index": index,
+        "gram_matches": gram_ok,
+    }
 
-    return body
 
-
+@check(
+    "fibration.F2zero",
+    "square the fiber class L - E0 - E12",
+    "the fiber class is isotropic",
+)
 def _fib_f2(ctx: CheckContext):
     norm = ctx.fibration.fiber_class.norm()
     return norm == 0, f"fiber class self-intersection {norm}", None
 
 
+@check(
+    "fibration.sections4",
+    "pair the four trope sections with the fiber class",
+    "four sections each meeting a fiber once",
+)
 def _fib_sections(ctx: CheckContext):
     pairings = [s.dot(ctx.fibration.fiber_class) for s in ctx.fibration.sections]
     ok = len(pairings) == 4 and all(p == 1 for p in pairings)
@@ -330,22 +475,42 @@ def _fib_sections(ctx: CheckContext):
     }
 
 
+@check(
+    "fibration.classify",
+    "classify all eight fibers from their component dual graphs",
+    "two star fibers and six two-component fibers",
+)
 def _fib_classify(ctx: CheckContext):
     types = [f.kodaira_type for f in ctx.fibration.fibers]
     ok = types[:2] == ["I0*", "I0*"] and types[2:] == ["I2"] * 6
     return ok, f"fiber types {types}", {"types": types}
 
 
+@check(
+    "fibration.eulersum24",
+    "sum the Euler numbers of the singular fibers",
+    "2*6 + 6*2 = 24, the Euler number of a K3 surface",
+)
 def _fib_euler(ctx: CheckContext):
     total = fib_mod.euler_sum(ctx.fibration)
     return total == 24, f"2*6 + 6*2 = {total}", {"euler_sum": total}
 
 
+@check(
+    "fibration.delta12_identity",
+    "compare the even eight with F1 + F2 minus twice the central tropes",
+    "the even eight is the multiplicity-one locus of the two star fibers",
+)
 def _fib_identity(ctx: CheckContext):
     ok = fib_mod.even_eight_from_fibers(ctx.fibration, ctx.model)
     return ok, "the even eight equals F1 + F2 - 2*(central tropes), components matching", None
 
 
+@check(
+    "fibration.cover12I2",
+    "transform the fibration through the branched double cover",
+    "exactly twelve two-component fibers upstairs, Euler sum still 24",
+)
 def _fib_cover(ctx: CheckContext):
     out = ctx.transformed
     i2 = sum(1 for f in out.fibers if f.kodaira_type == "I2")
@@ -360,24 +525,31 @@ def _fib_cover(ctx: CheckContext):
     }
 
 
-def _fib_sweep(i: int, j: int):
-    def body(ctx: CheckContext):
-        f = fib_mod.build_fibration(ctx.model, i, j)
-        ok = (
-            f.fiber_class.norm() == 0
-            and fib_mod.euler_sum(f) == 24
-            and fib_mod.even_eight_from_fibers(f, ctx.model)
-        )
-        out = fib_mod.transform_double_cover(f, even_eight(i, j), ctx.model)
-        i2 = sum(1 for x in out.fibers if x.kodaira_type == "I2")
-        ok = ok and i2 == 12 and fib_mod.euler_sum(out) == 24
-        return ok, f"pencil through the ({i},{j}) point passes all fibration checks", {
-            "i2_fibers_on_cover": i2
-        }
+@check_pairs(
+    "fibration.sweep.{i}{j}",
+    "run the full fibration pipeline for the ({i},{j}) pencil",
+    "every index pair yields the same fiber and cover bookkeeping",
+)
+def _fib_sweep(ctx: CheckContext, i: int, j: int):
+    f = fib_mod.build_fibration(ctx.model, i, j)
+    ok = (
+        f.fiber_class.norm() == 0
+        and fib_mod.euler_sum(f) == 24
+        and fib_mod.even_eight_from_fibers(f, ctx.model)
+    )
+    out = fib_mod.transform_double_cover(f, even_eight(i, j), ctx.model)
+    i2 = sum(1 for x in out.fibers if x.kodaira_type == "I2")
+    ok = ok and i2 == 12 and fib_mod.euler_sum(out) == 24
+    return ok, f"pencil through the ({i},{j}) point passes all fibration checks", {
+        "i2_fibers_on_cover": i2
+    }
 
-    return body
 
-
+@check(
+    "cover.eT10",
+    "Euler number of the double cover branched along the quartic lines",
+    "e = 2*9 - 4*2 = 10",
+)
 def _cover_e10(ctx: CheckContext):
     t = covers.build_quartic_cover()
     return t.euler == 10, f"Euler number of the quartic double cover is {t.euler}", {
@@ -385,6 +557,11 @@ def _cover_e10(ctx: CheckContext):
     }
 
 
+@check(
+    "cover.kT2",
+    "canonical square and hyperplane square on the quartic cover",
+    "K^2 = 2 and the pulled-back hyperplane has square 2",
+)
 def _cover_k2(ctx: CheckContext):
     t = covers.build_quartic_cover()
     h_sq = t.pairing("l1", "l1")
@@ -395,16 +572,31 @@ def _cover_k2(ctx: CheckContext):
     }
 
 
+@check(
+    "cover.chi1",
+    "evaluate the Noether quotient on the quartic cover",
+    "holomorphic Euler characteristic 1",
+)
 def _cover_chi(ctx: CheckContext):
     chi = covers.noether_chi(covers.build_quartic_cover())
     return chi == 1, f"(K^2 + e)/12 = {chi}", {"chi": str(chi)}
 
 
+@check(
+    "cover.weak_dp2",
+    "compare invariants against a seven-point blowup of the plane",
+    "a degree-two weak del Pezzo surface",
+)
 def _cover_dp2(ctx: CheckContext):
     ok = covers.verify_weak_del_pezzo(covers.build_quartic_cover())
     return ok, "invariants match a plane blown up at seven points (9-7=2, 3+7=10)", None
 
 
+@check(
+    "cover.curve_table",
+    "check the declared curve table against the pullback aggregates",
+    "all three aggregate identities equal 8",
+)
 def _cover_table(ctx: CheckContext):
     table = covers.curve_table_T()
     return True, "declared curve table satisfies all three pullback aggregates (= 8)", {
@@ -412,6 +604,11 @@ def _cover_table(ctx: CheckContext):
     }
 
 
+@check(
+    "cover.X_euler24",
+    "Euler number of the genus-1 branched cover",
+    "e = 2*12 - 0 = 24",
+)
 def _cover_x_euler(ctx: CheckContext):
     x = covers.build_final_cover()
     return x.euler == 24, f"Euler number of the final cover is {x.euler}", {
@@ -419,17 +616,32 @@ def _cover_x_euler(ctx: CheckContext):
     }
 
 
+@check(
+    "cover.X_canonical",
+    "canonical class of the final cover",
+    "numerically trivial canonical class",
+)
 def _cover_x_canonical(ctx: CheckContext):
     x = covers.build_final_cover()
     ok = x.canonical.is_zero() and x.k_squared == 0
     return ok, "canonical class of the final cover is numerically trivial", None
 
 
+@check(
+    "cover.X_chi2",
+    "evaluate the Noether quotient on the final cover",
+    "holomorphic Euler characteristic 2",
+)
 def _cover_x_chi(ctx: CheckContext):
     chi = covers.noether_chi(covers.build_final_cover())
     return chi == 2, f"(K^2 + e)/12 = {chi}", {"chi": str(chi)}
 
 
+@check(
+    "cover.X_sixteen",
+    "inventory the disjoint rational curves on the final cover",
+    "sixteen disjoint rational curves: 12 + 2 + 2",
+)
 def _cover_sixteen(ctx: CheckContext):
     inv = covers.sixteen_curves_on_X()
     ok = (
@@ -441,6 +653,11 @@ def _cover_sixteen(ctx: CheckContext):
     return ok, "sixteen disjoint rational curves: 12 split + 2 exceptional + 2 conic pieces", inv
 
 
+@check(
+    "cover.incidence_sextic",
+    "count the incidences of the six-line-plus-conic configuration",
+    "15 double points, 5 per line, 6 quartic singular points, degree 6 = 4 + 2",
+)
 def _cover_incidence(ctx: CheckContext):
     config = covers.sextic_configuration()
     per_line = [len(config.points_on_line(i)) for i in range(1, 7)]
@@ -459,6 +676,11 @@ def _cover_incidence(ctx: CheckContext):
     }
 
 
+@check(
+    "cross.euler24",
+    "compare the transformed fiber Euler sum with the surface Euler number",
+    "two independent computations of the Euler number 24 agree",
+)
 def _cross_euler(ctx: CheckContext):
     fib_total = fib_mod.euler_sum(ctx.transformed)
     surf_total = covers.build_final_cover().euler
@@ -469,6 +691,11 @@ def _cross_euler(ctx: CheckContext):
     }
 
 
+@check(
+    "polarization.type12",
+    "pull a principal polarization back along a degree-2 isogeny",
+    "type (1,1) becomes type (1,2)",
+)
 def _polarization(ctx: CheckContext):
     main = isogeny_polarization_type((1, 1), 2)
     identity = isogeny_polarization_type((1, 1), 1)
@@ -486,6 +713,12 @@ def _polarization(ctx: CheckContext):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "oq.relation3_index_range",
+    "record the index convention for the conic tropes",
+    "trope indexing follows the ten (3,3)-partitions",
+    flagged=True,
+)
 def _flag_relation3(ctx: CheckContext):
     return True, (
         "trope classes C_jk are indexed by the ten (3,3)-partitions of {1..6}, "
@@ -494,6 +727,12 @@ def _flag_relation3(ctx: CheckContext):
     ), None
 
 
+@check(
+    "oq.containment_full_answers",
+    "record the full even-eight containment answer sets",
+    "each quadruple query has one extra match containing E0",
+    flagged=True,
+)
 def _flag_containment(ctx: CheckContext):
     q1 = NodeSet.from_labels(["E13", "E14", "E23", "E24"])
     q2 = NodeSet.from_labels(["E12", "E23", "E15", "E35"])
@@ -506,6 +745,12 @@ def _flag_containment(ctx: CheckContext):
     }
 
 
+@check(
+    "oq.nikulin_effectivity",
+    "record the scope of the root enumeration",
+    "effectivity of norm -2 classes is outside the lattice model",
+    flagged=True,
+)
 def _flag_effectivity(ctx: CheckContext):
     return True, (
         "the root enumeration covers all norm -2 lattice vectors; whether a "
@@ -514,6 +759,12 @@ def _flag_effectivity(ctx: CheckContext):
     ), None
 
 
+@check(
+    "oq.pencil_base_points",
+    "record where the genus-1 pencil becomes base-point free",
+    "the pencil has square 2 before and 0 after the two blowups",
+    flagged=True,
+)
 def _flag_pencil(ctx: CheckContext):
     return True, (
         "the genus-1 class on the quartic cover has self-intersection 2, a "
@@ -522,6 +773,12 @@ def _flag_pencil(ctx: CheckContext):
     ), None
 
 
+@check(
+    "oq.blowdown_sequence",
+    "record the unverified part of the del Pezzo blowdown",
+    "only the numerical consequences of seven blowdowns are checked",
+    flagged=True,
+)
 def _flag_blowdown(ctx: CheckContext):
     return True, (
         "the seven-curve blowdown sequence of the degree-two surface is not "
@@ -530,6 +787,12 @@ def _flag_blowdown(ctx: CheckContext):
     ), None
 
 
+@check(
+    "oq.we_diagonal",
+    "record the undetermined diagonal of the curve table",
+    "only the diagonal sum 4 is forced by pullback consistency",
+    flagged=True,
+)
 def _flag_we_diagonal(ctx: CheckContext):
     return True, (
         "individual diagonal pairings of the conic and line preimages are "
@@ -542,314 +805,7 @@ def _flag_we_diagonal(ctx: CheckContext):
 # registry
 # ---------------------------------------------------------------------------
 
-
-def _build_registry() -> tuple[CheckDef, ...]:
-    defs: list[CheckDef] = [
-        CheckDef(
-            "even_sets.count30",
-            "census the weight-8 results of the exhaustive even-set scan",
-            "the sixteen nodes admit exactly thirty even eights",
-            _count30,
-        ),
-        CheckDef(
-            "even_sets.census",
-            "scan all 65536 node subsets for half-sum membership in the lattice",
-            "even node sets have weight 0, 8 or 16, with counts 1/30/1",
-            _census,
-        ),
-        CheckDef(
-            "even_sets.delta15",
-            "filter the even eights avoiding E0 and compare with the index-pair family",
-            "exactly fifteen even eights avoid E0 and they are the index-pair eights",
-            _delta15,
-        ),
-        CheckDef(
-            "code.linear_dim5",
-            "take the linear closure of the even-set family over F2",
-            "the 32 even sets already form a linear code of dimension 5",
-            _code_dim,
-        ),
-        CheckDef(
-            "code.weight_enumerator",
-            "histogram the codeword weights",
-            "weight enumerator 1 + 30 z^8 + z^16",
-            _code_weights,
-        ),
-        CheckDef(
-            "code.affine_hyperplanes",
-            "pairwise-intersect the thirty weight-8 codewords",
-            "distinct even eights meet in 0 or 4 nodes and complements are members",
-            _code_affine,
-        ),
-        CheckDef(
-            "config.sixteen_six",
-            "compute the 16x16 trope-node intersection table",
-            "a (16,6) configuration: 0/1 entries, all rows and columns sum to 6",
-            _sixteen_six,
-        ),
-        CheckDef(
-            "ns.tropes_contained",
-            "test lattice membership of every trope class",
-            "all sixteen half-integer trope classes lie in the divisor lattice",
-            _tropes_contained,
-        ),
-        CheckDef(
-            "ns.trope_pairings",
-            "compute all trope norms and pairwise trope intersections",
-            "tropes have norm -2, meet L twice, and are mutually orthogonal",
-            _trope_pairings,
-        ),
-        CheckDef(
-            "ns.rank17",
-            "reduce the node and trope generators to a Hermite basis",
-            "the divisor lattice has rank 17",
-            _rank17,
-        ),
-        CheckDef(
-            "ns.discriminant",
-            "Smith normal form of the Z-basis Gram matrix",
-            "discriminant group of order 64 with invariant factors (2,2,2,2,4)",
-            _ns_discriminant,
-        ),
-        CheckDef(
-            "alpha.isometry",
-            "verify the covering involution of the double-plane model on the lattice",
-            "an involutive isometry fixing nodes and ramification tropes",
-            _alpha,
-        ),
-        CheckDef(
-            "containment.quadruple_1324",
-            "scan the even eights containing E13, E14, E23, E24",
-            "among E0-avoiding even eights, exactly the (1,2) and (3,4) eights",
-            _containment_1324,
-        ),
-        CheckDef(
-            "containment.quadruple_1235",
-            "scan the even eights containing E12, E23, E15, E35",
-            "exactly two E0-avoiding even eights, one of them the (2,5) eight",
-            _containment_1235,
-        ),
-        CheckDef(
-            "ns.disc_elements",
-            "test two half-sums of four nodes against lattice and dual lattice",
-            "two independent order-2 classes in the discriminant group",
-            _disc_elements,
-        ),
-        CheckDef(
-            "nikulin.roots16",
-            "enumerate all norm -2 vectors of the rank-8 half-sum lattice",
-            "the only norm -2 classes are the sixteen signed basis vectors",
-            _nik_roots,
-        ),
-        CheckDef(
-            "nikulin.eps1_none",
-            "enumerate the half-integer branch of the root search",
-            "no norm -2 vector involves the half-sum generator",
-            _nik_eps1,
-        ),
-        CheckDef(
-            "nikulin.disc64",
-            "Smith normal form of the canonical rank-8 Gram matrix",
-            "discriminant group of order 2^6",
-            _nik_disc,
-        ),
-        CheckDef(
-            "nikulin.even_negdef",
-            "check parity and definiteness of the rank-8 lattice",
-            "an even negative-definite lattice whose half-sum has norm -4",
-            _nik_shape,
-        ),
-        CheckDef(
-            "fibration.F2zero",
-            "square the fiber class L - E0 - E12",
-            "the fiber class is isotropic",
-            _fib_f2,
-        ),
-        CheckDef(
-            "fibration.sections4",
-            "pair the four trope sections with the fiber class",
-            "four sections each meeting a fiber once",
-            _fib_sections,
-        ),
-        CheckDef(
-            "fibration.classify",
-            "classify all eight fibers from their component dual graphs",
-            "two star fibers and six two-component fibers",
-            _fib_classify,
-        ),
-        CheckDef(
-            "fibration.eulersum24",
-            "sum the Euler numbers of the singular fibers",
-            "2*6 + 6*2 = 24, the Euler number of a K3 surface",
-            _fib_euler,
-        ),
-        CheckDef(
-            "fibration.delta12_identity",
-            "compare the even eight with F1 + F2 minus twice the central tropes",
-            "the even eight is the multiplicity-one locus of the two star fibers",
-            _fib_identity,
-        ),
-        CheckDef(
-            "fibration.cover12I2",
-            "transform the fibration through the branched double cover",
-            "exactly twelve two-component fibers upstairs, Euler sum still 24",
-            _fib_cover,
-        ),
-        CheckDef(
-            "cover.eT10",
-            "Euler number of the double cover branched along the quartic lines",
-            "e = 2*9 - 4*2 = 10",
-            _cover_e10,
-        ),
-        CheckDef(
-            "cover.kT2",
-            "canonical square and hyperplane square on the quartic cover",
-            "K^2 = 2 and the pulled-back hyperplane has square 2",
-            _cover_k2,
-        ),
-        CheckDef(
-            "cover.chi1",
-            "evaluate the Noether quotient on the quartic cover",
-            "holomorphic Euler characteristic 1",
-            _cover_chi,
-        ),
-        CheckDef(
-            "cover.weak_dp2",
-            "compare invariants against a seven-point blowup of the plane",
-            "a degree-two weak del Pezzo surface",
-            _cover_dp2,
-        ),
-        CheckDef(
-            "cover.curve_table",
-            "check the declared curve table against the pullback aggregates",
-            "all three aggregate identities equal 8",
-            _cover_table,
-        ),
-        CheckDef(
-            "cover.X_euler24",
-            "Euler number of the genus-1 branched cover",
-            "e = 2*12 - 0 = 24",
-            _cover_x_euler,
-        ),
-        CheckDef(
-            "cover.X_canonical",
-            "canonical class of the final cover",
-            "numerically trivial canonical class",
-            _cover_x_canonical,
-        ),
-        CheckDef(
-            "cover.X_chi2",
-            "evaluate the Noether quotient on the final cover",
-            "holomorphic Euler characteristic 2",
-            _cover_x_chi,
-        ),
-        CheckDef(
-            "cover.X_sixteen",
-            "inventory the disjoint rational curves on the final cover",
-            "sixteen disjoint rational curves: 12 + 2 + 2",
-            _cover_sixteen,
-        ),
-        CheckDef(
-            "cover.incidence_sextic",
-            "count the incidences of the six-line-plus-conic configuration",
-            "15 double points, 5 per line, 6 quartic singular points, degree 6 = 4 + 2",
-            _cover_incidence,
-        ),
-        CheckDef(
-            "cross.euler24",
-            "compare the transformed fiber Euler sum with the surface Euler number",
-            "two independent computations of the Euler number 24 agree",
-            _cross_euler,
-        ),
-        CheckDef(
-            "polarization.type12",
-            "pull a principal polarization back along a degree-2 isogeny",
-            "type (1,1) becomes type (1,2)",
-            _polarization,
-        ),
-    ]
-
-    for i, j in INDEX_PAIRS:
-        defs.append(
-            CheckDef(
-                f"delta.identity.{i}{j}",
-                f"expand the trope identity for the ({i},{j}) even eight",
-                "the even eight is cut out by two tropes, L - E0 and one node",
-                _delta_identity(i, j),
-            )
-        )
-    for i, j in INDEX_PAIRS:
-        defs.append(
-            CheckDef(
-                f"nikulin.saturation.{i}{j}",
-                f"saturate the ({i},{j}) even eight inside the divisor lattice",
-                "index-2 saturation generated by the nodes and their half-sum",
-                _nik_saturation(i, j),
-            )
-        )
-    for i, j in INDEX_PAIRS:
-        defs.append(
-            CheckDef(
-                f"fibration.sweep.{i}{j}",
-                f"run the full fibration pipeline for the ({i},{j}) pencil",
-                "every index pair yields the same fiber and cover bookkeeping",
-                _fib_sweep(i, j),
-            )
-        )
-
-    defs += [
-        CheckDef(
-            "oq.relation3_index_range",
-            "record the index convention for the conic tropes",
-            "trope indexing follows the ten (3,3)-partitions",
-            _flag_relation3,
-            flagged=True,
-        ),
-        CheckDef(
-            "oq.containment_full_answers",
-            "record the full even-eight containment answer sets",
-            "each quadruple query has one extra match containing E0",
-            _flag_containment,
-            flagged=True,
-        ),
-        CheckDef(
-            "oq.nikulin_effectivity",
-            "record the scope of the root enumeration",
-            "effectivity of norm -2 classes is outside the lattice model",
-            _flag_effectivity,
-            flagged=True,
-        ),
-        CheckDef(
-            "oq.pencil_base_points",
-            "record where the genus-1 pencil becomes base-point free",
-            "the pencil has square 2 before and 0 after the two blowups",
-            _flag_pencil,
-            flagged=True,
-        ),
-        CheckDef(
-            "oq.blowdown_sequence",
-            "record the unverified part of the del Pezzo blowdown",
-            "only the numerical consequences of seven blowdowns are checked",
-            _flag_blowdown,
-            flagged=True,
-        ),
-        CheckDef(
-            "oq.we_diagonal",
-            "record the undetermined diagonal of the curve table",
-            "only the diagonal sum 4 is forced by pullback consistency",
-            _flag_we_diagonal,
-            flagged=True,
-        ),
-    ]
-
-    defs.sort(key=lambda d: d.id)
-    ids = [d.id for d in defs]
-    if len(set(ids)) != len(ids):
-        raise RuntimeError("duplicate check ids in the registry")
-    return tuple(defs)
-
-
-REGISTRY: tuple[CheckDef, ...] = _build_registry()
+REGISTRY: tuple[CheckDef, ...] = tuple(d for _, d in sorted(_REGISTERED.items()))
 
 
 def list_checks() -> list[tuple[str, str, str]]:
@@ -868,7 +824,16 @@ def run_check(check: CheckDef, ctx: CheckContext) -> CheckResult:
 
 
 def run_checks(ids: list[str] | None = None) -> list[CheckResult]:
-    """Run the selected checks (all when ids is None) in id order."""
+    """Run the selected checks (all when ids is None) in id order.
+
+    Raises ValueError when an id names no registered check.
+    """
+    selected = REGISTRY
+    if ids is not None:
+        chosen = set(ids)
+        unknown = chosen.difference(d.id for d in REGISTRY)
+        if unknown:
+            raise ValueError(f"unknown check ids: {sorted(unknown)}")
+        selected = [d for d in REGISTRY if d.id in chosen]
     ctx = CheckContext()
-    selected = REGISTRY if ids is None else [d for d in REGISTRY if d.id in set(ids)]
     return [run_check(d, ctx) for d in selected]

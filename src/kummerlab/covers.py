@@ -40,8 +40,6 @@ class PlaneConfig:
     """Six lines tangent to a conic: the branch sextic of the double plane."""
 
     lines: tuple[str, ...] = tuple(f"l{i}" for i in range(1, 7))
-    conic: str = "W"
-    tangency_multiplicity: int = 2
 
     def points_on_line(self, i: int) -> tuple[tuple[int, int], ...]:
         return tuple(p for p in INDEX_PAIRS if i in p)
@@ -258,12 +256,6 @@ def elliptic_branch(t: SurfaceModel) -> BranchData:
 def build_final_cover() -> SurfaceModel:
     t = build_blown_cover()
     return double_cover(t, elliptic_branch(t))
-
-
-def verify_X_K3() -> bool:
-    """Numerically trivial canonical class, Euler number 24, chi = 2."""
-    x = build_final_cover()
-    return x.canonical.is_zero() and x.euler == 24 and noether_chi(x) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int,
     scaled[-1] *= degree
     g = len(scaled)
     diag_matrix = [[scaled[i] if i == j else 0 for j in range(g)] for i in range(g)]
-    diag, _, _ = _smith_normal_form(diag_matrix)
+    diag, _ = _smith_normal_form(diag_matrix)
     return tuple(diag)
 
 

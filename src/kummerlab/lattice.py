@@ -118,16 +118,16 @@ def _identity(n: int) -> list[list[int]]:
 
 def _smith_normal_form(
     mat: Sequence[Sequence[int]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: U * mat * V = diag(d), d_i | d_{i+1}.
+) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form with its row transform: U * mat * V = diag(d), d_i | d_{i+1}.
 
-    U and V are unimodular; the diagonal entries are non-negative.
+    U is returned and V is not built; both are unimodular.  The diagonal
+    entries are non-negative.
     """
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
     n = len(a[0]) if a else 0
     u = _identity(m)
-    v = _identity(n)
 
     def row_combine(i1: int, i2: int, col: int) -> None:
         p, q = a[i1][col], a[i2][col]
@@ -157,14 +157,10 @@ def _smith_normal_form(
             f = q // p
             for r in a:
                 r[j2] -= f * r[j1]
-            for r in v:
-                r[j2] -= f * r[j1]
             return
         g, s, t = _xgcd(p, q)
         w, z = -(q // g), p // g
         for r in a:
-            r[j1], r[j2] = s * r[j1] + t * r[j2], w * r[j1] + z * r[j2]
-        for r in v:
             r[j1], r[j2] = s * r[j1] + t * r[j2], w * r[j1] + z * r[j2]
 
     t = 0
@@ -181,8 +177,6 @@ def _smith_normal_form(
             u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for r in a:
-                r[t], r[pj] = r[pj], r[t]
-            for r in v:
                 r[t], r[pj] = r[pj], r[t]
         while True:
             for i in range(t + 1, m):
@@ -217,7 +211,7 @@ def _smith_normal_form(
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
         diag.append(a[i][i])
-    return diag, u, v
+    return diag, u
 
 
 def _det_int(mat: Sequence[Sequence[int]]) -> int:
@@ -489,19 +483,25 @@ class SublatticeModel:
 
     # -- membership ----------------------------------------------------------
 
-    def contains_scaled(self, scaled: Sequence[int]) -> bool:
-        """Membership test for v given the integer vector denominator * v."""
+    def _reduce(self, scaled: Sequence[int]) -> tuple[int, ...] | None:
+        """HNF coordinates of the vector whose scaled form is given, or None."""
         _, hnf, pivots = self._scaled
         x = list(scaled)
+        coeffs = []
         for row, p in zip(hnf, pivots):
-            c = x[p]
-            if c:
-                q, r = divmod(c, row[p])
+            q = 0
+            if x[p]:
+                q, r = divmod(x[p], row[p])
                 if r:
-                    return False
+                    return None
                 for k in range(p, len(x)):
                     x[k] -= q * row[k]
-        return not any(x)
+            coeffs.append(q)
+        return None if any(x) else tuple(coeffs)
+
+    def contains_scaled(self, scaled: Sequence[int]) -> bool:
+        """Membership test for v given the integer vector denominator * v."""
+        return self._reduce(scaled) is not None
 
     def _scale(self, v: RationalVector) -> list[int] | None:
         """The integer vector denominator * v, or None if that is not integral."""
@@ -521,25 +521,8 @@ class SublatticeModel:
 
     def coordinates_of(self, v: RationalVector) -> tuple[int, ...] | None:
         """Integer coordinates of v in the canonical HNF basis, or None."""
-        x = self._scale(v)
-        if x is None:
-            return None
-        _, hnf, pivots = self._scaled
-        coeffs = []
-        for row, p in zip(hnf, pivots):
-            c = x[p]
-            if c:
-                q, r = divmod(c, row[p])
-                if r:
-                    return None
-                for k in range(p, len(x)):
-                    x[k] -= q * row[k]
-                coeffs.append(q)
-            else:
-                coeffs.append(0)
-        if any(x):
-            return None
-        return tuple(coeffs)
+        scaled = self._scale(v)
+        return None if scaled is None else self._reduce(scaled)
 
     # -- invariants ----------------------------------------------------------
 
@@ -586,7 +569,7 @@ class SublatticeModel:
         int_gram = self._integral_zgram()
         if int_gram is None:
             raise LatticeError("Gram matrix of the Z-basis is not integral")
-        diag, u, _ = _smith_normal_form(int_gram)
+        diag, u = _smith_normal_form(int_gram)
         if len(diag) < self.rank or any(d == 0 for d in diag):
             raise LatticeError("degenerate lattice: Gram determinant is zero")
         factors = [d for d in diag if d > 1]

@@ -3,8 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import __version__
-from kummerlab.checks import REGISTRY, list_checks, run_checks
+from kummerlab import __version__, checks
+from kummerlab.checks import (
+    FAIL,
+    REGISTRY,
+    CheckContext,
+    CheckDef,
+    check,
+    list_checks,
+    run_check,
+    run_checks,
+)
 from kummerlab.cli import build_report, main, render_check_list, render_json, select_ids
 
 # outputs captured before any change to the package; the stdout fixed points
@@ -51,6 +60,16 @@ class TestRegistry:
         for check_id, description, claim in rows:
             assert check_id and description and claim
 
+    def test_duplicate_id_raises_at_registration(self):
+        original = next(d for d in REGISTRY if d.id == "ns.rank17")
+
+        def body(ctx):
+            return True, "", None
+
+        with pytest.raises(ValueError, match="ns.rank17"):
+            check("ns.rank17", "another description", "another claim")(body)
+        assert checks._REGISTERED["ns.rank17"] is original
+
 
 class TestRunChecks:
     def test_all_pass_or_flagged(self):
@@ -74,6 +93,35 @@ class TestRunChecks:
     def test_unknown_pattern_raises(self):
         with pytest.raises(ValueError):
             select_ids(["no.such.check"])
+
+    def test_unknown_id_raises(self):
+        with pytest.raises(ValueError, match="no.such"):
+            run_checks(["no.such", "ns.rank17"])
+        assert [r.id for r in run_checks(["ns.rank17"])] == ["ns.rank17"]
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_raising_body_fails(self, flagged):
+        def body(ctx):
+            raise ZeroDivisionError("boom")
+
+        result = run_check(CheckDef("x.raises", "d", "c", body, flagged), CheckContext())
+        assert result.status == FAIL
+        assert result.detail == "error: boom"
+        assert result.data is None
+
+    def test_code_built_once_per_run(self, monkeypatch):
+        calls = []
+        original = checks.code_from_even_sets
+
+        def counted(evens):
+            calls.append(1)
+            return original(evens)
+
+        monkeypatch.setattr(checks, "code_from_even_sets", counted)
+        run_checks()
+        assert len(calls) == 1
+        run_checks(["code.linear_dim5", "code.weight_enumerator"])
+        assert len(calls) == 2
 
 
 class TestReport:

@@ -13,6 +13,8 @@ from kummerlab.lattice import (
     QuadraticSpace,
     RationalVector,
     SublatticeModel,
+    _det_int,
+    _smith_normal_form,
     vector_from_json,
     vector_to_json,
 )
@@ -20,6 +22,7 @@ from kummerlab.nikulin import nikulin_lattice
 
 MODEL = jacobian_kummer_ns()
 SPACE = MODEL.space
+MODEL_LATTICES = (MODEL.ns, nikulin_lattice().lattice)
 
 
 def basis(label):
@@ -109,6 +112,36 @@ class TestHNF:
             assert MODEL.ns.contains(v) == reduced.contains(v)
 
 
+@st.composite
+def small_int_matrices(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-9, max_value=9)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        # a row that is a multiple of another makes the matrix singular
+        k = draw(st.integers(min_value=-3, max_value=3))
+        rows[-1] = [k * x for x in rows[0]]
+    return rows
+
+
+class TestSmithNormalForm:
+    @given(small_int_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_against_sympy(self, rows):
+        diag, u = _smith_normal_form(rows)
+        oracle = smith_normal_form(Matrix(rows), domain=ZZ)
+        assert diag == [abs(oracle[i, i]) for i in range(min(oracle.shape))]
+        assert abs(_det_int(u)) == 1
+        nonzero = [d for d in diag if d]
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        # U * A = D * V^-1: row i of U * A is a multiple of d_i, or zero
+        for i, urow in enumerate(u):
+            row = [sum(x * y for x, y in zip(urow, col)) for col in zip(*rows)]
+            d = diag[i] if i < len(diag) else 0
+            assert all(x % d == 0 for x in row) if d else not any(row)
+
+
 class TestContains:
     def test_zero_vector(self):
         assert MODEL.ns.contains(SPACE.zero())
@@ -135,6 +168,37 @@ class TestContains:
         v = gens[gi % len(gens)]
         w = gens[gj % len(gens)]
         assert MODEL.ns.contains(a * v + b * w)
+
+    @given(
+        st.sampled_from(MODEL_LATTICES),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=17, max_size=17),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=16),
+                st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), 1]),
+            ),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_coordinates_agree_with_contains(self, lat, combo, shifts):
+        zb = lat.zbasis()
+
+        def combine(coeffs):
+            v = lat.space.zero()
+            for c, b in zip(coeffs, zb):
+                v = v + c * b
+            return v
+
+        combo = tuple(combo[: len(zb)])
+        v = combine(combo)
+        assert lat.coordinates_of(v) == combo
+        for k, q in shifts:
+            v = v + q * lat.space.basis_vector(lat.space.labels[k % lat.space.dim])
+        coords = lat.coordinates_of(v)
+        assert lat.contains(v) == (coords is not None)
+        if coords is not None:
+            assert combine(coords) == v
 
     def test_coordinates_roundtrip(self):
         zb = MODEL.ns.zbasis()
