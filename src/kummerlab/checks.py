@@ -817,7 +817,11 @@ def run_check(check: CheckDef, ctx: CheckContext) -> CheckResult:
     try:
         ok, detail, data = check.run(ctx)
     except Exception as exc:  # a crashed check is a failed check
-        return CheckResult(check.id, FAIL, f"error: {exc}", None)
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        detail = f"error: {type(exc).__name__} in {tb.tb_frame.f_code.co_name}: {exc}"
+        return CheckResult(check.id, FAIL, detail, None)
     if check.flagged:
         return CheckResult(check.id, FLAGGED, detail, data)
     return CheckResult(check.id, PASS if ok else FAIL, detail, data)

@@ -83,23 +83,15 @@ class Fibration:
     sections: tuple[RationalVector, ...]
 
 
-def _pairing_table(components: tuple[FiberComponent, ...]) -> list[list[int]]:
-    table = []
-    for a in components:
-        row = []
-        for b in components:
-            value = a.divisor.dot(b.divisor)
-            if value.denominator != 1:
-                raise FibrationError("non-integral component pairing")
-            row.append(value.numerator)
-        table.append(row)
-    return table
-
-
 def classify_fiber(components: tuple[FiberComponent, ...] | list[FiberComponent]) -> str:
     """Recognize the fiber type from the dual graph of the components."""
     comps = tuple(components)
-    pairing = _pairing_table(comps)
+    if not comps:
+        raise FibrationError("a fiber needs at least one component")
+    gram = comps[0].divisor.space.gram([c.divisor for c in comps])
+    if any(x.denominator != 1 for row in gram for x in row):
+        raise FibrationError("non-integral component pairing")
+    pairing = [[x.numerator for x in row] for row in gram]
     n = len(comps)
     mults = [c.multiplicity for c in comps]
 
@@ -274,15 +266,12 @@ def transform_double_cover(
         return fib
     if branch.weight != 8 or not model.is_even_set(branch):
         raise FibrationError("branch must be an even eight")
-    branch_classes = {
-        model.node_class(label).coords for label in branch.labels()
-    }
     branch_vectors = [model.node_class(label) for label in branch.labels()]
 
     new_fibers: list[Fiber] = []
     for fiber in fib.fibers:
         mult_one = fiber.multiplicity_one_components()
-        in_branch = [c for c in mult_one if c.coords in branch_classes]
+        in_branch = [c for c in mult_one if c in branch_vectors]
         if (
             fiber.kodaira_type == I0_STAR
             and len(in_branch) == len(mult_one)
@@ -290,7 +279,8 @@ def transform_double_cover(
         ):
             new_fibers.append(Fiber((), SMOOTH, 0))
             continue
-        touches = any(c.divisor.coords in branch_classes for c in fiber.components) or any(
+        # a component equal to a branch node pairs -2 with it, so it is caught
+        touches = any(
             c.divisor.dot(b) != 0 for c in fiber.components for b in branch_vectors
         )
         if touches:

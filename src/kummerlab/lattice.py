@@ -9,7 +9,10 @@ anywhere in the package.  A sublattice is stored as a generator matrix over a
 fixed ambient space.  Normal forms (Hermite, Smith) run on integer matrices
 obtained by clearing denominators with a single scalar; the matrices involved
 are tiny (at most 33 x 17), so the routines use plain fraction-free pivoting
-with no modular-arithmetic shortcuts.
+with no modular-arithmetic shortcuts.  Both share one two-row step, and no
+kernel tracks a transform by hand: the Smith transform U is read off an
+identity appended to the rows, and a coordinate section off an HNF taken with
+the other coordinates ordered first.
 """
 
 from __future__ import annotations
@@ -44,61 +47,57 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _combine(
+    top: list[int], bottom: list[int], col: int
+) -> tuple[list[int], list[int]]:
+    """One unimodular step on two rows that clears ``bottom[col]``.
+
+    Needs ``top[col] != 0``.  Returns the new ``(top, bottom)``: when
+    ``bottom[col]`` is a multiple of ``top[col]`` only the bottom row changes;
+    otherwise the top row becomes the combination whose entry is
+    ``gcd(top[col], bottom[col]) > 0``.
+    """
+    a, b = top[col], bottom[col]
+    if b % a == 0:
+        q = b // a
+        return top, [x - q * y for x, y in zip(bottom, top)]
+    g, s, t = _xgcd(a, b)
+    u, v = -(b // g), a // g
+    return (
+        [s * x + t * y for x, y in zip(top, bottom)],
+        [u * x + v * y for x, y in zip(top, bottom)],
+    )
+
+
 def _hnf_rows(
-    rows: Sequence[Sequence[int]], ncols: int, want_kernel: bool = False
-) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int]]:
     """Row-style Hermite normal form by unimodular row operations.
 
-    Returns ``(hnf, pivots, kernel)``.  The hnf rows have strictly increasing
-    pivot columns, positive pivots, and every entry above a pivot reduced into
+    Returns ``(hnf, pivots)``.  The hnf rows have strictly increasing pivot
+    columns, positive pivots, and every entry above a pivot reduced into
     ``[0, pivot)``; this form is unique for the row span, so it serves as the
-    canonical basis.  ``kernel`` (only populated when requested) is a basis of
-    the left kernel of the input matrix in input-row coordinates.
+    canonical basis.
     """
     work: list[list[int]] = []
-    trans: list[list[int]] = []
     pivots: list[int] = []
-    kernel: list[list[int]] = []
-    m = len(rows)
 
-    for ri, row in enumerate(rows):
+    for row in rows:
         vec = [int(x) for x in row]
         if len(vec) != ncols:
             raise LatticeError(f"row has {len(vec)} entries, expected {ncols}")
-        tr = [0] * m
-        if want_kernel:
-            tr[ri] = 1
         while True:
             j = next((c for c, x in enumerate(vec) if x), None)
             if j is None:
-                if want_kernel:
-                    kernel.append(tr)
                 break
             pos = bisect_left(pivots, j)
             if pos < len(pivots) and pivots[pos] == j:
-                head = work[pos]
-                a, b = head[j], vec[j]
-                if b % a == 0:
-                    q = b // a
-                    vec = [x - q * y for x, y in zip(vec, head)]
-                    if want_kernel:
-                        tr = [x - q * y for x, y in zip(tr, trans[pos])]
-                else:
-                    g, s, t = _xgcd(a, b)
-                    u, v = -(b // g), a // g
-                    work[pos] = [s * x + t * y for x, y in zip(head, vec)]
-                    vec = [u * x + v * y for x, y in zip(head, vec)]
-                    if want_kernel:
-                        ht = trans[pos]
-                        trans[pos] = [s * x + t * y for x, y in zip(ht, tr)]
-                        tr = [u * x + v * y for x, y in zip(ht, tr)]
+                work[pos], vec = _combine(work[pos], vec, j)
             else:
                 if vec[j] < 0:
                     vec = [-x for x in vec]
-                    tr = [-x for x in tr]
                 work.insert(pos, vec)
                 pivots.insert(pos, j)
-                trans.insert(pos, tr)
                 break
 
     # reduce entries above each pivot into [0, pivot)
@@ -109,11 +108,7 @@ def _hnf_rows(
             q = work[k][p] // piv
             if q:
                 work[k] = [x - q * y for x, y in zip(work[k], work[i])]
-    return work, pivots, kernel
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return work, pivots
 
 
 def _smith_normal_form(
@@ -122,32 +117,15 @@ def _smith_normal_form(
     """Smith normal form with its row transform: U * mat * V = diag(d), d_i | d_{i+1}.
 
     U is returned and V is not built; both are unimodular.  The diagonal
-    entries are non-negative.
+    entries are non-negative.  U is read off the identity appended to the
+    rows: row operations act on it too, column operations stop at column n.
     """
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    u = _identity(m)
-
-    def row_combine(i1: int, i2: int, col: int) -> None:
-        p, q = a[i1][col], a[i2][col]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            f = q // p
-            a[i2] = [x - f * y for x, y in zip(a[i2], a[i1])]
-            u[i2] = [x - f * y for x, y in zip(u[i2], u[i1])]
-            return
-        g, s, t = _xgcd(p, q)
-        w, z = -(q // g), p // g
-        a[i1], a[i2] = (
-            [s * x + t * y for x, y in zip(a[i1], a[i2])],
-            [w * x + z * y for x, y in zip(a[i1], a[i2])],
-        )
-        u[i1], u[i2] = (
-            [s * x + t * y for x, y in zip(u[i1], u[i2])],
-            [w * x + z * y for x, y in zip(u[i1], u[i2])],
-        )
+    m = len(mat)
+    n = len(mat[0]) if mat else 0
+    a = [
+        [int(x) for x in row] + [int(i == k) for k in range(m)]
+        for i, row in enumerate(mat)
+    ]
 
     def col_combine(j1: int, j2: int, row: int) -> None:
         p, q = a[row][j1], a[row][j2]
@@ -174,13 +152,13 @@ def _smith_normal_form(
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for r in a:
                 r[t], r[pj] = r[pj], r[t]
         while True:
             for i in range(t + 1, m):
-                row_combine(t, i, t)
+                if a[i][t]:
+                    a[t], a[i] = _combine(a[t], a[i], t)
             for j in range(t + 1, n):
                 col_combine(t, j, t)
             if all(a[i][t] == 0 for i in range(t + 1, m)) and all(
@@ -201,7 +179,6 @@ def _smith_normal_form(
         if offender is not None:
             i, _ = offender
             a[t] = [x + y for x, y in zip(a[t], a[i])]
-            u[t] = [x + y for x, y in zip(u[t], u[i])]
             continue
         t += 1
 
@@ -209,9 +186,8 @@ def _smith_normal_form(
     for i in range(min(m, n)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
         diag.append(a[i][i])
-    return diag, u
+    return diag, [row[n:] for row in a]
 
 
 def _det_int(mat: Sequence[Sequence[int]]) -> int:
@@ -305,6 +281,15 @@ class QuadraticSpace:
             (d * a * b for d, a, b in zip(self.diag, v.coords, w.coords) if a and b),
             Fraction(0),
         )
+
+    def gram(self, vectors: Sequence["RationalVector"]) -> list[list[Fraction]]:
+        """The table of pairings <v_i, v_j>; each unordered pair is computed once."""
+        n = len(vectors)
+        table = [[Fraction(0)] * n for _ in range(n)]
+        for i, v in enumerate(vectors):
+            for j in range(i, n):
+                table[i][j] = table[j][i] = self.inner(v, vectors[j])
+        return table
 
 
 @dataclass(frozen=True)
@@ -451,7 +436,7 @@ class SublatticeModel:
         int_rows = [
             [int(c * den) for c in g.coords] for g in self.generators
         ]
-        hnf, pivots, _ = _hnf_rows(int_rows, self.space.dim)
+        hnf, pivots = _hnf_rows(int_rows, self.space.dim)
         return den, tuple(tuple(r) for r in hnf), tuple(pivots)
 
     @property
@@ -551,7 +536,7 @@ class SublatticeModel:
         gram, scale = self._zgram
         return [[Fraction(x, scale) for x in row] for row in gram]
 
-    def _hnf_combination(self, combo: Sequence[int], divisor: int = 1) -> RationalVector:
+    def _hnf_combination(self, combo: Sequence[int], divisor: int) -> RationalVector:
         """The vector sum_r combo[r] * zbasis[r] / divisor."""
         den, hnf, _ = self._scaled
         coords = [0] * self.space.dim
@@ -601,52 +586,59 @@ class SublatticeModel:
 
     # -- maps and sublattices --------------------------------------------------
 
+    def _index_of(self, vectors: Iterable[RationalVector]) -> int | None:
+        """|det| of the HNF coordinates of the given vectors, one row each, or
+        None if a vector lies outside this lattice."""
+        rows = []
+        for v in vectors:
+            coeffs = self.coordinates_of(v)
+            if coeffs is None:
+                return None
+            rows.append(coeffs)
+        return abs(_det_int(rows))
+
     def is_isometry(self, images: Mapping[str, RationalVector]) -> bool:
         """True iff the map defined on the basis labels preserves the form and
         carries this lattice bijectively onto itself."""
         if set(images) != set(self.space.labels):
             raise LatticeError("images must be given for every basis label")
-        rows = []
-        for label in self.space.labels:
-            img = images[label]
-            self.space._check_member(img)
-            rows.append(img)
-        # form preservation on all basis pairs
+        rows = [images[label] for label in self.space.labels]
+        # form preservation on all basis pairs; `gram` checks each image's space
         n = self.space.dim
-        for i in range(n):
-            for j in range(i, n):
-                if rows[i].dot(rows[j]) != (self.space.diag[i] if i == j else 0):
-                    return False
+        form = [
+            [d if i == j else 0 for j in range(n)] for i, d in enumerate(self.space.diag)
+        ]
+        if self.space.gram(rows) != form:
+            return False
         # the lattice must map into itself with unimodular coefficient matrix
-        coeff_rows = []
-        for b in self.zbasis():
-            image_coords = [Fraction(0)] * n
-            for i, ci in enumerate(b.coords):
-                if ci:
-                    for a in range(n):
-                        image_coords[a] += ci * rows[i].coords[a]
-            image = RationalVector(self.space, tuple(image_coords))
-            coeffs = self.coordinates_of(image)
-            if coeffs is None:
-                return False
-            coeff_rows.append(list(coeffs))
-        return abs(_det_int(coeff_rows)) == 1
+        zero = self.space.zero()
+        image_of_zbasis = (
+            sum((c * row for c, row in zip(b.coords, rows) if c), zero)
+            for b in self.zbasis()
+        )
+        return self._index_of(image_of_zbasis) == 1
 
     def coordinate_section(self, labels: Iterable[str]) -> "SublatticeModel":
         """Sublattice of all lattice vectors supported on the given labels.
 
         This is the intersection with the rational coordinate subspace, hence
         the saturation of any sublattice spanned inside those coordinates.
+        With the other coordinates ordered first, an echelon basis meets the
+        subspace in exactly the rows whose pivot lies past them.
         """
         keep = {self.space.index(label) for label in labels}
-        others = [i for i in range(self.space.dim) if i not in keep]
-        if not others:
-            return self.hnf_basis()
-        restricted = [[row[c] for c in others] for row in self._scaled[1]]
-        _, _, kernel = _hnf_rows(restricted, len(others), want_kernel=True)
-        return SublatticeModel(
-            self.space, tuple(self._hnf_combination(combo) for combo in kernel)
+        order = [i for i in range(self.space.dim) if i not in keep] + sorted(keep)
+        back = sorted(range(len(order)), key=order.__getitem__)
+        cut = len(order) - len(keep)
+        den, hnf, _ = self._scaled
+        permuted = [[row[c] for c in order] for row in hnf]
+        echelon, pivots = _hnf_rows(permuted, len(order))
+        section = tuple(
+            RationalVector(self.space, tuple(Fraction(row[k], den) for k in back))
+            for row, p in zip(echelon, pivots)
+            if p >= cut
         )
+        return SublatticeModel(self.space, section)
 
     def index_of_sublattice(self, sub: "SublatticeModel") -> int:
         """Index [self : sub] for a finite-index sublattice of equal rank."""
@@ -654,11 +646,7 @@ class SublatticeModel:
             raise LatticeError("sublattice lives in a different space")
         if sub.rank != self.rank:
             raise LatticeError("ranks differ, the index is not finite")
-        coeff_rows = []
-        for b in sub.zbasis():
-            coeffs = self.coordinates_of(b)
-            if coeffs is None:
-                raise LatticeError("given lattice is not contained in this one")
-            coeff_rows.append(list(coeffs))
-        det = _det_int(coeff_rows)
-        return abs(det)
+        index = self._index_of(sub.zbasis())
+        if index is None:
+            raise LatticeError("given lattice is not contained in this one")
+        return index

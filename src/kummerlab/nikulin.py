@@ -40,8 +40,7 @@ class NikulinLattice:
         return basis + (self.halfsum,)
 
     def canonical_gram(self) -> list[list[Fraction]]:
-        basis = self.canonical_zbasis()
-        return [[self.space.inner(a, b) for b in basis] for a in basis]
+        return self.space.gram(self.canonical_zbasis())
 
 
 @cache
@@ -121,5 +120,4 @@ def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:
     labels = eight.labels()
     nodes = [model.node_class(label) for label in labels]
     basis = nodes[:7] + [model.half_sum(eight)]
-    gram = [[model.space.inner(a, b) for b in basis] for a in basis]
-    return gram == nikulin_lattice().canonical_gram()
+    return model.space.gram(basis) == nikulin_lattice().canonical_gram()

@@ -106,7 +106,7 @@ class TestRunChecks:
 
         result = run_check(CheckDef("x.raises", "d", "c", body, flagged), CheckContext())
         assert result.status == FAIL
-        assert result.detail == "error: boom"
+        assert result.detail == "error: ZeroDivisionError in body: boom"
         assert result.data is None
 
     def test_code_built_once_per_run(self, monkeypatch):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from kummerlab.fibration import (
@@ -46,6 +48,17 @@ class TestClassification:
     def test_single_component_rejected(self):
         with pytest.raises(FibrationError, match="unrecognized"):
             classify_fiber([FiberComponent(MODEL.node_class("E12"), 1)])
+
+    def test_empty_and_non_integral_rejected(self):
+        with pytest.raises(FibrationError):
+            classify_fiber([])
+        # x1 - x9 and half the sum of x1..x8 both have norm -2 and pair to -1/2
+        space = QuadraticSpace(tuple(f"x{k}" for k in range(1, 10)), [-1] * 9)
+        first = space.vector({"x1": 1, "x9": -1})
+        second = space.vector([Fraction(1, 2)] * 8 + [0])
+        comps = [FiberComponent(first, 1), FiberComponent(second, 1)]
+        with pytest.raises(FibrationError, match="non-integral"):
+            classify_fiber(comps)
 
     def test_norm_enforced(self):
         with pytest.raises(FibrationError, match="norm -2"):

@@ -14,6 +14,7 @@ from kummerlab.lattice import (
     RationalVector,
     SublatticeModel,
     _det_int,
+    _hnf_rows,
     _smith_normal_form,
     vector_from_json,
     vector_to_json,
@@ -123,6 +124,41 @@ def small_int_matrices(draw):
         k = draw(st.integers(min_value=-3, max_value=3))
         rows[-1] = [k * x for x in rows[0]]
     return rows
+
+
+@st.composite
+def unimodular_mixes(draw):
+    """A small integer matrix A and U * A for a random unimodular U built from
+    elementary row operations (swap, negate, add a multiple of another row)."""
+    rows = draw(small_int_matrices())
+    mixed = [list(r) for r in rows]
+    index = st.integers(min_value=0, max_value=len(rows) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        i, j = draw(index), draw(index)
+        if op == "swap":
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        elif op == "negate":
+            mixed[i] = [-x for x in mixed[i]]
+        elif i != j:
+            k = draw(st.integers(min_value=-3, max_value=3))
+            mixed[i] = [x + k * y for x, y in zip(mixed[i], mixed[j])]
+    return rows, mixed
+
+
+class TestHNFKernel:
+    @given(unimodular_mixes())
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_under_unimodular_rows(self, case):
+        rows, mixed = case
+        ncols = len(rows[0])
+        hnf, pivots = _hnf_rows(rows, ncols)
+        assert _hnf_rows(mixed, ncols) == (hnf, pivots)
+        assert len(hnf) == Matrix(rows).rank()
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for r, (row, p) in enumerate(zip(hnf, pivots)):
+            assert row[p] > 0 and not any(row[:p])
+            assert all(0 <= above[p] < row[p] for above in hnf[:r])
 
 
 class TestSmithNormalForm:
@@ -345,7 +381,45 @@ class TestIsometry:
                 assert lhs == rhs
 
 
+@st.composite
+def lattices_with_labels(draw):
+    """A small rational lattice and a random label subset, empty and full included."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    space = QuadraticSpace([f"x{i}" for i in range(n)], [1] * n)
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=3),
+    )
+    gens = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5)
+    )
+    labels = draw(st.lists(st.sampled_from(space.labels), unique=True))
+    return SublatticeModel(space, tuple(space.vector(g) for g in gens)), labels
+
+
 class TestSectionsAndIndex:
+    @given(lattices_with_labels())
+    @settings(max_examples=100, deadline=None)
+    def test_coordinate_section_against_oracle(self, case):
+        lat, labels = case
+        section = lat.coordinate_section(labels)
+        keep = {lat.space.index(label) for label in labels}
+        others = [i for i in range(lat.space.dim) if i not in keep]
+        for g in section.generators:
+            assert lat.contains(g)
+            assert not any(g.coords[i] for i in others)
+        # the section is the kernel of the projection onto the other labels
+        flat = [v.coords[i] for v in lat.zbasis() for i in others]
+        projection = Matrix(
+            lat.rank, len(others), [Rational(x.numerator, x.denominator) for x in flat]
+        )
+        assert section.rank == lat.rank - projection.rank()
+        # primitive: its basis extends to a basis of the lattice
+        coords = [lat.coordinates_of(v) for v in section.zbasis()]
+        if coords:
+            snf = smith_normal_form(Matrix(coords), domain=ZZ)
+            assert all(abs(snf[i, i]) == 1 for i in range(min(snf.shape)))
+
     def test_coordinate_section_simple(self):
         space = QuadraticSpace(("a", "b", "c"), [1, 1, 1])
         gens = (
