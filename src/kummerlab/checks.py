@@ -384,9 +384,8 @@ def _nik_roots(ctx: CheckContext):
     expected = set()
     for lab in n.space.labels:
         v = n.space.basis_vector(lab)
-        expected.add(v.coords)
-        expected.add((-v).coords)
-    ok = len(found) == 16 and {v.coords for v in found} == expected
+        expected |= {v, -v}
+    ok = len(found) == 16 and set(found) == expected
     return ok, f"norm -2 enumeration returns {len(found)} vectors, the signed basis", {
         "count": len(found)
     }

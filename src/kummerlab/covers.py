@@ -147,7 +147,7 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
     pic = QuadraticSpace(old.labels + (exceptional,), old.diag + (-1,))
 
     def extend(v: RationalVector, exc_coeff: int) -> RationalVector:
-        return RationalVector(pic, v.coords + (Fraction(exc_coeff),))
+        return RationalVector(pic, v.nums + (exc_coeff * v.den,), v.den)
 
     multiplicity: dict[str, int] = {}
     for name in through:
@@ -182,7 +182,7 @@ def double_cover(s: SurfaceModel, branch: BranchData) -> SurfaceModel:
     pic = QuadraticSpace(s.pic.labels, tuple(2 * d for d in s.pic.diag))
 
     def pull(v: RationalVector) -> RationalVector:
-        return RationalVector(pic, v.coords)
+        return RationalVector(pic, v.nums, v.den)
 
     canonical = pull(s.canonical + half)
     k_squared = canonical.norm()

@@ -226,10 +226,10 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
         + stars[1].weighted_sum()
         - 2 * (centers[0] + centers[1])
     )
-    node_classes = {model.node_class(label).coords for label in eight.labels()}
+    node_classes = {model.node_class(label) for label in eight.labels()}
     return (
         identity_lhs == identity_rhs
-        and {v.coords for v in mult_one} == node_classes
+        and set(mult_one) == node_classes
         and len(mult_one) == 8
     )
 

@@ -112,11 +112,8 @@ class JacobianKummerNS:
     def covering_involution(self, v: RationalVector) -> RationalVector:
         """Linear extension of: L -> 3L - 4E0, E0 -> 2L - 3E0, nodes fixed."""
         self.space._check_member(v)
-        a, b = v.coords[0], v.coords[1]
-        coords = list(v.coords)
-        coords[0] = 3 * a + 2 * b
-        coords[1] = -4 * a - 3 * b
-        return RationalVector(self.space, tuple(coords))
+        a, b, *rest = v.nums
+        return RationalVector(self.space, (3 * a + 2 * b, -4 * a - 3 * b, *rest), v.den)
 
     def covering_involution_images(self) -> dict[str, RationalVector]:
         return {

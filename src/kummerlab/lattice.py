@@ -4,25 +4,27 @@ Every quadratic space is diagonal: a labelled orthogonal basis with one
 rational square per label, which covers every lattice of the package (the
 divisor lattice diag(4, -2, ..., -2), the rank-8 root lattice and the surface
 tower, whose blowups append -1 and whose double covers double the form).
-Everything is computed with `fractions.Fraction`; no floating point appears
-anywhere in the package.  A sublattice is stored as a generator matrix over a
-fixed ambient space.  Normal forms (Hermite, Smith) run on integer matrices
-obtained by clearing denominators with a single scalar; the matrices involved
-are tiny (at most 33 x 17), so the routines use plain fraction-free pivoting
-with no modular-arithmetic shortcuts.  Both share one two-row step, and no
-kernel tracks a transform by hand: the Smith transform U is read off an
-identity appended to the rows, and a coordinate section off an HNF taken with
-the other coordinates ordered first.
+A vector is integer numerators over one denominator and the diagonal integer
+weights over one scale, so all arithmetic is on integers, results are exact
+`fractions.Fraction`s and no floating point appears anywhere in the package.
+A sublattice is stored as a generator matrix over a fixed ambient space.
+Normal forms (Hermite, Smith) run on integer matrices obtained by clearing
+denominators with a single scalar; the matrices involved are tiny (at most
+33 x 17), so the routines use plain fraction-free pivoting with no
+modular-arithmetic shortcuts.  Both share one two-row step, and no kernel
+tracks a transform by hand: the Smith transform U is read off an identity
+appended to the rows, and a coordinate section off an HNF taken with the other
+coordinates ordered first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 
 class LatticeError(ValueError):
@@ -218,22 +220,38 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
+    """``(nums, den)`` with ``values[i] == nums[i] / den``, den the least common
+    denominator; any value but an int (not a bool) or a Fraction raises."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise LatticeError(f"expected an int or a Fraction, got {x!r}")
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """A labelled orthogonal basis: <e_i, e_i> = diag[i], distinct e_i pair to 0."""
+    """A labelled orthogonal basis: <e_i, e_i> = diag[i], distinct e_i pair to 0.
+
+    Also held as integers: diag[i] == weights[i] / scale."""
 
     labels: tuple[str, ...]
     diag: tuple[Fraction, ...]
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        diag = tuple(Fraction(x) for x in self.diag)
         if len(set(labels)) != len(labels):
             raise LatticeError("basis labels must be unique")
-        if len(diag) != len(labels):
+        weights, scale = _over_one_denominator(tuple(self.diag))
+        if len(weights) != len(labels):
             raise LatticeError("diagonal length must match the label count")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "diag", tuple(Fraction(w, scale) for w in weights))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def dim(self) -> int:
@@ -250,24 +268,22 @@ class QuadraticSpace:
             raise LatticeError(f"unknown basis label {label!r}") from None
 
     def basis_vector(self, label: str) -> "RationalVector":
-        coords = [Fraction(0)] * self.dim
-        coords[self.index(label)] = Fraction(1)
-        return RationalVector(self, tuple(coords))
+        nums = [0] * self.dim
+        nums[self.index(label)] = 1
+        return RationalVector(self, tuple(nums))
 
     def zero(self) -> "RationalVector":
-        return RationalVector(self, (Fraction(0),) * self.dim)
+        return RationalVector(self, (0,) * self.dim)
 
     def vector(self, values: Sequence[int | Fraction] | Mapping[str, int | Fraction]) -> "RationalVector":
-        """Build a vector from a coordinate sequence or a label -> value mapping."""
+        """Build a vector from a coordinate sequence or a label -> value mapping
+        of ints and Fractions: the one entry point for rational coordinates."""
         if isinstance(values, Mapping):
-            coords = [Fraction(0)] * self.dim
+            coords: list[int | Fraction] = [0] * self.dim
             for label, value in values.items():
-                coords[self.index(label)] = Fraction(value)
-            return RationalVector(self, tuple(coords))
-        coords = tuple(Fraction(v) for v in values)
-        if len(coords) != self.dim:
-            raise LatticeError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return RationalVector(self, coords)
+                coords[self.index(label)] = value
+            values = coords
+        return RationalVector(self, *_over_one_denominator(tuple(values)))
 
     def _check_member(self, v: "RationalVector") -> None:
         if v.space is not self and v.space != self:
@@ -277,10 +293,8 @@ class QuadraticSpace:
         """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
         self._check_member(v)
         self._check_member(w)
-        return sum(
-            (d * a * b for d, a, b in zip(self.diag, v.coords, w.coords) if a and b),
-            Fraction(0),
-        )
+        total = sum(c * a * b for c, a, b in zip(self.weights, v.nums, w.nums) if a and b)
+        return Fraction(total, self.scale * v.den * w.den)
 
     def gram(self, vectors: Sequence["RationalVector"]) -> list[list[Fraction]]:
         """The table of pairings <v_i, v_j>; each unordered pair is computed once."""
@@ -294,21 +308,33 @@ class QuadraticSpace:
 
 @dataclass(frozen=True)
 class RationalVector:
-    """A vector of exact rational coordinates over a fixed quadratic space."""
+    """A rational vector over a fixed quadratic space: coords[i] == nums[i] / den.
 
-    space: QuadraticSpace
-    coords: tuple[Fraction, ...]
+    Normalised to den > 0 and gcd(den, *nums) == 1, so equal vectors are equal
+    dataclasses with equal hashes."""
+
+    space: QuadraticSpace = field(hash=False)
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        coords = tuple(Fraction(c) for c in self.coords)
-        if len(coords) != self.space.dim:
-            raise LatticeError(
-                f"expected {self.space.dim} coordinates, got {len(coords)}"
-            )
-        object.__setattr__(self, "coords", coords)
+        nums, den = tuple(self.nums), self.den
+        if len(nums) != self.space.dim:
+            raise LatticeError(f"expected {self.space.dim} coordinates, got {len(nums)}")
+        if not {type(den), *map(type, nums)} <= {int} or not den:
+            raise LatticeError("a vector is int numerators over a nonzero int denominator")
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(x // g for x in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def coeff(self, label: str) -> Fraction:
-        return self.coords[self.space.index(label)]
+        return Fraction(self.nums[self.space.index(label)], self.den)
 
     def dot(self, other: "RationalVector") -> Fraction:
         return self.space.inner(self, other)
@@ -318,10 +344,10 @@ class RationalVector:
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def _binop_space(self, other: "RationalVector") -> None:
         if self.space is not other.space and self.space != other.space:
@@ -329,23 +355,25 @@ class RationalVector:
 
     def __add__(self, other: "RationalVector") -> "RationalVector":
         self._binop_space(other)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
         return RationalVector(
-            self.space, tuple(a + b for a, b in zip(self.coords, other.coords))
+            self.space, tuple(f * a + g * b for a, b in zip(self.nums, other.nums)), den
         )
 
     def __sub__(self, other: "RationalVector") -> "RationalVector":
-        self._binop_space(other)
-        return RationalVector(
-            self.space, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self + -other
 
     def __neg__(self) -> "RationalVector":
-        return RationalVector(self.space, tuple(-a for a in self.coords))
+        return RationalVector(self.space, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, scalar: int | Fraction) -> "RationalVector":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return RationalVector(self.space, tuple(a * scalar for a in self.coords))
+        p = scalar.numerator
+        return RationalVector(
+            self.space, tuple(a * p for a in self.nums), self.den * scalar.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -373,14 +401,12 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
     """Inverse of `vector_to_json`; any malformed payload raises LatticeError."""
     try:
         basis = tuple(payload["basis"])
-        coords = tuple(
-            Fraction(_json_int(num), _json_int(den)) for num, den in payload["coords"]
-        )
+        coords = [Fraction(_json_int(num), _json_int(den)) for num, den in payload["coords"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LatticeError(f"malformed vector payload: {exc!r}") from exc
     if basis != space.labels:
         raise LatticeError("serialized basis labels do not match the target space")
-    return RationalVector(space, coords)
+    return space.vector(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +455,8 @@ class SublatticeModel:
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(denominator D, HNF rows of D * generators, pivot columns)."""
-        den = 1
-        for g in self.generators:
-            for c in g.coords:
-                den = lcm(den, c.denominator)
-        int_rows = [
-            [int(c * den) for c in g.coords] for g in self.generators
-        ]
+        den = lcm(*(g.den for g in self.generators))
+        int_rows = [[x * (den // g.den) for x in g.nums] for g in self.generators]
         hnf, pivots = _hnf_rows(int_rows, self.space.dim)
         return den, tuple(tuple(r) for r in hnf), tuple(pivots)
 
@@ -450,10 +471,7 @@ class SublatticeModel:
 
     def zbasis(self) -> tuple[RationalVector, ...]:
         den, hnf, _ = self._scaled
-        return tuple(
-            RationalVector(self.space, tuple(Fraction(x, den) for x in row))
-            for row in hnf
-        )
+        return tuple(RationalVector(self.space, row, den) for row in hnf)
 
     def hnf_basis(self) -> "SublatticeModel":
         """Equivalent sublattice whose generators are the canonical HNF basis."""
@@ -462,9 +480,7 @@ class SublatticeModel:
     def same_lattice(self, other: "SublatticeModel") -> bool:
         if self.space != other.space:
             return False
-        return tuple(v.coords for v in self.zbasis()) == tuple(
-            v.coords for v in other.zbasis()
-        )
+        return self.zbasis() == other.zbasis()
 
     # -- membership ----------------------------------------------------------
 
@@ -491,13 +507,10 @@ class SublatticeModel:
     def _scale(self, v: RationalVector) -> list[int] | None:
         """The integer vector denominator * v, or None if that is not integral."""
         self.space._check_member(v)
-        den = self.denominator
-        scaled = []
-        for c in v.coords:
-            if den % c.denominator:
-                return None
-            scaled.append(c.numerator * (den // c.denominator))
-        return scaled
+        if self.denominator % v.den:
+            return None
+        f = self.denominator // v.den
+        return [f * x for x in v.nums]
 
     def contains(self, v: RationalVector) -> bool:
         """True iff v is an integer combination of the generators."""
@@ -515,15 +528,12 @@ class SublatticeModel:
     def _zgram(self) -> tuple[list[list[int]], int]:
         """(M, s) with Z-basis Gram = M / s; M is integral and s > 0."""
         den, hnf, _ = self._scaled
-        ddiag = 1
-        for d in self.space.diag:
-            ddiag = lcm(ddiag, d.denominator)
-        weights = [int(d * ddiag) for d in self.space.diag]
+        weights = self.space.weights
         gram = [
             [sum(c * x * y for c, x, y in zip(weights, a, b) if x and y) for b in hnf]
             for a in hnf
         ]
-        return gram, den * den * ddiag
+        return gram, den * den * self.space.scale
 
     def _integral_zgram(self) -> list[list[int]] | None:
         """The Z-basis Gram matrix if all its entries are integers, else None."""
@@ -543,9 +553,7 @@ class SublatticeModel:
         for c, row in zip(combo, hnf):
             if c:
                 coords = [x + c * y for x, y in zip(coords, row)]
-        return RationalVector(
-            self.space, tuple(Fraction(x, den * divisor) for x in coords)
-        )
+        return RationalVector(self.space, tuple(coords), den * divisor)
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Smith normal form of the Z-basis Gram matrix, with lifted generators."""
@@ -612,9 +620,10 @@ class SublatticeModel:
             return False
         # the lattice must map into itself with unimodular coefficient matrix
         zero = self.space.zero()
+        den, hnf, _ = self._scaled
         image_of_zbasis = (
-            sum((c * row for c, row in zip(b.coords, rows) if c), zero)
-            for b in self.zbasis()
+            Fraction(1, den) * sum((c * img for c, img in zip(row, rows) if c), zero)
+            for row in hnf
         )
         return self._index_of(image_of_zbasis) == 1
 
@@ -634,7 +643,7 @@ class SublatticeModel:
         permuted = [[row[c] for c in order] for row in hnf]
         echelon, pivots = _hnf_rows(permuted, len(order))
         section = tuple(
-            RationalVector(self.space, tuple(Fraction(row[k], den) for k in back))
+            RationalVector(self.space, tuple(row[k] for k in back), den)
             for row, p in zip(echelon, pivots)
             if p >= cut
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import isqrt
 
 from .kummer_ns import JacobianKummerNS
 from .lattice import QuadraticSpace, RationalVector, SublatticeModel
@@ -31,16 +32,8 @@ class NikulinLattice:
         basis = [self.space.basis_vector(label) for label in ROOT_BASIS_LABELS]
         self.halfsum = HALF * sum(basis[1:], basis[0])
         self.lattice = SublatticeModel(self.space, tuple(basis) + (self.halfsum,))
-
-    def canonical_zbasis(self) -> tuple[RationalVector, ...]:
-        """c1..c7 together with the half-sum: a Z-basis with determinant 2^6."""
-        basis = tuple(
-            self.space.basis_vector(label) for label in ROOT_BASIS_LABELS[:7]
-        )
-        return basis + (self.halfsum,)
-
-    def canonical_gram(self) -> list[list[Fraction]]:
-        return self.space.gram(self.canonical_zbasis())
+        # Gram of c1..c7 and the half-sum, a Z-basis with determinant 2^6
+        self.canonical_gram = self.space.gram(basis[:7] + [self.halfsum])
 
 
 @cache
@@ -60,9 +53,7 @@ def _vectors_with_norm(n: NikulinLattice, eps: int, target: int) -> list[Rationa
         return []
     # |2*lam + eps| <= isqrt(budget); solve for the integer lambda range
     out = []
-    bound = 0
-    while (bound + 1) * (bound + 1) <= budget:
-        bound += 1
+    bound = isqrt(budget)
     lo = -(bound + eps) // 2
     hi = (bound - eps) // 2
     candidates = range(lo, hi + 1)
@@ -72,8 +63,7 @@ def _vectors_with_norm(n: NikulinLattice, eps: int, target: int) -> list[Rationa
             t = 2 * lam + eps
             s += t * t
         if s == budget:
-            coords = tuple(Fraction(2 * lam + eps, 2) for lam in lams)
-            out.append(RationalVector(n.space, coords))
+            out.append(RationalVector(n.space, tuple(2 * lam + eps for lam in lams), 2))
     return out
 
 
@@ -120,4 +110,4 @@ def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:
     labels = eight.labels()
     nodes = [model.node_class(label) for label in labels]
     basis = nodes[:7] + [model.half_sum(eight)]
-    return model.space.gram(basis) == nikulin_lattice().canonical_gram()
+    return model.space.gram(basis) == nikulin_lattice().canonical_gram

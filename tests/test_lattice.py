@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,86 @@ class TestSpaceValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LatticeError):
             QuadraticSpace(("a", "a"), [1, 1])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: s.vector([0.5, 1]),
+            lambda s: s.vector(["1/2", 1]),
+            lambda s: s.vector([True, 0]),
+            lambda s: s.vector([1 + 0j, 0]),
+            lambda s: s.vector({"a": 0.5}),
+            lambda s: RationalVector(s, (0.1, 2)),
+            lambda s: RationalVector(s, (Fraction(1, 2), 1)),
+            lambda s: RationalVector(s, (1, 2), True),
+            lambda s: RationalVector(s, (1, 2), 0),
+            lambda s: QuadraticSpace(("a",), [0.25]),
+            lambda s: QuadraticSpace(("a",), [False]),
+        ],
+    )
+    def test_inexact_input_rejected(self, build):
+        # only ints (not bools) and Fractions are exact rationals
+        with pytest.raises(LatticeError):
+            build(QuadraticSpace(("a", "b"), [1, -2]))
+
+
+def _rationals(zero_weight=False):
+    values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+    return st.one_of(st.just(Fraction(0)), values) if zero_weight else values
+
+
+@st.composite
+def vector_cases(draw):
+    """A random diagonal space (zero and non-integer entries allowed), two
+    coordinate lists and a scalar of each kind."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    diag, a, b = (
+        draw(st.lists(_rationals(True), min_size=n, max_size=n)) for _ in range(3)
+    )
+    k = draw(st.integers(min_value=-4, max_value=4))
+    q = draw(_rationals())
+    return QuadraticSpace([f"x{i}" for i in range(n)], diag), a, b, k, q
+
+
+class TestVectorCore:
+    @given(vector_cases(), st.integers(min_value=-3, max_value=3).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_against_fraction_reference(self, case, factor):
+        # differential: every vector operation against plain Fraction tuples
+        space, a, b, k, q = case
+        v, w = space.vector(a), space.vector(b)
+
+        def same(vec, ref):
+            assert vec.den > 0 and gcd(vec.den, *vec.nums) == 1
+            assert vec.coords == tuple(ref)
+            assert all(isinstance(c, Fraction) for c in vec.coords)
+
+        same(v, a)
+        same(v + w, [x + y for x, y in zip(a, b)])
+        same(v - w, [x - y for x, y in zip(a, b)])
+        same(-v, [-x for x in a])
+        same(k * v, [k * x for x in a])
+        same(v * k, [k * x for x in a])
+        same(q * v, [q * x for x in a])
+        same(v * q, [q * x for x in a])
+        pairing = sum((d * x * y for d, x, y in zip(space.diag, a, b)), Fraction(0))
+        assert space.inner(v, w) == v.dot(w) == w.dot(v) == pairing
+        assert v.norm() == sum((d * x * x for d, x in zip(space.diag, a)), Fraction(0))
+        assert v.is_integral == all(x.denominator == 1 for x in a)
+        assert v.is_zero() == all(x == 0 for x in a)
+        assert [v.coeff(label) for label in space.labels] == a
+        assert (v == w) == (a == b)
+        # equal vectors reached by other routes are equal, with equal hashes
+        scaled_up = RationalVector(
+            space, tuple(factor * x for x in v.nums), factor * v.den
+        )
+        for other in ((v + w) - w, scaled_up):
+            same(other, a)
+            assert other == v and hash(other) == hash(v)
+        payload = vector_to_json(v)
+        assert payload["coords"] == [[str(x.numerator), str(x.denominator)] for x in a]
+        back = vector_from_json(space, payload)
+        assert back == v and hash(back) == hash(v)
 
 
 class TestHNF:
@@ -255,7 +336,7 @@ class TestDiscriminantGroup:
 
     def test_rank8_halfsum_lattice_order(self):
         # oracle: Smith normal form of the canonical 8x8 Gram matrix
-        gram = Matrix([[int(x) for x in row] for row in nikulin_lattice().canonical_gram()])
+        gram = Matrix([[int(x) for x in row] for row in nikulin_lattice().canonical_gram])
         diag = smith_normal_form(gram, domain=ZZ)
         oracle = [abs(diag[i, i]) for i in range(8) if abs(diag[i, i]) > 1]
         group = nikulin_lattice().lattice.discriminant_group()
