@@ -397,7 +397,8 @@ def _nik_roots(ctx: CheckContext):
     "no norm -2 vector involves the half-sum generator",
 )
 def _nik_eps1(ctx: CheckContext):
-    count = nik_mod.halfsum_branch_root_count(nik_mod.nikulin_lattice())
+    found = nik_mod.roots(nik_mod.nikulin_lattice())
+    count = sum(1 for v in found if not v.is_integral)
     return count == 0, "the half-integer branch of the enumeration is empty", {
         "count": count
     }

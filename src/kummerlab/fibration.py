@@ -33,7 +33,7 @@ def kodaira_euler(tag: str) -> int:
         return 0
     if tag == I0_STAR:
         return 6
-    if tag.startswith("I") and tag[1:].isdigit():
+    if isinstance(tag, str) and tag.isascii() and tag.startswith("I") and tag[1:].isdigit():
         return int(tag[1:])
     raise FibrationError(f"unsupported fiber type {tag!r}")
 
@@ -44,8 +44,10 @@ class FiberComponent:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise FibrationError("component multiplicity must be positive")
+        if type(self.multiplicity) is not int or self.multiplicity < 1:
+            raise FibrationError(
+                f"component multiplicity must be a positive int, got {self.multiplicity!r}"
+            )
         if self.divisor.norm() != -2:
             raise FibrationError(
                 f"fiber components must have norm -2, got {self.divisor.norm()}"
@@ -56,13 +58,10 @@ class FiberComponent:
 class Fiber:
     components: tuple[FiberComponent, ...]
     kodaira_type: str
-    euler_number: int
 
-    def __post_init__(self) -> None:
-        if self.euler_number != kodaira_euler(self.kodaira_type):
-            raise FibrationError(
-                f"Euler number {self.euler_number} does not match type {self.kodaira_type}"
-            )
+    @property
+    def euler_number(self) -> int:
+        return kodaira_euler(self.kodaira_type)
 
     def weighted_sum(self) -> RationalVector:
         if not self.components:
@@ -78,6 +77,9 @@ class Fiber:
 
 @dataclass(frozen=True)
 class Fibration:
+    """The pencil through the (i, j) double point: ``pair`` is (i, j)."""
+
+    pair: tuple[int, int]
     fiber_class: RationalVector
     fibers: tuple[Fiber, ...]
     sections: tuple[RationalVector, ...]
@@ -135,8 +137,7 @@ def _is_single_cycle(pairing: list[list[int]]) -> bool:
 
 
 def fiber_from_components(components: list[FiberComponent]) -> Fiber:
-    tag = classify_fiber(components)
-    return Fiber(tuple(components), tag, kodaira_euler(tag))
+    return Fiber(tuple(components), classify_fiber(components))
 
 
 def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibration:
@@ -181,7 +182,7 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
 
     sections = tuple(model.trope_class(f"C1{k}") for k in others)
 
-    fibration = Fibration(fiber_class, tuple(fibers), sections)
+    fibration = Fibration((i, j), fiber_class, tuple(fibers), sections)
     _validate(fibration)
     return fibration
 
@@ -206,8 +207,7 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     """The even eight of the fibration's index pair is cut out by its two star
     fibers: the node sum equals F1 + F2 - 2*(central tropes), and the
     multiplicity-one components of F1 and F2 are exactly those eight nodes."""
-    i, j = _index_pair(fib, model)
-    eight = even_eight(i, j)
+    eight = even_eight(*fib.pair)
     stars = [f for f in fib.fibers if f.kodaira_type == I0_STAR]
     if len(stars) != 2:
         return False
@@ -232,24 +232,6 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
         and set(mult_one) == node_classes
         and len(mult_one) == 8
     )
-
-
-def _index_pair(fib: Fibration, model: JacobianKummerNS) -> tuple[int, int]:
-    """Read (i, j) off the fiber class L - E0 - E_ij."""
-    space = model.space
-    expected_prefix = space.basis_vector("L") - space.basis_vector("E0")
-    residue = expected_prefix - fib.fiber_class
-    pair = None
-    for label in space.labels[2:]:
-        c = residue.coeff(label)
-        if c == 1 and pair is None:
-            pair = (int(label[1]), int(label[2]))
-        elif c != 0:
-            pair = None
-            break
-    if pair is None:
-        raise FibrationError("fiber class is not of the form L - E0 - E_ij")
-    return pair
 
 
 def transform_double_cover(
@@ -277,7 +259,7 @@ def transform_double_cover(
             and len(in_branch) == len(mult_one)
             and mult_one
         ):
-            new_fibers.append(Fiber((), SMOOTH, 0))
+            new_fibers.append(Fiber((), SMOOTH))
             continue
         # a component equal to a branch node pairs -2 with it, so it is caught
         touches = any(
@@ -291,7 +273,7 @@ def transform_double_cover(
         new_fibers.append(fiber)
         new_fibers.append(fiber)
 
-    transformed = Fibration(fib.fiber_class, tuple(new_fibers), fib.sections)
+    transformed = Fibration(fib.pair, fib.fiber_class, tuple(new_fibers), fib.sections)
     if euler_sum(transformed) != euler_sum(fib):
         raise FibrationError(
             f"Euler bookkeeping failed: {euler_sum(fib)} -> {euler_sum(transformed)}"

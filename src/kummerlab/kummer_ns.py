@@ -20,12 +20,7 @@ from .labels import (
     complement_triple,
     node_label,
 )
-from .lattice import (
-    QuadraticSpace,
-    RationalVector,
-    SublatticeModel,
-    _smith_normal_form,
-)
+from .lattice import QuadraticSpace, RationalVector, SublatticeModel
 from .nodecode import EMPTY, FULL, NodeSet, f2_basis, f2_reduce
 
 HALF = Fraction(1, 2)
@@ -63,9 +58,15 @@ class JacobianKummerNS:
 
     def __init__(self) -> None:
         self.space = QuadraticSpace(BASIS_LABELS, [4] + [-2] * 16)
+        self._tropes = {}
+        for label in TROPE_LABELS:
+            nums = [0] * self.space.dim
+            nums[self.space.index("L")] = 1
+            for node in trope_support(label):
+                nums[self.space.index(node)] = -1
+            self._tropes[label] = RationalVector(self.space, tuple(nums), 2)
         gens = [self.space.basis_vector(label) for label in BASIS_LABELS]
-        gens += [self.trope_class(label) for label in TROPE_LABELS]
-        self.ns = SublatticeModel(self.space, tuple(gens))
+        self.ns = SublatticeModel(self.space, tuple(gens) + tuple(self._tropes.values()))
 
     # -- classes ---------------------------------------------------------
 
@@ -75,14 +76,13 @@ class JacobianKummerNS:
         return self.space.basis_vector(label)
 
     def trope_class(self, label: str) -> RationalVector:
+        """(L - sum of the trope's six support classes) / 2."""
         if label == "C11":  # alias used by the hatted-sum conventions
             label = "C0"
-        if label not in TROPE_LABELS:
-            raise ValueError(f"unknown trope label {label!r}")
-        values: dict[str, Fraction] = {"L": HALF}
-        for node in trope_support(label):
-            values[node] = -HALF
-        return self.space.vector(values)
+        try:
+            return self._tropes[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown trope label {label!r}") from None
 
     def node_set_sum(self, s: NodeSet) -> RationalVector:
         values = {label: 1 for label in s.labels()}
@@ -213,24 +213,21 @@ def even_eight(i: int, j: int) -> NodeSet:
 def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int, ...]:
     """Pull a polarization type back along an isogeny of the given degree.
 
-    The product of the type entries scales by the degree; the result is
-    normalized to a divisor chain by elementary-divisor reduction of the
-    scaled diagonal (the degree multiplies the last entry).
+    The product of the type entries scales by the degree, which multiplies
+    the last entry; a divisor chain stays a divisor chain, so the result is
+    already in elementary-divisor form.
     """
-    entries = tuple(int(d) for d in ptype)
-    if not entries or any(d <= 0 for d in entries):
-        raise ValueError("polarization type must be a nonempty tuple of positive integers")
+    entries = tuple(ptype)
+    if not entries or any(type(d) is not int or d <= 0 for d in entries):
+        raise ValueError(
+            f"polarization type must be a nonempty tuple of positive ints, got {ptype!r}"
+        )
     for a, b in zip(entries, entries[1:]):
         if b % a != 0:
             raise ValueError(f"type entries must form a divisor chain, got {entries}")
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise ValueError(f"isogeny degree must be a positive integer, got {degree!r}")
-    scaled = list(entries)
-    scaled[-1] *= degree
-    g = len(scaled)
-    diag_matrix = [[scaled[i] if i == j else 0 for j in range(g)] for i in range(g)]
-    diag, _ = _smith_normal_form(diag_matrix)
-    return tuple(diag)
+    return entries[:-1] + (entries[-1] * degree,)
 
 
 __all__ = [

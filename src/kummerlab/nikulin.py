@@ -3,16 +3,21 @@
 the Kummer divisor lattice.
 
 The (-2)-vector enumeration is exhaustive by a provable bound rather than a
-heuristic box: writing v = sum(lam_i c_i) + eps*d with eps in {0, 1}, norm -2
-forces sum((lam_i + eps/2)^2) = 1, so every coefficient satisfies
-|lam_i + eps/2| <= 1.
+heuristic box.  Every lattice vector is v = sum(lam_i c_i) + eps*d with
+eps in {0, 1}; in the coordinates t_i = 2*lam_i + eps, so t_i = eps (mod 2),
+it is v = sum(t_i c_i) / 2 of norm -(1/2) * sum(t_i^2), and norm -2 means
+sum(t_i^2) == 4.  A short recursion picks t_1, t_2, ... in turn and bounds
+each by what the budget leaves after the later coordinates take their least
+square, eps (Fincke-Pohst pruning), so no partial sum over the budget is
+ever extended.  For eps = 1 the eight odd squares already need 8 > 4, so
+the half-sum branch is empty.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import isqrt
 
 from .kummer_ns import JacobianKummerNS
@@ -41,48 +46,35 @@ def nikulin_lattice() -> NikulinLattice:
     return NikulinLattice()
 
 
-def _vectors_with_norm(n: NikulinLattice, eps: int, target: int) -> list[RationalVector]:
-    """All lattice vectors sum(lam_i c_i) + eps*d of the given norm.
-
-    The coefficient range is exact, not heuristic: the norm equals
-    -(1/2) * sum((2*lam_i + eps)^2), so norm `target` needs
-    sum((2*lam_i + eps)^2) == -2*target, bounding each |2*lam_i + eps|.
-    """
-    budget = -2 * target
-    if budget < 0:
-        return []
-    # |2*lam + eps| <= isqrt(budget); solve for the integer lambda range
-    out = []
-    bound = isqrt(budget)
-    lo = -(bound + eps) // 2
-    hi = (bound - eps) // 2
-    candidates = range(lo, hi + 1)
-    for lams in product(candidates, repeat=8):
-        s = 0
-        for lam in lams:
-            t = 2 * lam + eps
-            s += t * t
-        if s == budget:
-            out.append(RationalVector(n.space, tuple(2 * lam + eps for lam in lams), 2))
-    return out
+def _parity_tuples(k: int, budget: int, eps: int) -> Iterator[tuple[int, ...]]:
+    """Every k-tuple of integers t_i = eps (mod 2) with sum(t_i^2) == budget,
+    in lexicographic order."""
+    if k == 0:
+        if budget == 0:
+            yield ()
+        return
+    # the other k - 1 coordinates need at least eps each
+    room = budget - (k - 1) * eps
+    if room < 0:
+        return
+    bound = isqrt(room)
+    for t in range(-bound, bound + 1):
+        if t % 2 == eps:
+            for rest in _parity_tuples(k - 1, budget - t * t, eps):
+                yield (t, *rest)
 
 
 def roots(n: NikulinLattice) -> tuple[RationalVector, ...]:
     """Every lattice vector of norm -2, enumerated exhaustively."""
-    found = _vectors_with_norm(n, 0, -2) + _vectors_with_norm(n, 1, -2)
+    found = [
+        RationalVector(n.space, t, 2)
+        for eps in (0, 1)
+        for t in _parity_tuples(n.space.dim, 4, eps)
+    ]
     for v in found:
         if v.norm() != -2:
             raise AssertionError("enumeration produced a non-root")
     return tuple(sorted(found, key=lambda v: v.coords))
-
-
-def halfsum_branch_root_count(n: NikulinLattice) -> int:
-    """Number of norm -2 vectors with a half-integer coefficient on d.
-
-    Provably zero: those vectors need sum(lam_i^2 + lam_i) = -1, but each
-    lam*(lam+1) is even and non-negative.
-    """
-    return len(_vectors_with_norm(n, 1, -2))
 
 
 def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:

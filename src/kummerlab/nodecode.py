@@ -29,7 +29,7 @@ class NodeSet:
     bits: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or not 0 <= self.bits <= _FULL_MASK:
+        if type(self.bits) is not int or not 0 <= self.bits <= _FULL_MASK:
             raise CodeError(f"bitmask must be an int in [0, 2^16), got {self.bits!r}")
 
     @classmethod

@@ -24,7 +24,6 @@ from kummerlab.kummer_ns import (
 )
 from kummerlab.labels import NODE_LABELS, TROPE_LABELS
 from kummerlab.nikulin import (
-    halfsum_branch_root_count,
     nikulin_lattice,
     roots,
     saturation_gram_matches,
@@ -122,7 +121,7 @@ def test_criterion_05_rank8_lattice():
     ok = (
         len(found) == 16
         and {v.coords for v in found} == expected
-        and halfsum_branch_root_count(lattice) == 0
+        and all(v.is_integral for v in found)
         and group.order == 2**6
         and saturations
     )

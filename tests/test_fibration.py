@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.fibration import (
-    Fiber,
     FiberComponent,
     Fibration,
     FibrationError,
@@ -71,6 +70,22 @@ class TestClassification:
         with pytest.raises(FibrationError):
             kodaira_euler("IV*")
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FiberComponent(MODEL.node_class("E12"), 1.5),
+            lambda: FiberComponent(MODEL.node_class("E12"), True),
+            lambda: FiberComponent(MODEL.node_class("E12"), Fraction(1)),
+            lambda: kodaira_euler("I\u0663"),
+            lambda: kodaira_euler("I\uff13"),
+            lambda: kodaira_euler(3),
+        ],
+        ids=["float", "bool", "Fraction", "arabic-indic-3", "fullwidth-3", "int-tag"],
+    )
+    def test_non_int_multiplicity_or_non_ascii_tag_rejected(self, make):
+        with pytest.raises(FibrationError):
+            make()
+
 
 class TestJacobianFibration:
     def test_fiber_class_is_isotropic(self):
@@ -106,7 +121,7 @@ class TestJacobianFibration:
         assert euler_sum(FIB) == 2 * 6 + 6 * 2 == 24
 
     def test_empty_fiber_list(self):
-        empty = Fibration(FIB.fiber_class, (), ())
+        empty = Fibration((1, 2), FIB.fiber_class, (), ())
         assert euler_sum(empty) == 0
 
 
@@ -169,6 +184,7 @@ class TestSweep:
         for i in range(1, 7):
             for j in range(i + 1, 7):
                 fib = build_fibration(MODEL, i, j)
+                assert fib.pair == (i, j)
                 assert fib.fiber_class.norm() == 0
                 types = sorted(f.kodaira_type for f in fib.fibers)
                 assert types == ["I0*", "I0*"] + ["I2"] * 6
@@ -193,7 +209,3 @@ class TestInvariants:
             for a in range(len(comps)):
                 for b in range(a + 1, len(comps)):
                     assert comps[a].divisor.dot(comps[b].divisor) >= 0
-
-    def test_fiber_euler_consistency(self):
-        with pytest.raises(FibrationError):
-            Fiber((), "smooth", 5)

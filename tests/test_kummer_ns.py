@@ -317,3 +317,18 @@ class TestPolarization:
             isogeny_polarization_type((1, 1), 0)
         with pytest.raises(ValueError):
             isogeny_polarization_type((), 2)
+
+    @pytest.mark.parametrize(
+        "ptype, degree",
+        [
+            ((1.5, 2), 2),
+            ((1, 2.0), 2),
+            (("1", "2"), 2),
+            ((True, 1), 2),
+            ((1, 1), True),
+            ((1, 1), 2.0),
+        ],
+    )
+    def test_non_int_input_rejected(self, ptype, degree):
+        with pytest.raises(ValueError):
+            isogeny_polarization_type(ptype, degree)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -476,6 +476,44 @@ def lattices_with_labels(draw):
     )
     labels = draw(st.lists(st.sampled_from(space.labels), unique=True))
     return SublatticeModel(space, tuple(space.vector(g) for g in gens)), labels
+
+
+def sympy_contains(lat, v):
+    """Whether x * (D*G) = D*v has an integer solution x, D clearing every
+    denominator.  Appending the row D*v to D*G keeps the row lattice exactly
+    when it keeps the rank and the product of the nonzero Smith invariants
+    (the index of the row lattice in its saturation)."""
+    rows = [g.coords for g in lat.generators] + [v.coords]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    big = Matrix([[int(x * d) for x in row] for row in rows])
+    small = big[:-1, :]
+
+    def index(m):
+        snf = smith_normal_form(m, domain=ZZ)
+        out = 1
+        for i in range(min(snf.shape)):
+            out *= abs(snf[i, i]) or 1
+        return out
+
+    return small.rank() == big.rank() and index(small) == index(big)
+
+
+class TestContainsAgainstSympy:
+    @given(
+        lattices_with_labels(),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), 1, 2]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_members_and_shifts(self, case, combo, k, q):
+        lat = case[0]
+        member = lat.space.zero()
+        for c, g in zip(combo, lat.generators):
+            member = member + c * g
+        shifted = member + q * lat.space.basis_vector(lat.space.labels[k % lat.space.dim])
+        assert lat.contains(member) and sympy_contains(lat, member)
+        assert lat.contains(shifted) == sympy_contains(lat, shifted)
 
 
 class TestSectionsAndIndex:

@@ -4,7 +4,7 @@ import pytest
 
 from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
 from kummerlab.nikulin import (
-    halfsum_branch_root_count,
+    _parity_tuples,
     nikulin_lattice,
     roots,
     saturation_gram_matches,
@@ -62,7 +62,7 @@ class TestRoots:
         assert {v.coords for v in roots(LATTICE)} == expected
 
     def test_halfsum_branch_empty(self):
-        assert halfsum_branch_root_count(LATTICE) == 0
+        assert all(v.is_integral for v in roots(LATTICE))
 
     def test_halfsum_norm(self):
         assert LATTICE.halfsum.norm() == -4
@@ -77,6 +77,19 @@ class TestRoots:
     def test_every_root_has_norm_minus_two(self):
         for v in roots(LATTICE):
             assert v.norm() == -2
+
+
+class TestParityTuples:
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("k", range(6))
+    def test_matches_box_filter(self, k, eps):
+        """The pruned recursion against a plain filter of the whole box."""
+        by_budget = {budget: [] for budget in range(13)}
+        for t in product(range(-3, 4), repeat=k):  # t^2 <= 12 forces |t| <= 3
+            if all(x % 2 == eps for x in t):
+                by_budget.setdefault(sum(x * x for x in t), []).append(t)
+        for budget in range(13):
+            assert list(_parity_tuples(k, budget, eps)) == by_budget[budget]
 
 
 class TestLatticeShape:

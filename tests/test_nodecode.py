@@ -44,7 +44,7 @@ class TestNodeSet:
         with pytest.raises(CodeError):
             NodeSet(1 << 16)
 
-    @pytest.mark.parametrize("bits", ["3", None, Fraction(1)])
+    @pytest.mark.parametrize("bits", ["3", None, Fraction(1), True, 1.0])
     def test_non_integer_mask_rejected(self, bits):
         with pytest.raises(CodeError):
             NodeSet(bits)
