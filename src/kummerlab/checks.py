@@ -89,6 +89,25 @@ def check_pairs(id: str, description: str, claim: str):
 class CheckContext:
     """Shared lazily-built objects so expensive scans run once per process."""
 
+    def __init__(self) -> None:
+        self._pencils: dict[tuple[int, int], fib_mod.Fibration] = {}
+        self._covers: dict[tuple[int, int], fib_mod.Fibration] = {}
+
+    def _pencil(self, i: int, j: int) -> fib_mod.Fibration:
+        """The pencil through the (i, j) double point, built once per context."""
+        if (i, j) not in self._pencils:
+            self._pencils[i, j] = fib_mod.build_fibration(self.model, i, j)
+        return self._pencils[i, j]
+
+    def _cover(self, i: int, j: int) -> fib_mod.Fibration:
+        """The (i, j) pencil on the double cover branched along the (i, j)
+        even eight, built once per context."""
+        if (i, j) not in self._covers:
+            self._covers[i, j] = fib_mod.transform_double_cover(
+                self._pencil(i, j), even_eight(i, j), self.model
+            )
+        return self._covers[i, j]
+
     @cached_property
     def model(self) -> JacobianKummerNS:
         return jacobian_kummer_ns()
@@ -102,14 +121,12 @@ class CheckContext:
         return code_from_even_sets(self.model.even_sets)
 
     @cached_property
-    def fibration(self):
-        return fib_mod.build_fibration(self.model)
+    def fibration(self) -> fib_mod.Fibration:
+        return self._pencil(1, 2)
 
     @cached_property
-    def transformed(self):
-        return fib_mod.transform_double_cover(
-            self.fibration, even_eight(1, 2), self.model
-        )
+    def transformed(self) -> fib_mod.Fibration:
+        return self._cover(1, 2)
 
 
 def _labels(sets) -> list[list[str]]:
@@ -531,13 +548,13 @@ def _fib_cover(ctx: CheckContext):
     "every index pair yields the same fiber and cover bookkeeping",
 )
 def _fib_sweep(ctx: CheckContext, i: int, j: int):
-    f = fib_mod.build_fibration(ctx.model, i, j)
+    f = ctx._pencil(i, j)
     ok = (
         f.fiber_class.norm() == 0
         and fib_mod.euler_sum(f) == 24
         and fib_mod.even_eight_from_fibers(f, ctx.model)
     )
-    out = fib_mod.transform_double_cover(f, even_eight(i, j), ctx.model)
+    out = ctx._cover(i, j)
     i2 = sum(1 for x in out.fibers if x.kodaira_type == "I2")
     ok = ok and i2 == 12 and fib_mod.euler_sum(out) == 24
     return ok, f"pencil through the ({i},{j}) point passes all fibration checks", {

@@ -66,10 +66,10 @@ class Fiber:
     def weighted_sum(self) -> RationalVector:
         if not self.components:
             raise FibrationError("smooth fibers carry no component decomposition")
-        total = self.components[0].multiplicity * self.components[0].divisor
-        for comp in self.components[1:]:
-            total = total + comp.multiplicity * comp.divisor
-        return total
+        return self.components[0].divisor.space.combination(
+            [c.multiplicity for c in self.components],
+            [c.divisor for c in self.components],
+        )
 
     def multiplicity_one_components(self) -> tuple[RationalVector, ...]:
         return tuple(c.divisor for c in self.components if c.multiplicity == 1)
@@ -150,10 +150,9 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
     if not (1 <= i < j <= 6):
         raise FibrationError(f"need 1 <= i < j <= 6, got ({i}, {j})")
     space = model.space
-    fiber_class = (
-        space.basis_vector("L")
-        - space.basis_vector("E0")
-        - model.node_class(node_label(i, j))
+    fiber_class = space.combination(
+        (1, -1, -1),
+        (space.basis_vector("L"), space.basis_vector("E0"), model.node_class(node_label(i, j))),
     )
 
     def star_fiber(center_index: int) -> Fiber:
@@ -221,10 +220,10 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     if len(centers) != 2:
         return False
     identity_lhs = model.node_set_sum(eight)
-    identity_rhs = (
-        stars[0].weighted_sum()
-        + stars[1].weighted_sum()
-        - 2 * (centers[0] + centers[1])
+    components = [c for fiber in stars for c in fiber.components]
+    identity_rhs = model.space.combination(
+        [c.multiplicity for c in components] + [-2, -2],
+        [c.divisor for c in components] + centers,
     )
     node_classes = {model.node_class(label) for label in eight.labels()}
     return (
@@ -232,6 +231,14 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
         and set(mult_one) == node_classes
         and len(mult_one) == 8
     )
+
+
+def _meets(divisor: RationalVector, node_coords: list[int]) -> bool:
+    """True iff the divisor pairs nonzero with a node at one of the given
+    coordinates.  A node is a basis vector e_k of the diagonal form with
+    diag[k] != 0, so <divisor, e_k> = diag[k] * divisor_k is read off the
+    k-th coordinate."""
+    return any(divisor.nums[k] for k in node_coords)
 
 
 def transform_double_cover(
@@ -243,12 +250,16 @@ def transform_double_cover(
     becomes a smooth fiber; a fiber disjoint from the branch splits into two
     copies.  Any other incidence is rejected.  Sections pull back to
     sections; the transformed Euler numbers must again total the input sum.
+    Whether a fiber meets the branch is read off the coordinates of its
+    components at the branch nodes.
     """
     if branch.weight == 0:
         return fib
     if branch.weight != 8 or not model.is_even_set(branch):
         raise FibrationError("branch must be an even eight")
-    branch_vectors = [model.node_class(label) for label in branch.labels()]
+    labels = branch.labels()
+    branch_vectors = [model.node_class(label) for label in labels]
+    branch_coords = [model.space.index(label) for label in labels]
 
     new_fibers: list[Fiber] = []
     for fiber in fib.fibers:
@@ -262,9 +273,7 @@ def transform_double_cover(
             new_fibers.append(Fiber((), SMOOTH))
             continue
         # a component equal to a branch node pairs -2 with it, so it is caught
-        touches = any(
-            c.divisor.dot(b) != 0 for c in fiber.components for b in branch_vectors
-        )
+        touches = any(_meets(c.divisor, branch_coords) for c in fiber.components)
         if touches:
             raise FibrationError(
                 "branch/fiber incidence not covered: fiber meets the branch "

@@ -89,7 +89,7 @@ class JacobianKummerNS:
         return self.space.vector(values)
 
     def half_sum(self, s: NodeSet) -> RationalVector:
-        return HALF * self.node_set_sum(s)
+        return self.space.vector({label: HALF for label in s.labels()})
 
     # -- configuration -----------------------------------------------------
 
@@ -171,11 +171,16 @@ class JacobianKummerNS:
         2(L - E0) - 2 C_1i - 2 C_1j - 2 E_ij, exactly."""
         if not (1 <= i < j <= 6):
             raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-        t_i = self.trope_class(f"C1{i}")  # C11 aliases C0
-        t_j = self.trope_class(f"C1{j}")
-        l_minus_e0 = self.space.basis_vector("L") - self.space.basis_vector("E0")
-        e_ij = self.node_class(node_label(i, j))
-        lhs = 2 * l_minus_e0 - 2 * t_i - 2 * t_j - 2 * e_ij
+        lhs = self.space.combination(
+            (2, -2, -2, -2, -2),
+            (
+                self.space.basis_vector("L"),
+                self.space.basis_vector("E0"),
+                self.trope_class(f"C1{i}"),  # C11 aliases C0
+                self.trope_class(f"C1{j}"),
+                self.node_class(node_label(i, j)),
+            ),
+        )
         rhs = self.node_set_sum(even_eight(i, j))
         return lhs == rhs
 

@@ -220,12 +220,24 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _is_exact(x: object) -> bool:
+    """True for an int (not a bool) or a Fraction, the package's exact rationals."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _exact(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
+    """The values as a tuple; any value that is not an exact rational raises."""
+    values = tuple(values)
+    for x in values:
+        if not _is_exact(x):
+            raise LatticeError(f"expected an int or a Fraction, got {x!r}")
+    return values
+
+
 def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
     """``(nums, den)`` with ``values[i] == nums[i] / den``, den the least common
     denominator; any value but an int (not a bool) or a Fraction raises."""
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise LatticeError(f"expected an int or a Fraction, got {x!r}")
+    values = _exact(values)
     den = lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (den // x.denominator) for x in values), den
 
@@ -234,12 +246,14 @@ def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, 
 class QuadraticSpace:
     """A labelled orthogonal basis: <e_i, e_i> = diag[i], distinct e_i pair to 0.
 
-    Also held as integers: diag[i] == weights[i] / scale."""
+    Also held as integers: diag[i] == weights[i] / scale.  The vectors e_i are
+    built once, as ``basis``."""
 
     labels: tuple[str, ...]
     diag: tuple[Fraction, ...]
     weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
+    basis: tuple["RationalVector", ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -252,6 +266,9 @@ class QuadraticSpace:
         object.__setattr__(self, "diag", tuple(Fraction(w, scale) for w in weights))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale", scale)
+        n = len(labels)
+        basis = tuple(RationalVector(self, tuple(int(i == k) for i in range(n))) for k in range(n))
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -268,9 +285,7 @@ class QuadraticSpace:
             raise LatticeError(f"unknown basis label {label!r}") from None
 
     def basis_vector(self, label: str) -> "RationalVector":
-        nums = [0] * self.dim
-        nums[self.index(label)] = 1
-        return RationalVector(self, tuple(nums))
+        return self.basis[self.index(label)]
 
     def zero(self) -> "RationalVector":
         return RationalVector(self, (0,) * self.dim)
@@ -288,6 +303,26 @@ class QuadraticSpace:
     def _check_member(self, v: "RationalVector") -> None:
         if v.space is not self and v.space != self:
             raise LatticeError("vector belongs to a different quadratic space")
+
+    def combination(
+        self, coeffs: Sequence[int | Fraction], vectors: Sequence["RationalVector"]
+    ) -> "RationalVector":
+        """The vector sum_i coeffs[i] * vectors[i], summed in one pass over a
+        common denominator, so only the result is built."""
+        coeffs, vectors = _exact(coeffs), tuple(vectors)
+        if len(coeffs) != len(vectors):
+            raise LatticeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+        for v in vectors:
+            self._check_member(v)
+        terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
+        den = lcm(*(c.denominator * v.den for c, v in terms))
+        total = [0] * self.dim
+        for c, v in terms:
+            f = c.numerator * (den // (c.denominator * v.den))
+            for k, x in enumerate(v.nums):
+                if x:
+                    total[k] += f * x
+        return RationalVector(self, tuple(total), den)
 
     def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
         """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
@@ -362,13 +397,18 @@ class RationalVector:
         )
 
     def __sub__(self, other: "RationalVector") -> "RationalVector":
-        return self + -other
+        self._binop_space(other)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return RationalVector(
+            self.space, tuple(f * a - g * b for a, b in zip(self.nums, other.nums)), den
+        )
 
     def __neg__(self) -> "RationalVector":
         return RationalVector(self.space, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, scalar: int | Fraction) -> "RationalVector":
-        if not isinstance(scalar, (int, Fraction)):
+        if not _is_exact(scalar):
             return NotImplemented
         p = scalar.numerator
         return RationalVector(
@@ -422,7 +462,9 @@ class DiscriminantGroup:
     generator_lifts: tuple[RationalVector, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(int(f) for f in self.invariant_factors)
+        factors = tuple(self.invariant_factors)
+        if any(type(f) is not int for f in factors):
+            raise LatticeError(f"invariant factors must be ints, got {factors!r}")
         if any(f <= 1 for f in factors):
             raise LatticeError("invariant factors must exceed 1")
         for a, b in zip(factors, factors[1:]):
@@ -478,9 +520,12 @@ class SublatticeModel:
         return SublatticeModel(self.space, self.zbasis())
 
     def same_lattice(self, other: "SublatticeModel") -> bool:
+        """Equal spans.  The denominator, the lcm of the generator denominators,
+        is the least one clearing every lattice element, so it and the HNF
+        rows are invariants of the span."""
         if self.space != other.space:
             return False
-        return self.zbasis() == other.zbasis()
+        return self._scaled[:2] == other._scaled[:2]
 
     # -- membership ----------------------------------------------------------
 
@@ -619,11 +664,9 @@ class SublatticeModel:
         if self.space.gram(rows) != form:
             return False
         # the lattice must map into itself with unimodular coefficient matrix
-        zero = self.space.zero()
         den, hnf, _ = self._scaled
         image_of_zbasis = (
-            Fraction(1, den) * sum((c * img for c, img in zip(row, rows) if c), zero)
-            for row in hnf
+            self.space.combination([Fraction(c, den) for c in row], rows) for row in hnf
         )
         return self._index_of(image_of_zbasis) == 1
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import __version__, checks
+from kummerlab import __version__, checks, fibration
 from kummerlab.checks import (
     FAIL,
     REGISTRY,
@@ -15,6 +15,8 @@ from kummerlab.checks import (
     run_checks,
 )
 from kummerlab.cli import build_report, main, render_check_list, render_json, select_ids
+from kummerlab.labels import INDEX_PAIRS
+from kummerlab.lattice import QuadraticSpace
 
 # outputs captured before any change to the package; the stdout fixed points
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -122,6 +124,64 @@ class TestRunChecks:
         assert len(calls) == 1
         run_checks(["code.linear_dim5", "code.weight_enumerator"])
         assert len(calls) == 2
+
+    def test_each_pencil_built_once_per_run(self, monkeypatch):
+        built, transformed = [], []
+        build, transform = fibration.build_fibration, fibration.transform_double_cover
+
+        def counted_build(model, i, j):
+            built.append((i, j))
+            return build(model, i, j)
+
+        def counted_transform(fib, branch, model):
+            transformed.append(fib.pair)
+            return transform(fib, branch, model)
+
+        monkeypatch.setattr(fibration, "build_fibration", counted_build)
+        monkeypatch.setattr(fibration, "transform_double_cover", counted_transform)
+        run_checks()
+        assert sorted(built) == sorted(transformed) == sorted(INDEX_PAIRS)
+
+
+SWEEPS = {f"fibration.sweep.{i}{j}" for i, j in INDEX_PAIRS}
+
+
+class TestFaultInjection:
+    """A fault in one kernel turns exactly the checks that depend on it to FAIL."""
+
+    def failing(self):
+        return {r.id for r in run_checks() if r.status == FAIL}
+
+    def test_combination_drops_last_term(self, monkeypatch):
+        original = QuadraticSpace.combination
+
+        def drop_last(self, coeffs, vectors):
+            return original(self, list(coeffs)[:-1], list(vectors)[:-1])
+
+        monkeypatch.setattr(QuadraticSpace, "combination", drop_last)
+        # the fiber class loses E_ij, so every pencil fails to build; the
+        # even-eight identity loses E_ij; the isometry test loses a term of
+        # each image sum
+        assert self.failing() == SWEEPS | {
+            f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS
+        } | {
+            "alpha.isometry",
+            "cross.euler24",
+            "fibration.F2zero",
+            "fibration.classify",
+            "fibration.cover12I2",
+            "fibration.delta12_identity",
+            "fibration.eulersum24",
+            "fibration.sections4",
+        }
+
+    def test_incidence_reads_next_coordinate(self, monkeypatch):
+        def shifted(divisor, node_coords):
+            return any(divisor.nums[k + 1] for k in node_coords)
+
+        monkeypatch.setattr(fibration, "_meets", shifted)
+        # every transform fails, the pencils themselves stay intact
+        assert self.failing() == SWEEPS | {"cross.euler24", "fibration.cover12I2"}
 
 
 class TestReport:

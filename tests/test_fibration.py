@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.fibration import (
+    I0_STAR,
+    SMOOTH,
+    Fiber,
     FiberComponent,
     Fibration,
     FibrationError,
@@ -14,6 +17,7 @@ from kummerlab.fibration import (
     transform_double_cover,
 )
 from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
+from kummerlab.labels import INDEX_PAIRS
 from kummerlab.lattice import QuadraticSpace
 from kummerlab.nodecode import EMPTY
 
@@ -177,6 +181,40 @@ class TestDoubleCoverTransform:
         )
         with pytest.raises(FibrationError, match="even eight"):
             transform_double_cover(FIB, bad, MODEL)
+
+
+def transform_by_dot(fib, branch, model):
+    """The double-cover transform with incidence from full pairings <c, b>
+    against every branch node; None where a fiber meets the branch without
+    being a star fiber inside it."""
+    branch_vectors = [model.node_class(label) for label in branch.labels()]
+    fibers = []
+    for fiber in fib.fibers:
+        mult_one = fiber.multiplicity_one_components()
+        if fiber.kodaira_type == I0_STAR and mult_one and all(c in branch_vectors for c in mult_one):
+            fibers.append(Fiber((), SMOOTH))
+        elif any(c.divisor.dot(b) != 0 for c in fiber.components for b in branch_vectors):
+            return None
+        else:
+            fibers += [fiber, fiber]
+    return Fibration(fib.pair, fib.fiber_class, tuple(fibers), fib.sections)
+
+
+class TestCoordinateIncidence:
+    @pytest.mark.parametrize("pair", INDEX_PAIRS)
+    def test_against_dot_oracle(self, pair):
+        # differential, exhaustive: this pencil against all thirty even eights
+        fib = build_fibration(MODEL, *pair)
+        accepted = []
+        for eight in MODEL.even_eights():
+            expected = transform_by_dot(fib, eight, MODEL)
+            if expected is None:
+                with pytest.raises(FibrationError, match="incidence not covered"):
+                    transform_double_cover(fib, eight, MODEL)
+            else:
+                assert transform_double_cover(fib, eight, MODEL) == expected
+                accepted.append(eight)
+        assert accepted == [even_eight(*pair)]
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from kummerlab.kummer_ns import jacobian_kummer_ns
 from kummerlab.lattice import (
+    DiscriminantGroup,
     LatticeError,
     QuadraticSpace,
     RationalVector,
@@ -98,6 +99,41 @@ class TestSpaceValidation:
         with pytest.raises(LatticeError):
             build(QuadraticSpace(("a", "b"), [1, -2]))
 
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            lambda v: v * True,
+            lambda v: True * v,
+            lambda v: v * False,
+            lambda v: v * 0.5,
+            lambda v: 2.0 * v,
+            lambda v: v * "2",
+        ],
+    )
+    def test_inexact_scalar_rejected(self, scale):
+        with pytest.raises(TypeError):
+            scale(QuadraticSpace(("a", "b"), [1, -2]).vector([1, 2]))
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(2.5,), (2.0,), (Fraction(2),), ("2",), (True,), (2, 4.0)],
+    )
+    def test_inexact_invariant_factors_rejected(self, factors):
+        space = QuadraticSpace(("a", "b"), [1, -2])
+        lifts = (space.vector([Fraction(1, 2), 0]),) * len(factors)
+        with pytest.raises(LatticeError):
+            DiscriminantGroup(factors, lifts)
+
+    def test_basis_is_stored_and_validated(self):
+        space = QuadraticSpace(("a", "b", "c"), [1, Fraction(-1, 2), 0])
+        assert space.basis_vector("b") is space.basis[1] is space.basis_vector("b")
+        for k, label in enumerate(space.labels):
+            unit = [0] * space.dim
+            unit[k] = 1
+            assert space.basis_vector(label) == space.vector(unit)
+        with pytest.raises(LatticeError):
+            space.basis_vector("d")
+
 
 def _rationals(zero_weight=False):
     values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
@@ -156,6 +192,96 @@ class TestVectorCore:
         assert payload["coords"] == [[str(x.numerator), str(x.denominator)] for x in a]
         back = vector_from_json(space, payload)
         assert back == v and hash(back) == hash(v)
+
+
+@st.composite
+def combination_cases(draw):
+    """A random diagonal space, up to five vectors of mixed denominators and
+    one coefficient per vector, ints and Fractions, zeros included."""
+    space, *_ = draw(vector_cases())
+    m = draw(st.integers(min_value=0, max_value=5))
+    rows = [
+        draw(st.lists(_rationals(True), min_size=space.dim, max_size=space.dim))
+        for _ in range(m)
+    ]
+    coeff = st.one_of(st.integers(min_value=-4, max_value=4), _rationals(True))
+    return space, rows, draw(st.lists(coeff, min_size=m, max_size=m))
+
+
+class TestCombination:
+    @given(combination_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_against_fraction_reference(self, case):
+        space, rows, coeffs = case
+        got = space.combination(coeffs, [space.vector(r) for r in rows])
+        ref = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0)) for k in range(space.dim)]
+        assert got.den > 0 and gcd(got.den, *got.nums) == 1
+        assert got.coords == tuple(ref)
+
+    @given(combination_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_foreign_space_rejected(self, case):
+        space, rows, coeffs = case
+        foreign = QuadraticSpace([f"y{i}" for i in range(space.dim)], space.diag)
+        vectors = [space.vector(r) for r in rows] + [foreign.zero()]
+        with pytest.raises(LatticeError, match="different quadratic space"):
+            space.combination(coeffs + [0], vectors)
+
+    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3), (True, 1), (0.5, 1)])
+    def test_malformed_coefficients_rejected(self, coeffs):
+        v = SPACE.basis_vector("L")
+        with pytest.raises(LatticeError):
+            SPACE.combination(coeffs, (v, v))
+
+
+def _old_same_lattice(a, b):
+    """The span comparison on the canonical Z-bases."""
+    return a.space == b.space and a.zbasis() == b.zbasis()
+
+
+@st.composite
+def generator_set_cases(draw):
+    """Rational generators G, then G shuffled with redundant generators added:
+    integer combinations of G scaled by a divisor of a generator's
+    denominator, so the new generators have other denominators.  Half of the
+    time a random generator is added too, which usually changes the span;
+    the flag says whether it was."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    space = QuadraticSpace([f"x{i}" for i in range(n)], [1] * n)
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    gens = [space.vector(r) for r in rows]
+    others = list(gens)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        combo = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=len(gens), max_size=len(gens)))
+        v = space.combination(combo, gens)
+        others.append(draw(st.sampled_from([d for d in range(1, v.den + 1) if v.den % d == 0])) * v)
+    extended = draw(st.booleans())
+    if extended:
+        others.append(space.vector(draw(st.lists(entry, min_size=n, max_size=n))))
+    others = draw(st.permutations(others))
+    return SublatticeModel(space, tuple(gens)), SublatticeModel(space, tuple(others)), extended
+
+
+class TestSameLattice:
+    @given(generator_set_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_against_zbasis_comparison(self, case):
+        a, b, extended = case
+        assert a.same_lattice(b) == b.same_lattice(a) == _old_same_lattice(a, b)
+        assert a.same_lattice(b) or extended
+        assert a.same_lattice(a.hnf_basis())
+
+    def test_redundant_generators_with_other_denominators(self):
+        space = QuadraticSpace(("a", "b"), [1, 1])
+        v, w = space.vector([Fraction(1, 6), 0]), space.vector([0, Fraction(1, 2)])
+        lat = SublatticeModel(space, (v, w))
+        assert lat.same_lattice(SublatticeModel(space, (w, v, 3 * v, 2 * w, v + w)))
+        assert not lat.same_lattice(SublatticeModel(space, (3 * v, w)))
+        other = QuadraticSpace(("a", "b"), [1, 2])
+        assert not lat.same_lattice(
+            SublatticeModel(other, (other.vector(v.coords), other.vector(w.coords)))
+        )
 
 
 class TestHNF:
