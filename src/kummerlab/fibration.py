@@ -40,6 +40,8 @@ def kodaira_euler(tag: str) -> int:
 
 @dataclass(frozen=True)
 class FiberComponent:
+    """A fiber component; `classify_fiber` checks that its norm is -2."""
+
     divisor: RationalVector
     multiplicity: int
 
@@ -47,10 +49,6 @@ class FiberComponent:
         if type(self.multiplicity) is not int or self.multiplicity < 1:
             raise FibrationError(
                 f"component multiplicity must be a positive int, got {self.multiplicity!r}"
-            )
-        if self.divisor.norm() != -2:
-            raise FibrationError(
-                f"fiber components must have norm -2, got {self.divisor.norm()}"
             )
 
 
@@ -86,15 +84,19 @@ class Fibration:
 
 
 def classify_fiber(components: tuple[FiberComponent, ...] | list[FiberComponent]) -> str:
-    """Recognize the fiber type from the dual graph of the components."""
+    """Recognize the fiber type from the dual graph of the components, each of
+    which must have norm -2."""
     comps = tuple(components)
     if not comps:
         raise FibrationError("a fiber needs at least one component")
     gram = comps[0].divisor.space.gram([c.divisor for c in comps])
+    n = len(comps)
+    for k in range(n):
+        if gram[k][k] != -2:
+            raise FibrationError(f"fiber components must have norm -2, got {gram[k][k]}")
     if any(x.denominator != 1 for row in gram for x in row):
         raise FibrationError("non-integral component pairing")
     pairing = [[x.numerator for x in row] for row in gram]
-    n = len(comps)
     mults = [c.multiplicity for c in comps]
 
     if n == 2 and mults == [1, 1] and pairing[0][1] == 2:
@@ -136,10 +138,6 @@ def _is_single_cycle(pairing: list[list[int]]) -> bool:
     return len(seen) == n
 
 
-def fiber_from_components(components: list[FiberComponent]) -> Fiber:
-    return Fiber(tuple(components), classify_fiber(components))
-
-
 def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibration:
     """The pencil of lines through the (i, j) double point, pulled to the surface.
 
@@ -162,7 +160,7 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
             for k in range(1, 7)
             if k not in (i, j)
         ]
-        fiber = fiber_from_components(comps)
+        fiber = Fiber(tuple(comps), classify_fiber(comps))
         if fiber.kodaira_type != I0_STAR:
             raise FibrationError(f"star fiber at index {center_index} misclassified")
         return fiber
@@ -173,11 +171,8 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
         for b_pos in range(a_pos + 1, len(others)):
             a, b = others[a_pos], others[b_pos]
             node = model.node_class(node_label(a, b))
-            fibers.append(
-                fiber_from_components(
-                    [FiberComponent(fiber_class - node, 1), FiberComponent(node, 1)]
-                )
-            )
+            comps = (FiberComponent(fiber_class - node, 1), FiberComponent(node, 1))
+            fibers.append(Fiber(comps, classify_fiber(comps)))
 
     sections = tuple(model.trope_class(f"C1{k}") for k in others)
 
@@ -253,8 +248,6 @@ def transform_double_cover(
     Whether a fiber meets the branch is read off the coordinates of its
     components at the branch nodes.
     """
-    if branch.weight == 0:
-        return fib
     if branch.weight != 8 or not model.is_even_set(branch):
         raise FibrationError("branch must be an even eight")
     labels = branch.labels()

@@ -515,10 +515,6 @@ class SublatticeModel:
         den, hnf, _ = self._scaled
         return tuple(RationalVector(self.space, row, den) for row in hnf)
 
-    def hnf_basis(self) -> "SublatticeModel":
-        """Equivalent sublattice whose generators are the canonical HNF basis."""
-        return SublatticeModel(self.space, self.zbasis())
-
     def same_lattice(self, other: "SublatticeModel") -> bool:
         """Equal spans.  The denominator, the lcm of the generator denominators,
         is the least one clearing every lattice element, so it and the HNF
@@ -639,17 +635,6 @@ class SublatticeModel:
 
     # -- maps and sublattices --------------------------------------------------
 
-    def _index_of(self, vectors: Iterable[RationalVector]) -> int | None:
-        """|det| of the HNF coordinates of the given vectors, one row each, or
-        None if a vector lies outside this lattice."""
-        rows = []
-        for v in vectors:
-            coeffs = self.coordinates_of(v)
-            if coeffs is None:
-                return None
-            rows.append(coeffs)
-        return abs(_det_int(rows))
-
     def is_isometry(self, images: Mapping[str, RationalVector]) -> bool:
         """True iff the map defined on the basis labels preserves the form and
         carries this lattice bijectively onto itself."""
@@ -663,12 +648,12 @@ class SublatticeModel:
         ]
         if self.space.gram(rows) != form:
             return False
-        # the lattice must map into itself with unimodular coefficient matrix
+        # the images of a Z-basis must span this same lattice
         den, hnf, _ = self._scaled
-        image_of_zbasis = (
+        image_of_zbasis = tuple(
             self.space.combination([Fraction(c, den) for c in row], rows) for row in hnf
         )
-        return self._index_of(image_of_zbasis) == 1
+        return self.same_lattice(SublatticeModel(self.space, image_of_zbasis))
 
     def coordinate_section(self, labels: Iterable[str]) -> "SublatticeModel":
         """Sublattice of all lattice vectors supported on the given labels.
@@ -698,7 +683,10 @@ class SublatticeModel:
             raise LatticeError("sublattice lives in a different space")
         if sub.rank != self.rank:
             raise LatticeError("ranks differ, the index is not finite")
-        index = self._index_of(sub.zbasis())
-        if index is None:
+        # this denominator clears every element of a contained lattice, so
+        # the sublattice's least clearing denominator divides it
+        f, r = divmod(self.denominator, sub.denominator)
+        rows = None if r else [self._reduce([f * x for x in row]) for row in sub._scaled[1]]
+        if rows is None or None in rows:
             raise LatticeError("given lattice is not contained in this one")
-        return index
+        return abs(_det_int(rows))

@@ -86,15 +86,10 @@ class BinaryCode:
 
     def __post_init__(self) -> None:
         words = frozenset(self.codewords)
-        if EMPTY not in words:
-            raise CodeError("a linear code must contain the empty word")
-        size = len(words)
-        if size & (size - 1):
-            raise CodeError("codeword count must be a power of two")
-        for a in words:
-            for b in words:
-                if a ^ b not in words:
-                    raise CodeError("codewords are not closed under symmetric difference")
+        # the words lie in their own span, so they are all of it (closed under
+        # symmetric difference, the empty word included) iff they number 2^rank
+        if len(words) != 1 << len(f2_basis(w.bits for w in words)):
+            raise CodeError("codewords do not form a linear code over F2")
         object.__setattr__(self, "codewords", words)
 
     @property

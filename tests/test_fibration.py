@@ -16,7 +16,7 @@ from kummerlab.fibration import (
     kodaira_euler,
     transform_double_cover,
 )
-from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
+from kummerlab.kummer_ns import JacobianKummerNS, even_eight, jacobian_kummer_ns
 from kummerlab.labels import INDEX_PAIRS
 from kummerlab.lattice import QuadraticSpace
 from kummerlab.nodecode import EMPTY
@@ -63,9 +63,19 @@ class TestClassification:
         with pytest.raises(FibrationError, match="non-integral"):
             classify_fiber(comps)
 
-    def test_norm_enforced(self):
+    def test_norm_enforced(self, monkeypatch):
+        wrong = [
+            FiberComponent(MODEL.space.basis_vector("L"), 1),
+            FiberComponent(MODEL.node_class("E12"), 1),
+        ]
         with pytest.raises(FibrationError, match="norm -2"):
-            FiberComponent(MODEL.space.basis_vector("L"), 1)
+            classify_fiber(wrong)
+        # every star fiber is then centred on L, of norm 4
+        monkeypatch.setattr(
+            JacobianKummerNS, "trope_class", lambda self, label: self.space.basis_vector("L")
+        )
+        with pytest.raises(FibrationError, match="norm -2"):
+            build_fibration(MODEL)
 
     def test_euler_table(self):
         assert kodaira_euler("smooth") == 0
@@ -166,8 +176,11 @@ class TestDoubleCoverTransform:
         assert out.fibers[0].euler_number == 0
         assert out.fibers[1].kodaira_type == "smooth"
 
-    def test_empty_branch_is_identity(self):
-        assert transform_double_cover(FIB, EMPTY, MODEL) is FIB
+    def test_empty_branch_rejected(self):
+        # an unramified double cover would double every fiber and the Euler
+        # sum; a K3 surface has no connected one
+        with pytest.raises(FibrationError, match="even eight"):
+            transform_double_cover(FIB, EMPTY, MODEL)
 
     def test_partial_incidence_rejected(self):
         with pytest.raises(FibrationError, match="incidence not covered"):

@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from kummerlab.kummer_ns import jacobian_kummer_ns
+from kummerlab.labels import NODE_LABELS
 from kummerlab.lattice import (
     DiscriminantGroup,
     LatticeError,
@@ -270,7 +271,7 @@ class TestSameLattice:
         a, b, extended = case
         assert a.same_lattice(b) == b.same_lattice(a) == _old_same_lattice(a, b)
         assert a.same_lattice(b) or extended
-        assert a.same_lattice(a.hnf_basis())
+        assert a.same_lattice(SublatticeModel(a.space, a.zbasis()))
 
     def test_redundant_generators_with_other_denominators(self):
         space = QuadraticSpace(("a", "b"), [1, 1])
@@ -289,7 +290,7 @@ class TestHNF:
         space = QuadraticSpace(("a", "b", "c"), [1, 1, 1])
         gens = tuple(space.basis_vector(x) for x in ("a", "b", "c"))
         lat = SublatticeModel(space, gens)
-        reduced = lat.hnf_basis()
+        reduced = SublatticeModel(lat.space, lat.zbasis())
         assert tuple(v.coords for v in reduced.generators) == tuple(g.coords for g in gens)
 
     def test_duplicate_rows_collapse(self):
@@ -297,7 +298,7 @@ class TestHNF:
         v = space.vector([2, 3])
         lat = SublatticeModel(space, (v, v, v))
         assert lat.rank == 1
-        assert lat.hnf_basis().rank == 1
+        assert SublatticeModel(lat.space, lat.zbasis()).rank == 1
 
     def test_full_generator_family_has_rank_17(self):
         # oracle: exact rank over Q of the denominator-cleared generator matrix
@@ -307,8 +308,8 @@ class TestHNF:
 
     def test_idempotent_and_span_preserving(self):
         rng = random.Random(20260809)
-        reduced = MODEL.ns.hnf_basis()
-        double_reduced = reduced.hnf_basis()
+        reduced = SublatticeModel(SPACE, MODEL.ns.zbasis())
+        double_reduced = SublatticeModel(SPACE, reduced.zbasis())
         assert tuple(v.coords for v in reduced.generators) == tuple(
             v.coords for v in double_reduced.generators
         )
@@ -578,6 +579,20 @@ class TestIsometry:
         with pytest.raises(LatticeError):
             MODEL.ns.is_isometry({"L": basis("L")})
 
+    @given(
+        st.permutations(NODE_LABELS),
+        st.lists(st.booleans(), min_size=len(NODE_LABELS), max_size=len(NODE_LABELS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_node_maps_against_index_oracle(self, perm, flips):
+        # both kinds preserve the form; a sign flip also keeps the lattice,
+        # since it changes a half-sum of nodes by a node
+        identity = {lab: basis(lab) for lab in SPACE.labels}
+        flipped = dict(identity, **{lab: -basis(lab) for lab, f in zip(NODE_LABELS, flips) if f})
+        permuted = dict(identity, **{lab: basis(p) for lab, p in zip(NODE_LABELS, perm)})
+        assert MODEL.ns.is_isometry(flipped) and _old_is_isometry(MODEL.ns, flipped)
+        assert MODEL.ns.is_isometry(permuted) == _old_is_isometry(MODEL.ns, permuted)
+
     def test_accepted_map_preserves_all_pairings(self):
         images = MODEL.covering_involution_images()
         assert MODEL.ns.is_isometry(images)
@@ -586,6 +601,30 @@ class TestIsometry:
                 lhs = SPACE.inner(images[a], images[b])
                 rhs = SPACE.inner(SPACE.basis_vector(a), SPACE.basis_vector(b))
                 assert lhs == rhs
+
+
+def _old_is_isometry(lat, images):
+    """The former verdict: the form is kept on the basis, and the images of
+    the Z-basis have HNF coordinates of determinant +-1 in the lattice."""
+    space = lat.space
+    rows = [images[label] for label in space.labels]
+    for i, v in enumerate(rows):
+        for j, w in enumerate(rows):
+            if space.inner(v, w) != (space.diag[i] if i == j else 0):
+                return False
+    den, hnf, _ = lat._scaled
+    coords = [
+        lat.coordinates_of(space.combination([Fraction(c, den) for c in row], rows))
+        for row in hnf
+    ]
+    return None not in coords and abs(_det_int(coords)) == 1
+
+
+def _old_index_of_sublattice(big, sub):
+    """The former index path: HNF coordinates of the sublattice's Z-basis
+    vectors and their determinant, or None if one lies outside."""
+    coords = [big.coordinates_of(v) for v in sub.zbasis()]
+    return None if None in coords else abs(_det_int(coords))
 
 
 @st.composite
@@ -642,6 +681,44 @@ class TestContainsAgainstSympy:
         assert lat.contains(shifted) == sympy_contains(lat, shifted)
 
 
+@st.composite
+def lattice_pairs(draw):
+    """A rational lattice and a candidate sublattice of the same space: as
+    many integer combinations of its Z-basis as its rank, either kept, or
+    divided by 2 or 3 (the denominator may then not divide the lattice's),
+    or with the first replaced by a vector whose denominator divides the
+    lattice's (usually outside it)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    space = QuadraticSpace([f"x{i}" for i in range(n)], [1] * n)
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    big = SublatticeModel(space, tuple(space.vector(r) for r in rows))
+    zb = big.zbasis()
+    coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=len(zb), max_size=len(zb))
+    gens = [space.combination(draw(coeffs), zb) for _ in zb]
+    kind = draw(st.sampled_from(["kept", "divided", "replaced"]))
+    if kind == "divided":
+        gens = [Fraction(1, draw(st.sampled_from([2, 3]))) * g for g in gens]
+    elif kind == "replaced" and gens:
+        nums = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n))
+        gens[0] = space.vector([Fraction(x, big.denominator) for x in nums])
+    return big, SublatticeModel(space, tuple(gens))
+
+
+def _plane_lattice(*rows):
+    space = QuadraticSpace(("a", "b"), [1, 1])
+    return SublatticeModel(space, tuple(space.vector(r) for r in rows))
+
+
+# denominators 2 and 3: the thirds cannot lie in the halves
+_HALVES_AND_THIRDS = (
+    _plane_lattice([Fraction(1, 2), 0], [0, 1]),
+    _plane_lattice([Fraction(1, 3), 0], [0, 1]),
+)
+# equal denominators, but (1, 0) is not in <(2, 0), (0, 2)>
+_NOT_CONTAINED = (_plane_lattice([2, 0], [0, 2]), _plane_lattice([1, 0], [0, 1]))
+
+
 class TestSectionsAndIndex:
     @given(lattices_with_labels())
     @settings(max_examples=100, deadline=None)
@@ -664,6 +741,20 @@ class TestSectionsAndIndex:
         if coords:
             snf = smith_normal_form(Matrix(coords), domain=ZZ)
             assert all(abs(snf[i, i]) == 1 for i in range(min(snf.shape)))
+
+    @given(lattice_pairs())
+    @example(_HALVES_AND_THIRDS)
+    @example(_NOT_CONTAINED)
+    @settings(max_examples=150, deadline=None)
+    def test_index_against_zbasis_coordinates(self, pair):
+        big, sub = pair
+        assume(sub.rank == big.rank)
+        expected = _old_index_of_sublattice(big, sub)
+        if expected is None:
+            with pytest.raises(LatticeError, match="not contained"):
+                big.index_of_sublattice(sub)
+        else:
+            assert big.index_of_sublattice(sub) == expected
 
     def test_coordinate_section_simple(self):
         space = QuadraticSpace(("a", "b", "c"), [1, 1, 1])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerlab.kummer_ns import jacobian_kummer_ns
 from kummerlab.nodecode import (
@@ -80,6 +82,45 @@ class TestCodeConstruction:
         a = NodeSet.from_labels(["E12"])
         with pytest.raises(CodeError):
             BinaryCode(frozenset({EMPTY, a, NodeSet.from_labels(["E13"]), a ^ a}))
+
+
+def _old_code_accepts(words):
+    """The former BinaryCode check: the empty word, a power-of-two size and
+    the pairwise symmetric-difference table."""
+    size = len(words)
+    return (
+        EMPTY in words
+        and not size & (size - 1)
+        and all(a ^ b in words for a in words for b in words)
+    )
+
+
+@st.composite
+def mask_families(draw):
+    """The F2 span of a few random masks, kept, or with a word dropped or a
+    random word added; masks use six positions so spans and words collide."""
+    masks = draw(st.lists(st.integers(min_value=0, max_value=63), max_size=4))
+    words = {0}
+    for m in masks:
+        words |= {w ^ m for w in words}
+    edit = draw(st.sampled_from(["kept", "dropped", "added"]))
+    if edit == "dropped":
+        words.discard(draw(st.sampled_from(sorted(words))))
+    elif edit == "added":
+        words.add(draw(st.integers(min_value=0, max_value=63)))
+    return frozenset(NodeSet(w) for w in words)
+
+
+class TestBinaryCodeAgainstPairwiseTable:
+    @given(mask_families())
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_closed_families(self, words):
+        try:
+            BinaryCode(words)
+            accepted = True
+        except CodeError:
+            accepted = False
+        assert accepted == _old_code_accepts(words)
 
 
 class TestEvenSetCode:
