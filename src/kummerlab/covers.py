@@ -23,8 +23,6 @@ from types import MappingProxyType
 from .labels import INDEX_PAIRS
 from .lattice import QuadraticSpace, RationalVector
 
-HALF = Fraction(1, 2)
-
 
 class CoverError(ValueError):
     """Raised when a branch divisor or an intersection identity is invalid."""
@@ -175,8 +173,9 @@ def double_cover(s: SurfaceModel, branch: BranchData) -> SurfaceModel:
     so pullback pairings obey <p*D1, p*D2> = 2<D1, D2>; the canonical class
     becomes the pullback of K + B/2 and the Euler number 2e - e(branch).
     """
-    s.pic._check_member(branch.divisor_class)
-    half = HALF * branch.divisor_class
+    b = branch.divisor_class
+    s.pic._check_member(b)
+    half = RationalVector(s.pic, b.nums, 2 * b.den)
     if not half.is_integral:
         raise CoverError("branch not 2-divisible in the modeled Picard group")
     pic = QuadraticSpace(s.pic.labels, tuple(2 * d for d in s.pic.diag))

@@ -10,7 +10,6 @@ dual-lattice checks) is decided.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property
 
 from .labels import (
@@ -21,9 +20,7 @@ from .labels import (
     node_label,
 )
 from .lattice import QuadraticSpace, RationalVector, SublatticeModel
-from .nodecode import EMPTY, FULL, NodeSet, f2_basis, f2_reduce
-
-HALF = Fraction(1, 2)
+from .nodecode import EMPTY, FULL, NodeSet, f2_basis, f2_reduce, f2_span
 
 
 def trope_support(label: str) -> tuple[str, ...]:
@@ -84,12 +81,18 @@ class JacobianKummerNS:
         except (KeyError, TypeError):
             raise ValueError(f"unknown trope label {label!r}") from None
 
+    def _node_indicator(self, s: NodeSet, den: int) -> RationalVector:
+        """The sum of the node classes of s, divided by den."""
+        nums = [0] * self.space.dim
+        for label in s.labels():
+            nums[self.space.index(label)] = 1
+        return RationalVector(self.space, tuple(nums), den)
+
     def node_set_sum(self, s: NodeSet) -> RationalVector:
-        values = {label: 1 for label in s.labels()}
-        return self.space.vector(values)
+        return self._node_indicator(s, 1)
 
     def half_sum(self, s: NodeSet) -> RationalVector:
-        return self.space.vector({label: HALF for label in s.labels()})
+        return self._node_indicator(s, 2)
 
     # -- configuration -----------------------------------------------------
 
@@ -125,14 +128,15 @@ class JacobianKummerNS:
 
     @cached_property
     def even_sets(self) -> tuple[NodeSet, ...]:
-        """All node subsets whose half-sum lies in the lattice, over all 2^16.
+        """All node subsets whose half-sum lies in the lattice, in mask order.
 
         The lattice must contain Z^17 (ValueError otherwise), so the scaled
         half-sum of S, the 0/1 vector of S, lies in the scaled lattice exactly
         when it does modulo 2, where membership is linear in S over F2.  Each
         node gets the syndrome of its unit vector modulo the scaled HNF rows
-        mod 2; a binary-reflected Gray code then visits every nonempty subset
-        with one XOR per step, and S is even exactly when its syndrome is zero.
+        mod 2, and the even sets are the kernel of the syndrome map.  Tagging
+        node k's syndrome with bit k below it, an echelon basis of the tagged
+        masks has its rows with no syndrome bit left spanning that kernel.
         """
         den, hnf, _ = self.ns._scaled
         if den != 2:
@@ -144,18 +148,13 @@ class JacobianKummerNS:
         basis = f2_basis(
             sum(1 << k for k, x in enumerate(row) if x & 1) for row in hnf
         )
-        syndromes = [
-            f2_reduce(1 << self.space.index(label), basis) for label in NODE_LABELS
-        ]
-        # step k of the Gray code flips the lowest set bit of k and reaches
-        # the subset k ^ (k >> 1)
-        found = [EMPTY]
-        syndrome = 0
-        for step in range(1, 1 << len(syndromes)):
-            syndrome ^= syndromes[(step & -step).bit_length() - 1]
-            if not syndrome:
-                found.append(NodeSet(step ^ step >> 1))
-        return tuple(sorted(found))
+        n = len(NODE_LABELS)
+        tagged = f2_basis(
+            f2_reduce(1 << self.space.index(label), basis) << n | 1 << k
+            for k, label in enumerate(NODE_LABELS)
+        )
+        kernel = [m for m in tagged if not m >> n]
+        return tuple(sorted(NodeSet(m) for m in f2_span(kernel)))
 
     def is_even_set(self, s: NodeSet) -> bool:
         return self.ns.contains(self.half_sum(s))

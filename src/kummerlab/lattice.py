@@ -236,10 +236,16 @@ def _exact(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
 
 def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
     """``(nums, den)`` with ``values[i] == nums[i] / den``, den the least common
-    denominator; any value but an int (not a bool) or a Fraction raises."""
-    values = _exact(values)
-    den = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (den // x.denominator) for x in values), den
+    denominator; any value but an int (not a bool) or a Fraction raises.
+
+    Exact ints and Fractions pass on one look at their types; any other type
+    goes through `_exact`, which accepts subclasses such as an IntEnum member
+    and rejects bools and floats."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int, Fraction}:
+        _exact(values)
+    den = lcm(*{x.denominator for x in values})
+    return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
 
 @dataclass(frozen=True)
@@ -419,10 +425,14 @@ class RationalVector:
 
 
 def vector_to_json(v: RationalVector) -> dict:
-    """Interchange form: decimal-string numerators/denominators, exact round trip."""
+    """Interchange form: decimal-string numerators/denominators, exact round trip.
+
+    Each entry is ``nums[i] / den`` in lowest terms, read straight off the
+    integers: the sign on the numerator, a positive denominator, 0 as 0/1."""
+    den = v.den
     return {
         "basis": list(v.space.labels),
-        "coords": [[str(c.numerator), str(c.denominator)] for c in v.coords],
+        "coords": [[str(x // (g := gcd(x, den))), str(den // g)] for x in v.nums],
     }
 
 
@@ -438,15 +448,22 @@ def _json_int(x: object) -> int:
 
 
 def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
-    """Inverse of `vector_to_json`; any malformed payload raises LatticeError."""
+    """Inverse of `vector_to_json`; any malformed payload raises LatticeError.
+
+    Entries need not be in lowest terms and a denominator may be negative;
+    the vector is built over the lcm of the denominators and normalised."""
     try:
         basis = tuple(payload["basis"])
-        coords = [Fraction(_json_int(num), _json_int(den)) for num, den in payload["coords"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        pairs = [(_json_int(num), _json_int(den)) for num, den in payload["coords"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"malformed vector payload: {exc!r}") from exc
+    dens = {d for _, d in pairs}
+    if 0 in dens:
+        raise LatticeError("malformed vector payload: zero denominator")
     if basis != space.labels:
         raise LatticeError("serialized basis labels do not match the target space")
-    return space.vector(coords)
+    den = lcm(*dens)
+    return RationalVector(space, tuple([n * (den // d) for n, d in pairs]), den)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,12 @@ the half-sum branch is empty.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
 from .kummer_ns import JacobianKummerNS
 from .lattice import QuadraticSpace, RationalVector, SublatticeModel
 from .nodecode import NodeSet
-
-HALF = Fraction(1, 2)
 
 ROOT_BASIS_LABELS = tuple(f"c{i}" for i in range(1, 9))
 
@@ -35,7 +32,7 @@ class NikulinLattice:
     def __init__(self) -> None:
         self.space = QuadraticSpace(ROOT_BASIS_LABELS, [-2] * 8)
         basis = [self.space.basis_vector(label) for label in ROOT_BASIS_LABELS]
-        self.halfsum = HALF * sum(basis[1:], basis[0])
+        self.halfsum = RationalVector(self.space, (1,) * 8, 2)
         self.lattice = SublatticeModel(self.space, tuple(basis) + (self.halfsum,))
         # Gram of c1..c7 and the half-sum, a Z-basis with determinant 2^6
         self.canonical_gram = self.space.gram(basis[:7] + [self.halfsum])

@@ -86,6 +86,8 @@ class BinaryCode:
 
     def __post_init__(self) -> None:
         words = frozenset(self.codewords)
+        if not all(isinstance(w, NodeSet) for w in words):
+            raise CodeError("codewords must be NodeSets")
         # the words lie in their own span, so they are all of it (closed under
         # symmetric difference, the empty word included) iff they number 2^rank
         if len(words) != 1 << len(f2_basis(w.bits for w in words)):
@@ -121,7 +123,7 @@ def f2_basis(masks: Iterable[int]) -> list[int]:
     return basis
 
 
-def _span(masks: Iterable[int]) -> set[int]:
+def f2_span(masks: Iterable[int]) -> set[int]:
     """Linear span over F2 via a reduced bit basis."""
     span = {0}
     for b in f2_basis(masks):
@@ -132,7 +134,7 @@ def _span(masks: Iterable[int]) -> set[int]:
 def code_from_even_sets(evens: Iterable[NodeSet]) -> BinaryCode:
     """Linear closure of the given family; the family itself must already be closed."""
     given = {s.bits for s in evens}
-    closure = _span(given)
+    closure = f2_span(given)
     extra = closure - given
     if extra:
         sample = NodeSet(min(extra)).labels()

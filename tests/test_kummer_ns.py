@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerlab.kummer_ns import (
     JacobianKummerNS,
@@ -242,6 +244,30 @@ class TestGrayCodeScan:
         ]
         dimension = code_from_even_sets(MODEL.even_sets).dimension
         assert 16 - len(f2_basis(syndromes)) == dimension == 5
+
+
+def mapping_sums(s):
+    """The former node_set_sum and half_sum: a label -> value mapping built
+    into a vector by `QuadraticSpace.vector`."""
+    return (
+        vec({label: 1 for label in s.labels()}),
+        vec({label: HALF for label in s.labels()}),
+    )
+
+
+class TestNodeSums:
+    def test_even_sets_match_mapping_construction(self):
+        assert len(MODEL.even_sets) == 32
+        for s in MODEL.even_sets:
+            assert (MODEL.node_set_sum(s), MODEL.half_sum(s)) == mapping_sums(s)
+
+    @given(st.integers(min_value=0, max_value=FULL.bits))
+    @settings(max_examples=200, deadline=None)
+    def test_random_masks_match_mapping_construction(self, bits):
+        s = NodeSet(bits)
+        total, half = MODEL.node_set_sum(s), MODEL.half_sum(s)
+        assert (total, half) == mapping_sums(s)
+        assert half.den == (2 if bits else 1) and 2 * half == total
 
 
 class TestEvenEightIdentity:

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -832,3 +833,73 @@ class TestJson:
     def test_roundtrip_exact(self, coords):
         v = SPACE.vector(coords)
         assert vector_from_json(SPACE, vector_to_json(v)) == v
+
+
+def _fraction_json_coords(v):
+    """The former `vector_to_json` entries, read off the Fraction view."""
+    return [[str(c.numerator), str(c.denominator)] for c in v.coords]
+
+
+def _fraction_from_json(space, payload):
+    """The former `vector_from_json` build: one Fraction per entry, then
+    `QuadraticSpace.vector`."""
+    return space.vector([Fraction(int(n), int(d)) for n, d in payload["coords"]])
+
+
+JSON_SPACES = (SPACE, nikulin_lattice().space)
+
+
+@st.composite
+def integer_vectors(draw):
+    """A vector given as integer numerators over one denominator, not
+    reduced: zeros, negatives and mixed entry denominators included."""
+    space = draw(st.sampled_from(JSON_SPACES))
+    entry = st.one_of(st.just(0), st.integers(min_value=-40, max_value=40))
+    nums = draw(st.lists(entry, min_size=space.dim, max_size=space.dim))
+    return RationalVector(space, tuple(nums), draw(st.integers(min_value=1, max_value=60)))
+
+
+@st.composite
+def unreduced_payloads(draw):
+    """A payload whose entries need not be in lowest terms, with "-0"
+    numerators and negative denominators."""
+    space = draw(st.sampled_from(JSON_SPACES))
+    num = st.one_of(st.just("-0"), st.integers(min_value=-40, max_value=40).map(str))
+    den = st.integers(min_value=-12, max_value=12).filter(bool).map(str)
+    coords = draw(st.lists(st.tuples(num, den).map(list), min_size=space.dim, max_size=space.dim))
+    return space, {"basis": list(space.labels), "coords": coords}
+
+
+class TestIntegerJsonBoundary:
+    @given(integer_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_matches_fraction_view(self, v):
+        payload = vector_to_json(v)
+        assert payload["basis"] == list(v.space.labels)
+        assert payload["coords"] == _fraction_json_coords(v)
+
+    @given(unreduced_payloads())
+    @example((SPACE, {"basis": list(SPACE.labels),
+                      "coords": [["2", "4"], ["-0", "3"], ["1", "-2"], ["-3", "-6"]]
+                      + [["0", "1"]] * 13}))
+    @settings(max_examples=200, deadline=None)
+    def test_from_json_matches_fraction_path(self, case):
+        space, payload = case
+        v = vector_from_json(space, payload)
+        assert v == _fraction_from_json(space, payload)
+        assert v.den > 0 and gcd(v.den, *v.nums) == 1
+        assert vector_to_json(v)["coords"] == _fraction_json_coords(v)
+
+    def test_vector_accepts_int_and_fraction_subclasses(self):
+        class Count(IntEnum):
+            TWO = 2
+
+        class Ratio(Fraction):
+            pass
+
+        space = QuadraticSpace(("a", "b"), [Count.TWO, Ratio(-1, 2)])
+        assert space == QuadraticSpace(("a", "b"), [2, Fraction(-1, 2)])
+        v = space.vector([Count.TWO, Ratio(3, 4)])
+        assert v == space.vector([2, Fraction(3, 4)])
+        assert {type(v.den), *map(type, v.nums)} == {int}
+        assert space.vector({"b": Ratio(3, 4)}) == space.vector([0, Fraction(3, 4)])

@@ -83,6 +83,11 @@ class TestCodeConstruction:
         with pytest.raises(CodeError):
             BinaryCode(frozenset({EMPTY, a, NodeSet.from_labels(["E13"]), a ^ a}))
 
+    @pytest.mark.parametrize("words", [frozenset({0, 1}), frozenset({EMPTY, 1})])
+    def test_binary_code_rejects_non_nodeset_words(self, words):
+        with pytest.raises(CodeError, match="NodeSets"):
+            BinaryCode(words)
+
 
 def _old_code_accepts(words):
     """The former BinaryCode check: the empty word, a power-of-two size and
