@@ -9,11 +9,11 @@ the source material; they never fail a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property, partial
-from typing import Callable, Optional
 
 from . import covers, fibration as fib_mod, nikulin as nik_mod
+from ._frozen import Frozen
 from .kummer_ns import (
     JacobianKummerNS,
     even_eight,
@@ -38,21 +38,28 @@ NS_INVARIANT_FACTORS = (2, 2, 2, 2, 4)
 NIKULIN_INVARIANT_FACTORS = (2, 2, 2, 2, 2, 2)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    status: str
-    detail: str
-    data: Optional[object] = None
+class CheckResult(Frozen):
+    __slots__ = ("id", "status", "detail", "data")
+
+    def __init__(self, id: str, status: str, detail: str, data: object | None = None) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "data", data)
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    id: str
-    description: str
-    claim: str
-    run: Callable[["CheckContext"], tuple[bool, str, Optional[object]]]
-    flagged: bool = False
+class CheckDef(Frozen):
+    __slots__ = ("id", "description", "claim", "run", "flagged")
+
+    def __init__(
+        self, id: str, description: str, claim: str,
+        run: Callable[[CheckContext], tuple[bool, str, object | None]], flagged: bool = False,
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "flagged", flagged)
 
 
 _REGISTERED: dict[str, CheckDef] = {}

@@ -12,19 +12,23 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 from . import __version__
+from ._frozen import Frozen
 from .checks import FAIL, FLAGGED, PASS, CheckResult, REGISTRY, list_checks, run_checks
 
 
-@dataclass(frozen=True)
-class Report:
-    version: str
-    checks: tuple[CheckResult, ...]
-    summary: dict[str, int]
-    elapsed_ms: int
+class Report(Frozen):
+    __slots__ = ("version", "checks", "summary", "elapsed_ms")
+
+    def __init__(
+        self, version: str, checks: tuple[CheckResult, ...], summary: dict[str, int], elapsed_ms: int
+    ) -> None:
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
 def select_ids(patterns: list[str] | None) -> list[str]:

@@ -14,12 +14,12 @@ declared intersection data and checked for aggregate consistency only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from collections.abc import Mapping
 from types import MappingProxyType
 
+from ._frozen import Frozen
 from .labels import INDEX_PAIRS
 from .lattice import QuadraticSpace, RationalVector
 
@@ -33,11 +33,13 @@ class CoverError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneConfig:
+class PlaneConfig(Frozen):
     """Six lines tangent to a conic: the branch sextic of the double plane."""
 
-    lines: tuple[str, ...] = tuple(f"l{i}" for i in range(1, 7))
+    __slots__ = ("lines",)
+
+    def __init__(self, lines: tuple[str, ...] = tuple(f"l{i}" for i in range(1, 7))) -> None:
+        object.__setattr__(self, "lines", lines)
 
     def points_on_line(self, i: int) -> tuple[tuple[int, int], ...]:
         return tuple(p for p in INDEX_PAIRS if i in p)
@@ -73,18 +75,20 @@ def sextic_configuration() -> PlaneConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    euler: int
-    k_squared: int
-    pic: QuadraticSpace
-    canonical: RationalVector
-    curves: Mapping[str, RationalVector]
+class SurfaceModel(Frozen):
+    __slots__ = ("euler", "k_squared", "pic", "canonical", "curves")
 
-    def __post_init__(self) -> None:
-        if self.canonical.norm() != self.k_squared:
+    def __init__(
+        self, euler: int, k_squared: int, pic: QuadraticSpace, canonical: RationalVector,
+        curves: Mapping[str, RationalVector],
+    ) -> None:
+        if canonical.norm() != k_squared:
             raise CoverError("canonical self-intersection disagrees with k_squared")
-        object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "k_squared", k_squared)
+        object.__setattr__(self, "pic", pic)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "curves", MappingProxyType(dict(curves)))
 
     def curve(self, name: str) -> RationalVector:
         try:
@@ -96,17 +100,22 @@ class SurfaceModel:
         return self.pic.inner(self.curve(a), self.curve(b))
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(Frozen):
     """A branch divisor with its topological Euler number.
 
     For disjoint smooth rational components the Euler number is 2 per
     component; the genus-1 branch used for the final cover carries 0.
     """
 
-    divisor_class: RationalVector
-    euler_of_branch: int
-    components: tuple[RationalVector, ...] = ()
+    __slots__ = ("divisor_class", "euler_of_branch", "components")
+
+    def __init__(
+        self, divisor_class: RationalVector, euler_of_branch: int,
+        components: tuple[RationalVector, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "divisor_class", divisor_class)
+        object.__setattr__(self, "euler_of_branch", euler_of_branch)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def disjoint_rational(cls, components: tuple[RationalVector, ...]) -> "BranchData":

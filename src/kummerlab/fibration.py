@@ -11,8 +11,7 @@ total Euler number at 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .kummer_ns import JacobianKummerNS, even_eight
 from .labels import node_label
 from .lattice import RationalVector
@@ -38,24 +37,24 @@ def kodaira_euler(tag: str) -> int:
     raise FibrationError(f"unsupported fiber type {tag!r}")
 
 
-@dataclass(frozen=True)
-class FiberComponent:
+class FiberComponent(Frozen):
     """A fiber component; `classify_fiber` checks that its norm is -2."""
 
-    divisor: RationalVector
-    multiplicity: int
+    __slots__ = ("divisor", "multiplicity")
 
-    def __post_init__(self) -> None:
-        if type(self.multiplicity) is not int or self.multiplicity < 1:
-            raise FibrationError(
-                f"component multiplicity must be a positive int, got {self.multiplicity!r}"
-            )
+    def __init__(self, divisor: RationalVector, multiplicity: int) -> None:
+        if type(multiplicity) is not int or multiplicity < 1:
+            raise FibrationError(f"component multiplicity must be a positive int, got {multiplicity!r}")
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class Fiber:
-    components: tuple[FiberComponent, ...]
-    kodaira_type: str
+class Fiber(Frozen):
+    __slots__ = ("components", "kodaira_type")
+
+    def __init__(self, components: tuple[FiberComponent, ...], kodaira_type: str) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "kodaira_type", kodaira_type)
 
     @property
     def euler_number(self) -> int:
@@ -73,14 +72,19 @@ class Fiber:
         return tuple(c.divisor for c in self.components if c.multiplicity == 1)
 
 
-@dataclass(frozen=True)
-class Fibration:
+class Fibration(Frozen):
     """The pencil through the (i, j) double point: ``pair`` is (i, j)."""
 
-    pair: tuple[int, int]
-    fiber_class: RationalVector
-    fibers: tuple[Fiber, ...]
-    sections: tuple[RationalVector, ...]
+    __slots__ = ("pair", "fiber_class", "fibers", "sections")
+
+    def __init__(
+        self, pair: tuple[int, int], fiber_class: RationalVector, fibers: tuple[Fiber, ...],
+        sections: tuple[RationalVector, ...],
+    ) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "fiber_class", fiber_class)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "sections", sections)
 
 
 def classify_fiber(components: tuple[FiberComponent, ...] | list[FiberComponent]) -> str:

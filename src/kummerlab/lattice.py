@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+
+from ._frozen import Frozen
 
 
 class LatticeError(ValueError):
@@ -248,24 +249,17 @@ def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, 
     return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
+class QuadraticSpace(Frozen):
     """A labelled orthogonal basis: <e_i, e_i> = diag[i], distinct e_i pair to 0.
 
     Also held as integers: diag[i] == weights[i] / scale.  The vectors e_i are
-    built once, as ``basis``."""
+    built once, as ``basis``.  Spaces with equal labels and diagonals are equal."""
 
-    labels: tuple[str, ...]
-    diag: tuple[Fraction, ...]
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
-    basis: tuple["RationalVector", ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+    def __init__(self, labels: Iterable[str], diag: Iterable[int | Fraction]) -> None:
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise LatticeError("basis labels must be unique")
-        weights, scale = _over_one_denominator(tuple(self.diag))
+        weights, scale = _over_one_denominator(tuple(diag))
         if len(weights) != len(labels):
             raise LatticeError("diagonal length must match the label count")
         object.__setattr__(self, "labels", labels)
@@ -275,6 +269,9 @@ class QuadraticSpace:
         n = len(labels)
         basis = tuple(RationalVector(self, tuple(int(i == k) for i in range(n))) for k in range(n))
         object.__setattr__(self, "basis", basis)
+
+    def _key(self) -> tuple:
+        return self.labels, self.diag
 
     @property
     def dim(self) -> int:
@@ -347,28 +344,34 @@ class QuadraticSpace:
         return table
 
 
-@dataclass(frozen=True)
-class RationalVector:
+class RationalVector(Frozen):
     """A rational vector over a fixed quadratic space: coords[i] == nums[i] / den.
 
-    Normalised to den > 0 and gcd(den, *nums) == 1, so equal vectors are equal
-    dataclasses with equal hashes."""
+    Normalised to den > 0 and gcd(den, *nums) == 1, so vectors over equal
+    spaces are equal iff their nums and den are; the hash leaves out the space."""
 
-    space: QuadraticSpace = field(hash=False)
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("space", "nums", "den")
 
-    def __post_init__(self) -> None:
-        nums, den = tuple(self.nums), self.den
-        if len(nums) != self.space.dim:
-            raise LatticeError(f"expected {self.space.dim} coordinates, got {len(nums)}")
+    def __init__(self, space: QuadraticSpace, nums: Iterable[int], den: int = 1) -> None:
+        nums = tuple(nums)
+        if len(nums) != space.dim:
+            raise LatticeError(f"expected {space.dim} coordinates, got {len(nums)}")
         if not {type(den), *map(type, nums)} <= {int} or not den:
             raise LatticeError("a vector is int numerators over a nonzero int denominator")
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
             nums, den = tuple(x // g for x in nums), den // g
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nums, self.den, self.space) == (other.nums, other.den, other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -454,7 +457,11 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
     the vector is built over the lcm of the denominators and normalised."""
     try:
         basis = tuple(payload["basis"])
-        pairs = [(_json_int(num), _json_int(den)) for num, den in payload["coords"]]
+        coords = list(payload["coords"])
+        # unpacking checks the length but would take any iterable, such as "12"
+        if not set(map(type, coords)) <= {list}:
+            raise ValueError("each coordinate must be a [numerator, denominator] list")
+        pairs = [(_json_int(num), _json_int(den)) for num, den in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"malformed vector payload: {exc!r}") from exc
     dens = {d for _, d in pairs}
@@ -471,15 +478,13 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Frozen):
     """Invariant factors of dual-modulo-lattice, with lifted generators."""
 
-    invariant_factors: tuple[int, ...]
-    generator_lifts: tuple[RationalVector, ...]
+    __slots__ = ("invariant_factors", "generator_lifts")
 
-    def __post_init__(self) -> None:
-        factors = tuple(self.invariant_factors)
+    def __init__(self, invariant_factors: Iterable[int], generator_lifts: Sequence[RationalVector]) -> None:
+        factors = tuple(invariant_factors)
         if any(type(f) is not int for f in factors):
             raise LatticeError(f"invariant factors must be ints, got {factors!r}")
         if any(f <= 1 for f in factors):
@@ -487,27 +492,28 @@ class DiscriminantGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
-        if len(self.generator_lifts) != len(factors):
+        if len(generator_lifts) != len(factors):
             raise LatticeError("one generator lift per invariant factor")
         object.__setattr__(self, "invariant_factors", factors)
+        object.__setattr__(self, "generator_lifts", generator_lifts)
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors) if self.invariant_factors else 1
 
 
-@dataclass(frozen=True)
-class SublatticeModel:
+class SublatticeModel(Frozen):
     """The integer span of finitely many rational vectors in an ambient space."""
 
-    space: QuadraticSpace
-    generators: tuple[RationalVector, ...]
-
-    def __post_init__(self) -> None:
-        gens = tuple(self.generators)
+    def __init__(self, space: QuadraticSpace, generators: Iterable[RationalVector]) -> None:
+        gens = tuple(generators)
         for g in gens:
-            self.space._check_member(g)
+            space._check_member(g)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", gens)
+
+    def _key(self) -> tuple:
+        return self.space, self.generators
 
     # -- canonical basis -----------------------------------------------------
 

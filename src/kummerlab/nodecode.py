@@ -9,9 +9,10 @@ in a plane of four points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
+from functools import total_ordering
 
+from ._frozen import Frozen
 from .labels import NODE_INDEX, NODE_LABELS
 
 GROUND_SIZE = 16
@@ -22,15 +23,29 @@ class CodeError(ValueError):
     """Raised when a family of node sets violates a code-structure requirement."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeSet:
+@total_ordering
+class NodeSet(Frozen):
     """An immutable subset of the sixteen node labels, stored as a bitmask."""
 
-    bits: int = 0
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if type(self.bits) is not int or not 0 <= self.bits <= _FULL_MASK:
-            raise CodeError(f"bitmask must be an int in [0, 2^16), got {self.bits!r}")
+    def __init__(self, bits: int = 0) -> None:
+        if type(bits) is not int or not 0 <= bits <= _FULL_MASK:
+            raise CodeError(f"bitmask must be an int in [0, 2^16), got {bits!r}")
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __lt__(self, other: "NodeSet") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits < other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "NodeSet":
@@ -78,14 +93,13 @@ EMPTY = NodeSet(0)
 FULL = NodeSet(_FULL_MASK)
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(Frozen):
     """A linear code over F2 on the sixteen node positions, stored extensionally."""
 
-    codewords: frozenset[NodeSet]
+    __slots__ = ("codewords",)
 
-    def __post_init__(self) -> None:
-        words = frozenset(self.codewords)
+    def __init__(self, codewords: Iterable[NodeSet]) -> None:
+        words = frozenset(codewords)
         if not all(isinstance(w, NodeSet) for w in words):
             raise CodeError("codewords must be NodeSets")
         # the words lie in their own span, so they are all of it (closed under

@@ -903,3 +903,26 @@ class TestIntegerJsonBoundary:
         assert v == space.vector([2, Fraction(3, 4)])
         assert {type(v.den), *map(type, v.nums)} == {int}
         assert space.vector({"b": Ratio(3, 4)}) == space.vector([0, Fraction(3, 4)])
+
+
+class TestJsonEntryShape:
+    """Each coordinate entry must be a list of exactly two decimal strings: a
+    two-character string or a two-key dict is not one, though either unpacks
+    into a numerator and a denominator."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["12", "-1", {"3": 0, "4": 0}, ("1", "2"), b"12", range(2), ["1", "2", "3"], [], None, 12],
+    )
+    def test_entry_that_is_not_a_two_item_list_rejected(self, entry):
+        payload = {"basis": list(SPACE.labels), "coords": [entry] + [["0", "1"]] * 16}
+        with pytest.raises(LatticeError):
+            vector_from_json(SPACE, payload)
+
+    def test_coords_given_as_a_string_rejected(self):
+        with pytest.raises(LatticeError):
+            vector_from_json(SPACE, {"basis": list(SPACE.labels), "coords": "12" * 17})
+
+    def test_list_entries_still_parse(self):
+        v = vector_from_json(SPACE, {"basis": list(SPACE.labels), "coords": [["1", "2"]] * 17})
+        assert v == SPACE.vector([Fraction(1, 2)] * 17)
