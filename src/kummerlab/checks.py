@@ -260,15 +260,11 @@ def _tropes_contained(ctx: CheckContext):
 )
 def _trope_pairings(ctx: CheckContext):
     m = ctx.model
-    tropes = [m.trope_class(t) for t in TROPE_LABELS]
-    big = m.space.basis_vector("L")
-    norms = all(t.norm() == -2 for t in tropes)
-    degrees = all(m.space.inner(big, t) == 2 for t in tropes)
-    orthogonal = all(
-        tropes[a].dot(tropes[b]) == 0
-        for a in range(16)
-        for b in range(a + 1, 16)
-    )
+    table, scale = m.space.gram([m.space.basis_vector("L"), *map(m.trope_class, TROPE_LABELS)])
+    tropes = range(1, 17)  # row and column 0 hold L
+    norms = all(table[a][a] == -2 * scale for a in tropes)
+    degrees = all(table[0][a] == 2 * scale for a in tropes)
+    orthogonal = all(table[a][b] == 0 for a in tropes for b in tropes if a < b)
     ok = norms and degrees and orthogonal
     return ok, "trope norms -2, degree 2 against L, mutually orthogonal", {
         "norms_ok": norms,

@@ -122,13 +122,12 @@ class BranchData(Frozen):
         comps = tuple(components)
         if not comps:
             raise CoverError("need at least one component")
-        space = comps[0].space
-        for a_idx, a in enumerate(comps):
-            if a.norm() != -2:
+        table, scale = comps[0].space.gram(comps)
+        for i, row in enumerate(table):
+            if row[i] != -2 * scale:
                 raise CoverError("components must be (-2)-classes")
-            for b in comps[a_idx + 1 :]:
-                if space.inner(a, b) != 0:
-                    raise CoverError("components must be pairwise disjoint")
+            if any(row[i + 1 :]):
+                raise CoverError("components must be pairwise disjoint")
         total = comps[0]
         for c in comps[1:]:
             total = total + c

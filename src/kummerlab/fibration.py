@@ -14,7 +14,7 @@ from __future__ import annotations
 from ._frozen import Frozen
 from .kummer_ns import JacobianKummerNS, even_eight
 from .labels import node_label
-from .lattice import RationalVector
+from .lattice import RationalVector, _integral_table
 from .nodecode import NodeSet
 
 
@@ -93,14 +93,12 @@ def classify_fiber(components: tuple[FiberComponent, ...] | list[FiberComponent]
     comps = tuple(components)
     if not comps:
         raise FibrationError("a fiber needs at least one component")
-    gram = comps[0].divisor.space.gram([c.divisor for c in comps])
-    n = len(comps)
-    for k in range(n):
-        if gram[k][k] != -2:
-            raise FibrationError(f"fiber components must have norm -2, got {gram[k][k]}")
-    if any(x.denominator != 1 for row in gram for x in row):
+    pairing = _integral_table(*comps[0].divisor.space.gram([c.divisor for c in comps]))
+    if pairing is None:
         raise FibrationError("non-integral component pairing")
-    pairing = [[x.numerator for x in row] for row in gram]
+    n = len(comps)
+    if any(pairing[k][k] != -2 for k in range(n)):
+        raise FibrationError(f"fiber components must have norm -2, got pairings {pairing}")
     mults = [c.multiplicity for c in comps]
 
     if n == 2 and mults == [1, 1] and pairing[0][1] == 2:

@@ -97,17 +97,17 @@ class JacobianKummerNS:
     # -- configuration -----------------------------------------------------
 
     def incidence_matrix(self) -> list[list[int]]:
-        """16 x 16 table of trope-node intersection numbers, in canonical order."""
+        """16 x 16 table of trope-node intersection numbers, in canonical order:
+        a node is a basis vector e_k, so <t, e_k> = diag[k] * t_k."""
+        weights, scale = self.space.weights, self.space.scale
+        nodes = [self.space.index(n) for n in NODE_LABELS]
         table = []
         for t in TROPE_LABELS:
-            tv = self.trope_class(t)
-            row = []
-            for n in NODE_LABELS:
-                value = self.space.inner(tv, self.node_class(n))
-                if value.denominator != 1:
-                    raise ValueError(f"non-integral intersection ({t}, {n})")
-                row.append(value.numerator)
-            table.append(row)
+            tv = self._tropes[t]
+            row = [divmod(weights[k] * tv.nums[k], scale * tv.den) for k in nodes]
+            if any(r for _, r in row):
+                raise ValueError(f"non-integral intersection of {t} with a node")
+            table.append([q for q, _ in row])
         return table
 
     # -- the double-plane covering involution --------------------------------

@@ -4,9 +4,9 @@ Every quadratic space is diagonal: a labelled orthogonal basis with one
 rational square per label, which covers every lattice of the package (the
 divisor lattice diag(4, -2, ..., -2), the rank-8 root lattice and the surface
 tower, whose blowups append -1 and whose double covers double the form).
-A vector is integer numerators over one denominator and the diagonal integer
-weights over one scale, so all arithmetic is on integers, results are exact
-`fractions.Fraction`s and no floating point appears anywhere in the package.
+A vector is integer numerators over one denominator, the diagonal integer
+weights over one scale and a Gram table integer pairings over one scale; a
+single pairing is an exact `fractions.Fraction`; no float appears anywhere.
 A sublattice is stored as a generator matrix over a fixed ambient space.
 Normal forms (Hermite, Smith) run on integer matrices obtained by clearing
 denominators with a single scalar; the matrices involved are tiny (at most
@@ -193,6 +193,24 @@ def _smith_normal_form(
     return diag, [row[n:] for row in a]
 
 
+def _gram_table(weights: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer table sum_k weights[k] * a[k] * b[k] over all pairs of rows
+    a, b, vectors' numerators or HNF rows; each unordered pair is summed once."""
+    table = [[0] * len(rows) for _ in rows]
+    for i, a in enumerate(rows):
+        terms = [(k, w * x) for k, (w, x) in enumerate(zip(weights, a)) if x]
+        for j, b in enumerate(rows[i:], i):
+            table[i][j] = table[j][i] = sum([wx * b[k] for k, wx in terms])
+    return table
+
+
+def _integral_table(table: list[list[int]], scale: int) -> list[list[int]] | None:
+    """The table divided by its scale, or None if an entry is not an integer."""
+    if any(x % scale for row in table for x in row):
+        return None
+    return [[x // scale for x in row] for row in table]
+
+
 def _det_int(mat: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss elimination."""
     n = len(mat)
@@ -284,7 +302,7 @@ class QuadraticSpace(Frozen):
     def index(self, label: str) -> int:
         try:
             return self._label_index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise LatticeError(f"unknown basis label {label!r}") from None
 
     def basis_vector(self, label: str) -> "RationalVector":
@@ -334,14 +352,14 @@ class QuadraticSpace(Frozen):
         total = sum(c * a * b for c, a, b in zip(self.weights, v.nums, w.nums) if a and b)
         return Fraction(total, self.scale * v.den * w.den)
 
-    def gram(self, vectors: Sequence["RationalVector"]) -> list[list[Fraction]]:
-        """The table of pairings <v_i, v_j>; each unordered pair is computed once."""
-        n = len(vectors)
-        table = [[Fraction(0)] * n for _ in range(n)]
-        for i, v in enumerate(vectors):
-            for j in range(i, n):
-                table[i][j] = table[j][i] = self.inner(v, vectors[j])
-        return table
+    def gram(self, vectors: Sequence["RationalVector"]) -> tuple[list[list[int]], int]:
+        """``(table, scale)`` with <v_i, v_j> == table[i][j] / scale: the
+        numerators over one common denominator, their pairings in integers."""
+        for v in vectors:
+            self._check_member(v)
+        den = lcm(*(v.den for v in vectors))
+        rows = [v.nums if v.den == den else [x * (den // v.den) for x in v.nums] for v in vectors]
+        return _gram_table(self.weights, rows), den * den * self.scale
 
 
 class RationalVector(Frozen):
@@ -592,19 +610,7 @@ class SublatticeModel(Frozen):
     def _zgram(self) -> tuple[list[list[int]], int]:
         """(M, s) with Z-basis Gram = M / s; M is integral and s > 0."""
         den, hnf, _ = self._scaled
-        weights = self.space.weights
-        gram = [
-            [sum(c * x * y for c, x, y in zip(weights, a, b) if x and y) for b in hnf]
-            for a in hnf
-        ]
-        return gram, den * den * self.space.scale
-
-    def _integral_zgram(self) -> list[list[int]] | None:
-        """The Z-basis Gram matrix if all its entries are integers, else None."""
-        gram, scale = self._zgram
-        if any(x % scale for row in gram for x in row):
-            return None
-        return [[x // scale for x in row] for row in gram]
+        return _gram_table(self.space.weights, hnf), den * den * self.space.scale
 
     def gram_zbasis(self) -> list[list[Fraction]]:
         gram, scale = self._zgram
@@ -623,7 +629,7 @@ class SublatticeModel(Frozen):
         """Smith normal form of the Z-basis Gram matrix, with lifted generators."""
         if not self.rank:
             return DiscriminantGroup((), ())
-        int_gram = self._integral_zgram()
+        int_gram = _integral_table(*self._zgram)
         if int_gram is None:
             raise LatticeError("Gram matrix of the Z-basis is not integral")
         diag, u = _smith_normal_form(int_gram)
@@ -642,7 +648,7 @@ class SublatticeModel(Frozen):
 
     def is_even(self) -> bool:
         """Integral Gram with even diagonal, i.e. every vector has even norm."""
-        gram = self._integral_zgram()
+        gram = _integral_table(*self._zgram)
         return gram is not None and all(gram[i][i] % 2 == 0 for i in range(len(gram)))
 
     def is_negative_definite(self) -> bool:
@@ -665,11 +671,9 @@ class SublatticeModel(Frozen):
             raise LatticeError("images must be given for every basis label")
         rows = [images[label] for label in self.space.labels]
         # form preservation on all basis pairs; `gram` checks each image's space
-        n = self.space.dim
-        form = [
-            [d if i == j else 0 for j in range(n)] for i, d in enumerate(self.space.diag)
-        ]
-        if self.space.gram(rows) != form:
+        table, scale = self.space.gram(rows)
+        diag = [scale // self.space.scale * w for w in self.space.weights]
+        if table != [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]:
             return False
         # the images of a Z-basis must span this same lattice
         den, hnf, _ = self._scaled
@@ -709,7 +713,9 @@ class SublatticeModel(Frozen):
         # this denominator clears every element of a contained lattice, so
         # the sublattice's least clearing denominator divides it
         f, r = divmod(self.denominator, sub.denominator)
-        rows = None if r else [self._reduce([f * x for x in row]) for row in sub._scaled[1]]
-        if rows is None or None in rows:
+        (_, hnf, pivots), sub_hnf = self._scaled, sub._scaled[1]
+        if r or any(self._reduce([f * x for x in row]) is None for row in sub_hnf):
             raise LatticeError("given lattice is not contained in this one")
-        return abs(_det_int(rows))
+        # equal rational spans share pivots, so in this HNF basis the rows of
+        # sub have triangular coordinates, read off at the pivots
+        return prod(f * a[p] // b[p] for a, b, p in zip(sub_hnf, hnf, pivots))

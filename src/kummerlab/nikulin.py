@@ -20,7 +20,7 @@ from functools import cache
 from math import isqrt
 
 from .kummer_ns import JacobianKummerNS
-from .lattice import QuadraticSpace, RationalVector, SublatticeModel
+from .lattice import QuadraticSpace, RationalVector, SublatticeModel, _integral_table
 from .nodecode import NodeSet
 
 ROOT_BASIS_LABELS = tuple(f"c{i}" for i in range(1, 9))
@@ -35,7 +35,7 @@ class NikulinLattice:
         self.halfsum = RationalVector(self.space, (1,) * 8, 2)
         self.lattice = SublatticeModel(self.space, tuple(basis) + (self.halfsum,))
         # Gram of c1..c7 and the half-sum, a Z-basis with determinant 2^6
-        self.canonical_gram = self.space.gram(basis[:7] + [self.halfsum])
+        self.canonical_gram = _integral_table(*self.space.gram(basis[:7] + [self.halfsum]))
 
 
 @cache
@@ -99,4 +99,4 @@ def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:
     labels = eight.labels()
     nodes = [model.node_class(label) for label in labels]
     basis = nodes[:7] + [model.half_sum(eight)]
-    return model.space.gram(basis) == nikulin_lattice().canonical_gram
+    return _integral_table(*model.space.gram(basis)) == nikulin_lattice().canonical_gram

@@ -49,12 +49,10 @@ class NodeSet(Frozen):
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "NodeSet":
-        bits = 0
-        for label in labels:
-            try:
-                bits |= 1 << NODE_INDEX[label]
-            except KeyError:
-                raise CodeError(f"unknown node label {label!r}") from None
+        try:
+            bits = sum({1 << NODE_INDEX[label] for label in labels})
+        except (KeyError, TypeError) as exc:
+            raise CodeError(f"unknown node label, or labels not iterable: {exc}") from None
         return cls(bits)
 
     def labels(self) -> tuple[str, ...]:

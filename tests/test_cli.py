@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import __version__, checks, fibration
+from kummerlab import __version__, checks, fibration, kummer_ns
 from kummerlab.checks import (
     FAIL,
     REGISTRY,
@@ -16,6 +16,7 @@ from kummerlab.checks import (
 )
 from kummerlab.cli import build_report, main, render_check_list, render_json, select_ids
 from kummerlab.labels import INDEX_PAIRS
+from kummerlab.kummer_ns import jacobian_kummer_ns
 from kummerlab.lattice import QuadraticSpace
 
 # outputs captured before any change to the package; the stdout fixed points
@@ -182,6 +183,64 @@ class TestFaultInjection:
         monkeypatch.setattr(fibration, "_meets", shifted)
         # every transform fails, the pencils themselves stay intact
         assert self.failing() == SWEEPS | {"cross.euler24", "fibration.cover12I2"}
+
+    @pytest.fixture
+    def fresh_model(self):
+        # the faulty model must not stay in the shared cache for other tests
+        jacobian_kummer_ns.cache_clear()
+        yield
+        jacobian_kummer_ns.cache_clear()
+
+    def test_node_weight_changed(self, monkeypatch, fresh_model):
+        def heavier_e56(labels, diag):
+            labels, diag = tuple(labels), list(diag)
+            diag[labels.index("E56")] = -4
+            return QuadraticSpace(labels, diag)
+
+        monkeypatch.setattr(kummer_ns, "QuadraticSpace", heavier_e56)
+        # the (16,6) table and trope norms see the -4, the lattice's
+        # discriminant changes, every pencil holds a component of norm -4,
+        # and each saturation whose eight contains E56 loses its Gram
+        assert self.failing() == SWEEPS | {
+            f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")
+        } | {
+            "config.sixteen_six",
+            "ns.discriminant",
+            "ns.trope_pairings",
+            "cross.euler24",
+            "fibration.F2zero",
+            "fibration.classify",
+            "fibration.cover12I2",
+            "fibration.delta12_identity",
+            "fibration.eulersum24",
+            "fibration.sections4",
+        }
+
+    def test_trope_support_altered(self, monkeypatch, fresh_model):
+        original = kummer_ns.trope_support
+
+        def e0_for_e12(label):
+            support = original(label)
+            if label != "C23":
+                return support
+            return tuple("E0" if node == "E12" else node for node in support)
+
+        monkeypatch.setattr(kummer_ns, "trope_support", e0_for_e12)
+        # C23 meets E0 instead of E12: the incidence table, the even sets
+        # and their code, the discriminant and the isometry all change
+        assert self.failing() == {
+            "alpha.isometry",
+            "config.sixteen_six",
+            "code.affine_hyperplanes",
+            "code.linear_dim5",
+            "code.weight_enumerator",
+            "even_sets.census",
+            "even_sets.count30",
+            "even_sets.delta15",
+            "ns.disc_elements",
+            "ns.discriminant",
+            "ns.trope_pairings",
+        }
 
 
 class TestReport:

@@ -19,6 +19,7 @@ from kummerlab.lattice import (
     SublatticeModel,
     _det_int,
     _hnf_rows,
+    _integral_table,
     _smith_normal_form,
     vector_from_json,
     vector_to_json,
@@ -135,6 +136,16 @@ class TestSpaceValidation:
             assert space.basis_vector(label) == space.vector(unit)
         with pytest.raises(LatticeError):
             space.basis_vector("d")
+
+    @pytest.mark.parametrize("label", [["L"], {"L": 1}, None, 0])
+    @pytest.mark.parametrize(
+        "lookup",
+        [SPACE.index, SPACE.basis_vector, SPACE.basis_vector("L").coeff],
+        ids=["index", "basis_vector", "coeff"],
+    )
+    def test_unhashable_or_unknown_label_rejected(self, lookup, label):
+        with pytest.raises(LatticeError):
+            lookup(label)
 
 
 def _rationals(zero_weight=False):
@@ -602,6 +613,62 @@ class TestIsometry:
                 lhs = SPACE.inner(images[a], images[b])
                 rhs = SPACE.inner(SPACE.basis_vector(a), SPACE.basis_vector(b))
                 assert lhs == rhs
+
+
+_FRACTION_SPACE = QuadraticSpace(("a", "b", "c"), [Fraction(1, 2), Fraction(-3, 4), 2])
+
+
+class TestIsometryFractionDiagonal:
+    lat = SublatticeModel(_FRACTION_SPACE, _FRACTION_SPACE.basis)
+
+    def test_sign_flip_accepted(self):
+        a, b, c = _FRACTION_SPACE.basis
+        assert self.lat.is_isometry({"a": -a, "b": b, "c": -c})
+
+    def test_swap_of_unequal_squares_rejected(self):
+        a, b, c = _FRACTION_SPACE.basis
+        assert not self.lat.is_isometry({"a": b, "b": a, "c": c})
+
+
+@st.composite
+def gram_cases(draw):
+    """A random diagonal space (zero, negative and non-integer entries), up to
+    five vectors with mixed denominators, and a vector of another space."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    diag = draw(st.lists(_rationals(True), min_size=n, max_size=n))
+    space = QuadraticSpace([f"x{i}" for i in range(n)], diag)
+    coords = st.lists(_rationals(True), min_size=n, max_size=n)
+    vectors = [space.vector(c) for c in draw(st.lists(coords, max_size=5))]
+    foreign = QuadraticSpace([f"y{i}" for i in range(n)], diag).vector(draw(coords))
+    return space, vectors, foreign
+
+
+class TestGram:
+    @given(gram_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_against_inner(self, case):
+        space, vectors, _ = case
+        table, scale = space.gram(vectors)
+        assert type(scale) is int and scale > 0
+        n = len(vectors)
+        assert len(table) == n and all(len(row) == n for row in table)
+        for i, v in enumerate(vectors):
+            for j, w in enumerate(vectors):
+                assert type(table[i][j]) is int and table[i][j] == table[j][i]
+                assert Fraction(table[i][j], scale) == space.inner(v, w)
+        integral = all(space.inner(v, w).denominator == 1 for v in vectors for w in vectors)
+        reduced = _integral_table(table, scale)
+        assert (reduced is not None) == integral
+        if integral:
+            assert reduced == [[space.inner(v, w) for w in vectors] for v in vectors]
+
+    @given(gram_cases(), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=50, deadline=None)
+    def test_foreign_vector_rejected(self, case, at):
+        space, vectors, foreign = case
+        vectors.insert(min(at, len(vectors)), foreign)
+        with pytest.raises(LatticeError):
+            space.gram(vectors)
 
 
 def _old_is_isometry(lat, images):

@@ -42,6 +42,11 @@ class TestNodeSet:
         with pytest.raises(CodeError):
             NodeSet.from_labels(["E11"])
 
+    @pytest.mark.parametrize("labels", [[["E0"]], [{"E0"}], [None], 5, None])
+    def test_unhashable_label_or_non_iterable_rejected(self, labels):
+        with pytest.raises(CodeError):
+            NodeSet.from_labels(labels)
+
     def test_out_of_range_mask(self):
         with pytest.raises(CodeError):
             NodeSet(1 << 16)
