@@ -145,7 +145,9 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
 
     Fiber class L - E0 - E_ij; two star fibers around the tropes carrying
     index i resp. j; six two-component fibers indexed by the pairs of the
-    remaining four symbols; four trope sections.
+    remaining four symbols; four trope sections.  Raises unless F^2 = 0, each
+    star fiber sums to F and each section meets F once; a two-component fiber
+    (F - E_ab, E_ab) sums to F by construction.
     """
     if not (1 <= i < j <= 6):
         raise FibrationError(f"need 1 <= i < j <= 6, got ({i}, {j})")
@@ -154,6 +156,8 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
         (1, -1, -1),
         (space.basis_vector("L"), space.basis_vector("E0"), model.node_class(node_label(i, j))),
     )
+    if fiber_class.norm() != 0:
+        raise FibrationError("fiber class must have norm 0")
 
     def star_fiber(center_index: int) -> Fiber:
         comps = [FiberComponent(model.trope_class(f"C1{center_index}"), 2)]
@@ -165,6 +169,8 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
         fiber = Fiber(tuple(comps), classify_fiber(comps))
         if fiber.kodaira_type != I0_STAR:
             raise FibrationError(f"star fiber at index {center_index} misclassified")
+        if fiber.weighted_sum() != fiber_class:
+            raise FibrationError(f"star fiber at index {center_index} does not sum to the fiber class")
         return fiber
 
     others = [k for k in range(1, 7) if k not in (i, j)]
@@ -177,21 +183,9 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
             fibers.append(Fiber(comps, classify_fiber(comps)))
 
     sections = tuple(model.trope_class(f"C1{k}") for k in others)
-
-    fibration = Fibration((i, j), fiber_class, tuple(fibers), sections)
-    _validate(fibration)
-    return fibration
-
-
-def _validate(fib: Fibration) -> None:
-    if fib.fiber_class.norm() != 0:
-        raise FibrationError("fiber class must have norm 0")
-    for fiber in fib.fibers:
-        if fiber.components and fiber.weighted_sum() != fib.fiber_class:
-            raise FibrationError("fiber components do not sum to the fiber class")
-    for section in fib.sections:
-        if section.dot(fib.fiber_class) != 1:
-            raise FibrationError("section does not meet the fiber class once")
+    if any(section.dot(fiber_class) != 1 for section in sections):
+        raise FibrationError("section does not meet the fiber class once")
+    return Fibration((i, j), fiber_class, tuple(fibers), sections)
 
 
 def euler_sum(fib: Fibration) -> int:
@@ -201,30 +195,21 @@ def euler_sum(fib: Fibration) -> int:
 
 def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     """The even eight of the fibration's index pair is cut out by its two star
-    fibers: the node sum equals F1 + F2 - 2*(central tropes), and the
-    multiplicity-one components of F1 and F2 are exactly those eight nodes."""
+    fibers: the node sum equals F1 + F2 - 2*(central tropes) = 2F - 2*(central
+    tropes), as `build_fibration` checks that each star fiber sums to F, and
+    the multiplicity-one components of F1 and F2 are exactly those eight nodes."""
     eight = even_eight(*fib.pair)
     stars = [f for f in fib.fibers if f.kodaira_type == I0_STAR]
     if len(stars) != 2:
         return False
-    centers = []
-    mult_one: list[RationalVector] = []
-    for fiber in stars:
-        for comp in fiber.components:
-            if comp.multiplicity == 2:
-                centers.append(comp.divisor)
-        mult_one.extend(fiber.multiplicity_one_components())
+    centers = [c.divisor for fiber in stars for c in fiber.components if c.multiplicity == 2]
     if len(centers) != 2:
         return False
-    identity_lhs = model.node_set_sum(eight)
-    components = [c for fiber in stars for c in fiber.components]
-    identity_rhs = model.space.combination(
-        [c.multiplicity for c in components] + [-2, -2],
-        [c.divisor for c in components] + centers,
-    )
+    mult_one = [c for fiber in stars for c in fiber.multiplicity_one_components()]
+    identity_rhs = model.space.combination((2, -2, -2), (fib.fiber_class, *centers))
     node_classes = {model.node_class(label) for label in eight.labels()}
     return (
-        identity_lhs == identity_rhs
+        model.node_set_sum(eight) == identity_rhs
         and set(mult_one) == node_classes
         and len(mult_one) == 8
     )

@@ -675,11 +675,11 @@ class SublatticeModel(Frozen):
         diag = [scale // self.space.scale * w for w in self.space.weights]
         if table != [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]:
             return False
-        # the images of a Z-basis must span this same lattice
+        # the images of a Z-basis must span this same lattice; an HNF row is
+        # den times a Z-basis vector, so its image is divided by den once
         den, hnf, _ = self._scaled
-        image_of_zbasis = tuple(
-            self.space.combination([Fraction(c, den) for c in row], rows) for row in hnf
-        )
+        scaled_images = [self.space.combination(row, rows) for row in hnf]
+        image_of_zbasis = [RationalVector(self.space, v.nums, v.den * den) for v in scaled_images]
         return self.same_lattice(SublatticeModel(self.space, image_of_zbasis))
 
     def coordinate_section(self, labels: Iterable[str]) -> "SublatticeModel":

@@ -62,16 +62,14 @@ def _parity_tuples(k: int, budget: int, eps: int) -> Iterator[tuple[int, ...]]:
 
 
 def roots(n: NikulinLattice) -> tuple[RationalVector, ...]:
-    """Every lattice vector of norm -2, enumerated exhaustively."""
-    found = [
-        RationalVector(n.space, t, 2)
-        for eps in (0, 1)
-        for t in _parity_tuples(n.space.dim, 4, eps)
-    ]
+    """Every lattice vector of norm -2, enumerated exhaustively, in the
+    lexicographic order of its coordinates t / 2."""
+    tuples = sorted(t for eps in (0, 1) for t in _parity_tuples(n.space.dim, 4, eps))
+    found = tuple(RationalVector(n.space, t, 2) for t in tuples)
     for v in found:
         if v.norm() != -2:
             raise AssertionError("enumeration produced a non-root")
-    return tuple(sorted(found, key=lambda v: v.coords))
+    return found
 
 
 def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:

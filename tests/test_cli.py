@@ -16,8 +16,8 @@ from kummerlab.checks import (
 )
 from kummerlab.cli import build_report, main, render_check_list, render_json, select_ids
 from kummerlab.labels import INDEX_PAIRS
-from kummerlab.kummer_ns import jacobian_kummer_ns
-from kummerlab.lattice import QuadraticSpace
+from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
+from kummerlab.lattice import QuadraticSpace, RationalVector
 
 # outputs captured before any change to the package; the stdout fixed points
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -143,6 +143,18 @@ class TestRunChecks:
         run_checks()
         assert sorted(built) == sorted(transformed) == sorted(INDEX_PAIRS)
 
+    def test_roots_enumerated_once_per_run(self, monkeypatch):
+        calls = []
+        original = checks.nik_mod.roots
+
+        def counted(n):
+            calls.append(1)
+            return original(n)
+
+        monkeypatch.setattr(checks.nik_mod, "roots", counted)
+        run_checks(["nikulin.eps1_none", "nikulin.roots16"])
+        assert len(calls) == 1
+
 
 SWEEPS = {f"fibration.sweep.{i}{j}" for i, j in INDEX_PAIRS}
 
@@ -237,6 +249,68 @@ class TestFaultInjection:
             "even_sets.census",
             "even_sets.count30",
             "even_sets.delta15",
+            "ns.disc_elements",
+            "ns.discriminant",
+            "ns.trope_pairings",
+        }
+
+    def test_covering_involution_sign_flipped(self, monkeypatch):
+        def flipped(self, v):
+            a, b, *rest = v.nums
+            return RationalVector(self.space, (3 * a + 2 * b, 4 * a - 3 * b, *rest), v.den)
+
+        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "covering_involution", flipped)
+        # L -> 3L + 4E0 is neither an isometry nor an involution; no other
+        # check applies the involution
+        assert self.failing() == {"alpha.isometry"}
+
+    def test_wrong_branch_for_one_cover(self, monkeypatch):
+        original = fibration.transform_double_cover
+
+        def branch_13(fib, branch, model):
+            if fib.pair == (1, 2):
+                branch = even_eight(1, 3)
+            return original(fib, branch, model)
+
+        monkeypatch.setattr(fibration, "transform_double_cover", branch_13)
+        # the (1,3) eight meets both star fibers of the (1,2) pencil without
+        # holding their multiplicity-one components, so that transform raises
+        assert self.failing() == {"cross.euler24", "fibration.cover12I2", "fibration.sweep.12"}
+
+    def test_c0_support_altered(self, monkeypatch, fresh_model):
+        original = kummer_ns.trope_support
+
+        def e23_for_e12(label):
+            support = original(label)
+            if label != "C0":
+                return support
+            return tuple("E23" if node == "E12" else node for node in support)
+
+        monkeypatch.setattr(kummer_ns, "trope_support", e23_for_e12)
+        # the C0 star of each (1, j) pencil still classifies as I0* but sums
+        # to L - E0 - E23, so those pencils fail to build; C0 = C11 is a
+        # section of the (2,3) pencil and no longer meets its fiber class once
+        assert self.failing() == {
+            f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "15", "16", "23")
+        } | {
+            f"delta.identity.1{j}" for j in range(2, 7)
+        } | {
+            f"nikulin.saturation.{ij}" for ij in ("13", "24", "25", "26")
+        } | {
+            "code.affine_hyperplanes",
+            "code.linear_dim5",
+            "code.weight_enumerator",
+            "config.sixteen_six",
+            "cross.euler24",
+            "even_sets.census",
+            "even_sets.count30",
+            "even_sets.delta15",
+            "fibration.F2zero",
+            "fibration.classify",
+            "fibration.cover12I2",
+            "fibration.delta12_identity",
+            "fibration.eulersum24",
+            "fibration.sections4",
             "ns.disc_elements",
             "ns.discriminant",
             "ns.trope_pairings",

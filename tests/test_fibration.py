@@ -109,6 +109,13 @@ class TestJacobianFibration:
         for fiber in FIB.fibers:
             assert fiber.weighted_sum() == FIB.fiber_class
 
+    @pytest.mark.parametrize("i, j", INDEX_PAIRS)
+    def test_component_sums_every_pencil(self, i, j):
+        # the build sums only the star fibers; this also sums the others
+        fib = build_fibration(MODEL, i, j)
+        for fiber in fib.fibers:
+            assert fiber.weighted_sum() == fib.fiber_class
+
     def test_star_fiber_expansion(self):
         # E15 + E16 + 2 C0 + E13 + E14 collapses to L - E0 - E12
         total = (

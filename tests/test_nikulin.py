@@ -78,6 +78,11 @@ class TestRoots:
         for v in roots(LATTICE):
             assert v.norm() == -2
 
+    def test_order_is_coordinate_order(self):
+        # roots sorts integer t-tuples; sorting the vectors by their Fraction
+        # coordinates t / 2 is the oracle
+        assert list(roots(LATTICE)) == sorted(roots(LATTICE), key=lambda v: v.coords)
+
 
 class TestParityTuples:
     @pytest.mark.parametrize("eps", [0, 1])
