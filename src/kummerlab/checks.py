@@ -145,6 +145,11 @@ def _labels(sets) -> list[list[str]]:
     return [list(s.labels()) for s in sets]
 
 
+def _four_sections(f: fib_mod.Fibration) -> bool:
+    """The pencil has four sections, each meeting the fiber class once."""
+    return len(f.sections) == 4 and all(s.dot(f.fiber_class) == 1 for s in f.sections)
+
+
 # ---------------------------------------------------------------------------
 # check bodies
 # ---------------------------------------------------------------------------
@@ -488,10 +493,9 @@ def _fib_f2(ctx: CheckContext):
     "four sections each meeting a fiber once",
 )
 def _fib_sections(ctx: CheckContext):
-    pairings = [s.dot(ctx.fibration.fiber_class) for s in ctx.fibration.sections]
-    ok = len(pairings) == 4 and all(p == 1 for p in pairings)
+    ok = _four_sections(ctx.fibration)
     return ok, "four trope sections each meet the fiber class once", {
-        "count": len(pairings)
+        "count": len(ctx.fibration.sections)
     }
 
 
@@ -552,7 +556,11 @@ def _fib_cover(ctx: CheckContext):
 )
 def _fib_sweep(ctx: CheckContext, i: int, j: int):
     f = ctx._pencil(i, j)
-    ok = fib_mod.euler_sum(f) == 24 and fib_mod.even_eight_from_fibers(f, ctx.model)
+    ok = (
+        fib_mod.euler_sum(f) == 24
+        and fib_mod.even_eight_from_fibers(f, ctx.model)
+        and _four_sections(f)
+    )
     out = ctx._cover(i, j)
     i2 = sum(1 for x in out.fibers if x.kodaira_type == "I2")
     ok = ok and i2 == 12 and fib_mod.euler_sum(out) == 24
@@ -660,13 +668,14 @@ def _cover_x_chi(ctx: CheckContext):
 )
 def _cover_sixteen(ctx: CheckContext):
     inv = covers.sixteen_curves_on_X()
-    ok = (
-        inv["total"] == 16
-        and inv["split_preimages_of_exceptional"] == 12
-        and inv["exceptional_of_cover"] == 2
-        and inv["aggregate_cross"] == 8
-    )
-    return ok, "sixteen disjoint rational curves: 12 split + 2 exceptional + 2 conic pieces", inv
+    total, split = inv["total"], inv["split_preimages_of_exceptional"]
+    exceptional, conic = inv["exceptional_of_cover"], inv["split_conic_pieces_used"]
+    ok = total == 16 and split == 12 and exceptional == 2 and inv["aggregate_cross"] == 8
+    count = "sixteen" if total == 16 else total
+    return ok, (
+        f"{count} disjoint rational curves: {split} split + {exceptional} exceptional"
+        f" + {conic} conic pieces"
+    ), inv
 
 
 @check(
@@ -675,21 +684,19 @@ def _cover_sixteen(ctx: CheckContext):
     "15 double points, 5 per line, 6 quartic singular points, degree 6 = 4 + 2",
 )
 def _cover_incidence(ctx: CheckContext):
-    config = covers.sextic_configuration()
-    per_line = [len(config.points_on_line(i)) for i in range(1, 7)]
-    degrees = config.degrees()
-    ok = (
-        len(INDEX_PAIRS) == 15
-        and per_line == [5] * 6
-        and len(config.quartic_singular_points()) == 6
-        and degrees == {"sextic": 6, "quartic": 4, "residual_conic": 2}
-    )
-    return ok, "15 double points, 5 per line, 6 blown for the quartic, degrees 6 = 4 + 2", {
-        "double_points": len(INDEX_PAIRS),
-        "points_per_line": per_line,
-        "quartic_singular_points": len(config.quartic_singular_points()),
-        "degrees": degrees,
+    inc = covers.sextic_incidence()
+    ok = inc == {
+        "double_points": 15,
+        "points_per_line": [5] * 6,
+        "quartic_singular_points": 6,
+        "degrees": {"sextic": 6, "quartic": 4, "residual_conic": 2},
     }
+    per_line, d = "/".join(map(str, sorted(set(inc["points_per_line"])))), inc["degrees"]
+    return ok, (
+        f"{inc['double_points']} double points, {per_line} per line, "
+        f"{inc['quartic_singular_points']} blown for the quartic, "
+        f"degrees {d['sextic']} = {d['quartic']} + {d['residual_conic']}"
+    ), inc
 
 
 @check(

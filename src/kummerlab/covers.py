@@ -7,15 +7,18 @@ classes.  Two operations evolve a surface: blowing up a point (new (-1)
 class, strict transforms drop one copy of it per local branch) and taking a
 double cover branched along a 2-divisible class (Euler number 2e - e(branch),
 canonical class K + B/2, intersection numbers doubled on pulled-back
-classes).  Curves whose classes live outside this partial model - the two
-genus-1 branch components and the split conic preimages - are carried as
-declared intersection data and checked for aggregate consistency only.
+classes).  The six-line configuration and the sixteen curves on the final
+cover are counted from these models.  Curves whose classes live outside this
+partial model - the two genus-1 branch components and the split conic
+preimages - are carried as declared intersection data and checked for
+aggregate consistency only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -26,48 +29,6 @@ from .lattice import QuadraticSpace, RationalVector
 
 class CoverError(ValueError):
     """Raised when a branch divisor or an intersection identity is invalid."""
-
-
-# ---------------------------------------------------------------------------
-# the plane sextic configuration
-# ---------------------------------------------------------------------------
-
-
-class PlaneConfig(Frozen):
-    """Six lines tangent to a conic: the branch sextic of the double plane."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self, lines: tuple[str, ...] = tuple(f"l{i}" for i in range(1, 7))) -> None:
-        object.__setattr__(self, "lines", lines)
-
-    def points_on_line(self, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(p for p in INDEX_PAIRS if i in p)
-
-    def quartic_lines(self) -> tuple[str, ...]:
-        return self.lines[2:]
-
-    def residual_conic_lines(self) -> tuple[str, ...]:
-        return self.lines[:2]
-
-    def quartic_singular_points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i in range(3, 7) for j in range(i + 1, 7)
-        )
-
-    def degrees(self) -> dict[str, int]:
-        counts = {
-            "sextic": 6,
-            "quartic": len(self.quartic_lines()),
-            "residual_conic": len(self.residual_conic_lines()),
-        }
-        if counts["quartic"] + counts["residual_conic"] != counts["sextic"]:
-            raise CoverError("sextic degree does not split as quartic + conic")
-        return counts
-
-
-def sextic_configuration() -> PlaneConfig:
-    return PlaneConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +176,45 @@ def noether_chi(s: SurfaceModel) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# the four lines of the branch quartic; l1 and l2 make up the residual conic
+QUARTIC_LINES = (3, 4, 5, 6)
+
+
 @cache
 def blowup_quartic_points() -> SurfaceModel:
     """The plane blown up at the six singular points of the four-line quartic."""
-    config = sextic_configuration()
     s = projective_plane({f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
-    for a, b in config.quartic_singular_points():
+    for a, b in combinations(QUARTIC_LINES, 2):
         s = blowup(s, f"G{a}{b}", (f"l{a}", f"l{b}"))
     return s
 
 
+def sextic_incidence() -> dict[str, object]:
+    """The incidences of the six branch lines, read from one Gram of H and
+    l1..l6 on the six-point blowup.
+
+    The degrees are H.l_i, two plane lines meet deg*deg times, and the
+    quartic singular points are the pairs of quartic lines whose strict
+    transforms no longer meet.  The blown-up plane's form is unimodular, so
+    the Gram's scale is 1.
+    """
+    s = blowup_quartic_points()
+    lines = range(1, 7)
+    table, scale = s.pic.gram([s.pic.basis_vector("H")] + [s.curve(f"l{i}") for i in lines])
+    deg = {i: table[0][i] // scale for i in lines}
+    sextic, quartic = sum(deg.values()), sum(deg[i] for i in QUARTIC_LINES)
+    return {
+        "double_points": sum(deg[a] * deg[b] for a, b in INDEX_PAIRS),
+        "points_per_line": [sum(deg[a] * deg[b] for b in lines if b != a) for a in lines],
+        "quartic_singular_points": sum(
+            1 for a, b in combinations(QUARTIC_LINES, 2) if deg[a] * deg[b] and not table[a][b]
+        ),
+        "degrees": {"sextic": sextic, "quartic": quartic, "residual_conic": sextic - quartic},
+    }
+
+
 def quartic_branch(s: SurfaceModel) -> BranchData:
-    return BranchData.disjoint_rational(tuple(s.curve(f"l{i}") for i in (3, 4, 5, 6)))
+    return BranchData.disjoint_rational(tuple(s.curve(f"l{i}") for i in QUARTIC_LINES))
 
 
 @cache
@@ -348,26 +336,16 @@ def sixteen_curves_on_X() -> dict[str, object]:
     Twelve split preimages of the six exceptional classes, the two
     exceptional classes of the final blowups (each meets the branch twice, so
     their preimages stay irreducible with self-intersection -2), and two of
-    the four split conic pieces.  The declared split-conic table must
-    reproduce the class-level aggregates.
+    the four split conic pieces.  Each G with G.B = 0 counts twice and each N
+    with N.B = 2 once.  The declared split-conic table must reproduce the
+    class-level aggregates.
     """
     t2 = build_blown_cover()
     branch = elliptic_branch(t2).divisor_class
-    config = sextic_configuration()
-
-    split_exceptional = 0
-    for a, b in config.quartic_singular_points():
-        g = t2.curve(f"G{a}{b}")
-        if t2.pic.inner(g, branch) != 0:
-            raise CoverError(f"exceptional class G{a}{b} meets the genus-1 branch")
-        split_exceptional += 2
-
-    exceptional_of_x = 0
-    for name in ("N1", "N2"):
-        n = t2.curve(name)
-        if t2.pic.inner(n, branch) != 2:
-            raise CoverError(f"blowup class {name} does not meet the branch twice")
-        exceptional_of_x += 1
+    split_exceptional = 2 * sum(
+        1 for a, b in combinations(QUARTIC_LINES, 2) if t2.curve(f"G{a}{b}").dot(branch) == 0
+    )
+    exceptional_of_x = sum(1 for name in ("N1", "N2") if t2.curve(name).dot(branch) == 2)
 
     s = SPLIT_CONIC_TABLE
     aggregate_cross = s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"]

@@ -29,8 +29,11 @@ def trope_support(label: str) -> tuple[str, ...]:
     ``C0`` and the ``C1j`` are the covering-ramification tropes: each uses E0
     together with the five nodes whose index pair contains a fixed symbol.
     The remaining ``Cjk`` come from conics through six of the double points
-    and use six nodes, E0 excluded.
+    and use six nodes, E0 excluded.  Any label outside ``TROPE_LABELS``
+    raises ``ValueError``.
     """
+    if label not in TROPE_LABELS:
+        raise ValueError(f"unknown trope label {label!r}")
     if label == "C0":
         return ("E0",) + tuple(node_label(1, k) for k in range(2, 7))
     j, k = int(label[1]), int(label[2])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import __version__, checks, fibration, kummer_ns
+from kummerlab import __version__, checks, covers, fibration, kummer_ns
 from kummerlab.checks import (
     FAIL,
     REGISTRY,
@@ -315,6 +315,67 @@ class TestFaultInjection:
             "ns.discriminant",
             "ns.trope_pairings",
         }
+
+    @pytest.fixture
+    def fresh_tower(self):
+        # the faulty surfaces must not stay in the shared caches for other tests
+        tower = (
+            covers.blowup_quartic_points,
+            covers.build_quartic_cover,
+            covers.build_blown_cover,
+            covers.build_final_cover,
+        )
+        for build in tower:
+            build.cache_clear()
+        yield
+        for build in tower:
+            build.cache_clear()
+
+    def test_g34_blown_up_on_l3_only(self, monkeypatch, fresh_tower):
+        original = covers.blowup
+
+        def l3_only(s, exceptional, through):
+            return original(s, exceptional, ("l3",) if exceptional == "G34" else through)
+
+        monkeypatch.setattr(covers, "blowup", l3_only)
+        # l4 keeps square -1, so the quartic branch is not a set of disjoint
+        # (-2)-curves and no cover of the tower builds; the incidence count
+        # reads l3.l4 = 1 off the blowup and finds five quartic points
+        results = {r.id: r for r in run_checks()}
+        assert {i for i, r in results.items() if r.status == FAIL} == {
+            "cover.X_canonical",
+            "cover.X_chi2",
+            "cover.X_euler24",
+            "cover.X_sixteen",
+            "cover.chi1",
+            "cover.curve_table",
+            "cover.eT10",
+            "cover.incidence_sextic",
+            "cover.kT2",
+            "cover.weak_dp2",
+            "cross.euler24",
+        }
+        detail = results["cover.incidence_sextic"].detail
+        assert not detail.startswith("error:")
+        assert detail == "15 double points, 5 per line, 5 blown for the quartic, degrees 6 = 4 + 2"
+
+    def test_star_centres_listed_as_sections(self, monkeypatch):
+        original = fibration.build_fibration
+
+        def centres_as_sections(model, i, j):
+            fib = original(model, i, j)
+            if fib.pair != (1, 2):
+                return fib
+            centres = tuple(
+                c.divisor for f in fib.fibers[:2] for c in f.components if c.multiplicity == 2
+            )
+            sections = centres + fib.sections[2:]
+            return fibration.Fibration(fib.pair, fib.fiber_class, fib.fibers, sections)
+
+        monkeypatch.setattr(fibration, "build_fibration", centres_as_sections)
+        # C0 and C12 are fiber components and pair 0 with F; the pencil still
+        # has four sections, so only the two section tests see the fault
+        assert self.failing() == {"fibration.sections4", "fibration.sweep.12"}
 
 
 class TestReport:

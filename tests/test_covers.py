@@ -17,7 +17,7 @@ from kummerlab.covers import (
     noether_chi,
     projective_plane,
     quartic_branch,
-    sextic_configuration,
+    sextic_incidence,
     sixteen_curves_on_X,
     verify_weak_del_pezzo,
 )
@@ -26,12 +26,17 @@ from kummerlab.lattice import QuadraticSpace
 
 
 class TestPlaneConfig:
+    """The six-line configuration, read from the six-point blowup; the oracle
+    is one double point per index pair, the quartic lines being l3..l6."""
+
     def test_incidence_counts(self):
-        config = sextic_configuration()
-        assert len(INDEX_PAIRS) == 15
-        assert all(len(config.points_on_line(i)) == 5 for i in range(1, 7))
-        assert len(config.quartic_singular_points()) == 6
-        assert config.degrees() == {"sextic": 6, "quartic": 4, "residual_conic": 2}
+        inc = sextic_incidence()
+        assert inc["double_points"] == len(INDEX_PAIRS) == 15
+        assert inc["points_per_line"] == [
+            sum(1 for pair in INDEX_PAIRS if i in pair) for i in range(1, 7)
+        ]
+        assert inc["quartic_singular_points"] == sum(1 for a, _ in INDEX_PAIRS if a >= 3) == 6
+        assert inc["degrees"] == {"sextic": 6, "quartic": 4, "residual_conic": 2}
 
 
 class TestBlowup:

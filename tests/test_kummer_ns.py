@@ -116,6 +116,14 @@ class TestTropeClasses:
         with pytest.raises(ValueError):
             MODEL.trope_class("E12")
 
+    @pytest.mark.parametrize(
+        "label", ["C12x", "C1", "C11", "C21", "c12", "C0 ", "E12", "", 5, None]
+    )
+    def test_support_of_malformed_label_rejected(self, label):
+        # a positional parse would read "C12x" as C12 and index past "C1"
+        with pytest.raises(ValueError, match="unknown trope label"):
+            trope_support(label)
+
 
 class TestIncidence:
     def test_entries(self):

@@ -14,7 +14,7 @@ import pytest
 
 from kummerlab.checks import PASS, CheckDef, CheckResult
 from kummerlab.cli import Report
-from kummerlab.covers import BranchData, PlaneConfig, SurfaceModel, projective_plane
+from kummerlab.covers import BranchData, SurfaceModel, projective_plane
 from kummerlab.fibration import SMOOTH, Fiber, FiberComponent, Fibration
 from kummerlab.lattice import (
     DiscriminantGroup,
@@ -44,7 +44,6 @@ def _instances() -> list[tuple[object, str]]:
         (FiberComponent(v, 1), "multiplicity"),
         (Fiber((), SMOOTH), "kodaira_type"),
         (Fibration((1, 2), v, (), ()), "pair"),
-        (PlaneConfig(), "lines"),
         (plane, "euler"),
         (BranchData(v, 0), "euler_of_branch"),
         (CheckResult("x.y", PASS, "d"), "status"),
@@ -79,7 +78,7 @@ class TestCopyAndPickle:
     def test_deepcopy_and_pickle_round_trip(self):
         space = _space()
         v = RationalVector(space, (1, 2), 3)
-        for obj in (space, v, NodeSet(5), SublatticeModel(space, (v,)), PlaneConfig()):
+        for obj in (space, v, NodeSet(5), SublatticeModel(space, (v,))):
             for back in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
                 assert type(back) is type(obj) and back == obj
         back = pickle.loads(pickle.dumps(v))
@@ -163,9 +162,6 @@ class TestConstruction:
         branch = BranchData(d, 0)
         assert branch.divisor_class is d and branch.euler_of_branch == 0
         assert branch.components == ()
-
-    def test_plane_config_default_lines(self):
-        assert PlaneConfig().lines == ("l1", "l2", "l3", "l4", "l5", "l6")
 
     def test_node_set_defaults_to_empty(self):
         assert NodeSet().bits == 0 and NodeSet() == EMPTY
