@@ -670,12 +670,16 @@ def _cover_sixteen(ctx: CheckContext):
     inv = covers.sixteen_curves_on_X()
     total, split = inv["total"], inv["split_preimages_of_exceptional"]
     exceptional, conic = inv["exceptional_of_cover"], inv["split_conic_pieces_used"]
-    ok = total == 16 and split == 12 and exceptional == 2 and inv["aggregate_cross"] == 8
+    cross = inv["aggregate_cross"]
+    ok = total == 16 and split == 12 and exceptional == 2 and cross == 8
     count = "sixteen" if total == 16 else total
-    return ok, (
+    detail = (
         f"{count} disjoint rational curves: {split} split + {exceptional} exceptional"
         f" + {conic} conic pieces"
-    ), inv
+    )
+    if cross != 8:
+        detail += f"; split-conic cross sum {cross}, expected 8"
+    return ok, detail, inv
 
 
 @check(

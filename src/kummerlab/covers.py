@@ -337,8 +337,8 @@ def sixteen_curves_on_X() -> dict[str, object]:
     exceptional classes of the final blowups (each meets the branch twice, so
     their preimages stay irreducible with self-intersection -2), and two of
     the four split conic pieces.  Each G with G.B = 0 counts twice and each N
-    with N.B = 2 once.  The declared split-conic table must reproduce the
-    class-level aggregates.
+    with N.B = 2 once.  The aggregates of the declared split-conic table are
+    reported, not judged: `cover.X_sixteen` compares the cross sum with 8.
     """
     t2 = build_blown_cover()
     branch = elliptic_branch(t2).divisor_class
@@ -349,11 +349,6 @@ def sixteen_curves_on_X() -> dict[str, object]:
 
     s = SPLIT_CONIC_TABLE
     aggregate_cross = s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"]
-    expected_cross = 2 * CURVE_TABLE["W1.W2"]
-    if aggregate_cross != expected_cross:
-        raise CoverError(
-            f"(W'1+W''1).(W'2+W''2) = {aggregate_cross}, expected {expected_cross}"
-        )
     w_self = s["W'1.W'1"] + s["W''1.W''1"] + 2 * s["W'1.W''1"]
     # the conic misses both blown points, so its class is unchanged upstairs
     # and the pullback square is 2 * W1^2 with zero blowup correction

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .kummer_ns import JacobianKummerNS, even_eight
-from .labels import node_label
+from .labels import INDEX_PAIRS, NODE_LABELS, node_label
 from .lattice import RationalVector, _integral_table
 from .nodecode import NodeSet
 
@@ -24,14 +24,13 @@ class FibrationError(ValueError):
 
 SMOOTH = "smooth"
 I0_STAR = "I0*"
+_EULER = {SMOOTH: 0, I0_STAR: 6, "I2": 2}
 
 
 def kodaira_euler(tag: str) -> int:
-    """Euler number of a fiber type; only the types used here are accepted."""
-    if tag == SMOOTH:
-        return 0
-    if tag == I0_STAR:
-        return 6
+    """Euler number of a fiber type: the three the pencils use, by lookup, or any I_n."""
+    if isinstance(tag, str) and tag in _EULER:
+        return _EULER[tag]
     if isinstance(tag, str) and tag.isascii() and tag.startswith("I") and tag[1:].isdigit():
         return int(tag[1:])
     raise FibrationError(f"unsupported fiber type {tag!r}")
@@ -154,33 +153,34 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
     if not (1 <= i < j <= 6):
         raise FibrationError(f"need 1 <= i < j <= 6, got ({i}, {j})")
     space = model.space
+    # one pass over the pair nodes: E_ik and E_jk (k outside {i, j}) join the
+    # star at i resp. j in the order of k; each E_ab with a, b outside {i, j}
+    # makes an I2 fiber, in pair order
+    stars: dict[int, list[FiberComponent]] = {i: [], j: []}
+    i2_nodes = []
+    for pair, label in zip(INDEX_PAIRS, NODE_LABELS[1:]):
+        shared = [k for k in pair if k in stars]
+        if not shared:
+            i2_nodes.append(model.node_class(label))
+        elif len(shared) == 1:
+            stars[shared[0]].append(FiberComponent(model.node_class(label), 1))
     fiber_class = space.combination(
         (1, -1, -1),
         (space.basis_vector("L"), space.basis_vector("E0"), model.node_class(node_label(i, j))),
     )
 
-    def star_fiber(center_index: int) -> Fiber:
-        comps = [FiberComponent(model.trope_class(f"C1{center_index}"), 2)]
-        comps += [
-            FiberComponent(model.node_class(node_label(center_index, k)), 1)
-            for k in range(1, 7)
-            if k not in (i, j)
-        ]
-        fiber = Fiber(tuple(comps), classify_fiber(comps))
+    fibers = []
+    for center_index, nodes in stars.items():
+        comps = (FiberComponent(model.trope_class(f"C1{center_index}"), 2), *nodes)
+        fiber = Fiber(comps, classify_fiber(comps))
         if fiber.weighted_sum() != fiber_class:
             raise FibrationError(f"star fiber at index {center_index} does not sum to the fiber class")
-        return fiber
+        fibers.append(fiber)
+    for node in i2_nodes:
+        comps = (FiberComponent(fiber_class - node, 1), FiberComponent(node, 1))
+        fibers.append(Fiber(comps, classify_fiber(comps)))
 
-    others = [k for k in range(1, 7) if k not in (i, j)]
-    fibers = [star_fiber(i), star_fiber(j)]
-    for a_pos in range(len(others)):
-        for b_pos in range(a_pos + 1, len(others)):
-            a, b = others[a_pos], others[b_pos]
-            node = model.node_class(node_label(a, b))
-            comps = (FiberComponent(fiber_class - node, 1), FiberComponent(node, 1))
-            fibers.append(Fiber(comps, classify_fiber(comps)))
-
-    sections = tuple(model.trope_class(f"C1{k}") for k in others)
+    sections = tuple(model.trope_class(f"C1{k}") for k in range(1, 7) if k not in stars)
     return Fibration((i, j), fiber_class, tuple(fibers), sections)
 
 
@@ -196,10 +196,8 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     the multiplicity-one components of F1 and F2 are exactly those eight nodes."""
     eight = even_eight(*fib.pair)
     stars = [f for f in fib.fibers if f.kodaira_type == I0_STAR]
-    if len(stars) != 2:
-        return False
     centers = [c.divisor for fiber in stars for c in fiber.components if c.multiplicity == 2]
-    if len(centers) != 2:
+    if len(stars) != 2 or len(centers) != 2:
         return False
     mult_one = [c for fiber in stars for c in fiber.multiplicity_one_components()]
     identity_rhs = model.space.combination((2, -2, -2), (fib.fiber_class, *centers))
@@ -234,29 +232,22 @@ def transform_double_cover(
     if branch.weight != 8 or not model.is_even_set(branch):
         raise FibrationError("branch must be an even eight")
     labels = branch.labels()
-    branch_vectors = [model.node_class(label) for label in labels]
+    branch_nodes = {model.node_class(label) for label in labels}
     branch_coords = [model.space.index(label) for label in labels]
 
     new_fibers: list[Fiber] = []
     for fiber in fib.fibers:
         mult_one = fiber.multiplicity_one_components()
-        in_branch = [c for c in mult_one if c in branch_vectors]
-        if (
-            fiber.kodaira_type == I0_STAR
-            and len(in_branch) == len(mult_one)
-            and mult_one
-        ):
+        if fiber.kodaira_type == I0_STAR and mult_one and all(c in branch_nodes for c in mult_one):
             new_fibers.append(Fiber((), SMOOTH))
             continue
         # a component equal to a branch node pairs -2 with it, so it is caught
-        touches = any(_meets(c.divisor, branch_coords) for c in fiber.components)
-        if touches:
+        if any(_meets(c.divisor, branch_coords) for c in fiber.components):
             raise FibrationError(
                 "branch/fiber incidence not covered: fiber meets the branch "
                 "without being a star fiber inside it"
             )
-        new_fibers.append(fiber)
-        new_fibers.append(fiber)
+        new_fibers += [fiber, fiber]
 
     transformed = Fibration(fib.pair, fib.fiber_class, tuple(new_fibers), fib.sections)
     if euler_sum(transformed) != euler_sum(fib):

@@ -14,6 +14,8 @@ from functools import cache, cached_property
 
 from .labels import (
     BASIS_LABELS,
+    INDEX_PAIRS,
+    NODE_INDEX,
     NODE_LABELS,
     TROPE_LABELS,
     complement_triple,
@@ -71,9 +73,11 @@ class JacobianKummerNS:
     # -- classes ---------------------------------------------------------
 
     def node_class(self, label: str) -> RationalVector:
-        if label not in NODE_LABELS:
-            raise ValueError(f"unknown node label {label!r}")
-        return self.space.basis_vector(label)
+        try:
+            k = NODE_INDEX[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown node label {label!r}") from None
+        return self.space.basis[k + 1]  # BASIS_LABELS is L, then NODE_LABELS
 
     def trope_class(self, label: str) -> RationalVector:
         """(L - sum of the trope's six support classes) / 2."""
@@ -85,11 +89,10 @@ class JacobianKummerNS:
             raise ValueError(f"unknown trope label {label!r}") from None
 
     def _node_indicator(self, s: NodeSet, den: int) -> RationalVector:
-        """The sum of the node classes of s, divided by den."""
-        nums = [0] * self.space.dim
-        for label in s.labels():
-            nums[self.space.index(label)] = 1
-        return RationalVector(self.space, tuple(nums), den)
+        """The sum of the node classes of s, divided by den: bit k of the mask
+        is coordinate k + 1, after L."""
+        nums = (0, *[s.bits >> k & 1 for k in range(len(NODE_LABELS))])
+        return RationalVector(self.space, nums, den)
 
     def node_set_sum(self, s: NodeSet) -> RationalVector:
         return self._node_indicator(s, 1)
@@ -212,9 +215,8 @@ def even_eight(i: int, j: int) -> NodeSet:
     """The eight nodes E_ik, E_jk for k outside {i, j}; never contains E0."""
     if not (1 <= i < j <= 6):
         raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-    labels = [node_label(i, k) for k in range(1, 7) if k not in (i, j)]
-    labels += [node_label(j, k) for k in range(1, 7) if k not in (i, j)]
-    return NodeSet.from_labels(labels)
+    # bit k of the mask is the node of the pair INDEX_PAIRS[k - 1]
+    return NodeSet(sum(1 << k for k, p in enumerate(INDEX_PAIRS, 1) if (i in p) != (j in p)))
 
 
 def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int, ...]:

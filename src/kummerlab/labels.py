@@ -20,16 +20,11 @@ BASIS_LABELS: tuple[str, ...] = ("L",) + NODE_LABELS
 NODE_INDEX: dict[str, int] = {label: k for k, label in enumerate(NODE_LABELS)}
 
 
-def pair_label(prefix: str, i: int, j: int) -> str:
-    """Label for an unordered index pair, e.g. ``pair_label("E", 4, 2) == "E24"``."""
+def node_label(i: int, j: int) -> str:
+    """Label of the node of an unordered index pair, e.g. ``node_label(4, 2) == "E24"``."""
     if i == j or not (1 <= i <= 6 and 1 <= j <= 6):
         raise ValueError(f"indices must be distinct and in 1..6, got ({i}, {j})")
-    lo, hi = min(i, j), max(i, j)
-    return f"{prefix}{lo}{hi}"
-
-
-def node_label(i: int, j: int) -> str:
-    return pair_label("E", i, j)
+    return f"E{min(i, j)}{max(i, j)}"
 
 
 def complement_triple(j: int, k: int) -> tuple[int, int, int]:

@@ -13,8 +13,8 @@ denominators with a single scalar; the matrices involved are tiny (at most
 33 x 17), so the routines use plain fraction-free pivoting with no
 modular-arithmetic shortcuts.  Both share one two-row step, and no kernel
 tracks a transform by hand: the Smith transform U is read off an identity
-appended to the rows, and a coordinate section off an HNF taken with the other
-coordinates ordered first.
+appended to the rows, and a coordinate section is what the same step leaves of
+a lattice's HNF rows once it has cleared the other coordinates one by one.
 """
 
 from __future__ import annotations
@@ -86,11 +86,13 @@ def _hnf_rows(
     pivots: list[int] = []
 
     for row in rows:
-        vec = [int(x) for x in row]
+        vec = list(row)
         if len(vec) != ncols:
             raise LatticeError(f"row has {len(vec)} entries, expected {ncols}")
+        j = 0
         while True:
-            j = next((c for c, x in enumerate(vec) if x), None)
+            # a combination clears column j, and both rows vanish before it
+            j = next((c for c in range(j, ncols) if vec[c]), None)
             if j is None:
                 break
             pos = bisect_left(pivots, j)
@@ -198,7 +200,7 @@ def _gram_table(weights: Sequence[int], rows: Sequence[Sequence[int]]) -> list[l
     a, b, vectors' numerators or HNF rows; each unordered pair is summed once."""
     table = [[0] * len(rows) for _ in rows]
     for i, a in enumerate(rows):
-        terms = [(k, w * x) for k, (w, x) in enumerate(zip(weights, a)) if x]
+        terms = [(k, weights[k] * x) for k, x in enumerate(a) if x]
         for j, b in enumerate(rows[i:], i):
             table[i][j] = table[j][i] = sum([wx * b[k] for k, wx in terms])
     return table
@@ -533,13 +535,18 @@ class SublatticeModel(Frozen):
     def _key(self) -> tuple:
         return self.space, self.generators
 
+    @cached_property
+    def generators(self) -> tuple[RationalVector, ...]:
+        """Set by the constructor; a coordinate section has its Z-basis."""
+        return self.zbasis()
+
     # -- canonical basis -----------------------------------------------------
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(denominator D, HNF rows of D * generators, pivot columns)."""
         den = lcm(*(g.den for g in self.generators))
-        int_rows = [[x * (den // g.den) for x in g.nums] for g in self.generators]
+        int_rows = [g.nums if g.den == den else [x * (den // g.den) for x in g.nums] for g in self.generators]
         hnf, pivots = _hnf_rows(int_rows, self.space.dim)
         return den, tuple(tuple(r) for r in hnf), tuple(pivots)
 
@@ -687,22 +694,28 @@ class SublatticeModel(Frozen):
 
         This is the intersection with the rational coordinate subspace, hence
         the saturation of any sublattice spanned inside those coordinates.
-        With the other coordinates ordered first, an echelon basis meets the
-        subspace in exactly the rows whose pivot lies past them.
+        The two-row step clears the other coordinates from the scaled HNF rows
+        one at a time, folding the rows nonzero there into one row that is
+        dropped; the dropped rows are independent there, so the rows left span
+        the section.  Their HNF over the least denominator is set as the
+        section's canonical basis, and its Z-basis serves as the generators.
         """
         keep = {self.space.index(label) for label in labels}
-        order = [i for i in range(self.space.dim) if i not in keep] + sorted(keep)
-        back = sorted(range(len(order)), key=order.__getitem__)
-        cut = len(order) - len(keep)
-        den, hnf, _ = self._scaled
-        permuted = [[row[c] for c in order] for row in hnf]
-        echelon, pivots = _hnf_rows(permuted, len(order))
-        section = tuple(
-            RationalVector(self.space, tuple(row[k] for k in back), den)
-            for row, p in zip(echelon, pivots)
-            if p >= cut
-        )
-        return SublatticeModel(self.space, section)
+        den, rows, _ = self._scaled
+        for c in range(self.space.dim):
+            hits = [] if c in keep else [row for row in rows if row[c]]
+            if hits:
+                rows = [row for row in rows if not row[c]]
+                for row in hits[1:]:
+                    hits[0], row = _combine(hits[0], row, c)
+                    rows.append(row)
+        hnf, pivots = _hnf_rows(rows, self.space.dim)
+        g = gcd(den, *(x for row in hnf for x in row))
+        section = SublatticeModel.__new__(SublatticeModel)
+        object.__setattr__(section, "space", self.space)
+        rows = tuple(tuple(x // g for x in row) for row in hnf)
+        object.__setattr__(section, "_scaled", (den // g, rows, tuple(pivots)))
+        return section
 
     def index_of_sublattice(self, sub: "SublatticeModel") -> int:
         """Index [self : sub] for a finite-index sublattice of equal rank."""

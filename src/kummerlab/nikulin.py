@@ -82,9 +82,8 @@ def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:
         raise ValueError("not an even set of eight nodes")
     labels = eight.labels()
     nodes = tuple(model.node_class(label) for label in labels)
-    span = SublatticeModel(model.space, nodes)
     sat = model.ns.coordinate_section(labels)
-    index = sat.index_of_sublattice(span)
+    index = sat.index_of_sublattice(SublatticeModel(model.space, nodes))
     with_halfsum = SublatticeModel(model.space, nodes + (model.half_sum(eight),))
     if not sat.same_lattice(with_halfsum):
         raise ValueError("saturation is not generated by the nodes and the half-sum")

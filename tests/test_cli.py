@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import __version__, checks, covers, fibration, kummer_ns
+from kummerlab import __version__, checks, covers, fibration, kummer_ns, lattice
 from kummerlab.checks import (
     FAIL,
     REGISTRY,
@@ -142,6 +142,34 @@ class TestRunChecks:
         monkeypatch.setattr(fibration, "transform_double_cover", counted_transform)
         run_checks()
         assert sorted(built) == sorted(transformed) == sorted(INDEX_PAIRS)
+
+    def test_section_is_one_hnf(self, monkeypatch):
+        calls = []
+        original = lattice._hnf_rows
+
+        def counted(rows, ncols):
+            calls.append(len(rows))
+            return original(rows, ncols)
+
+        ns = jacobian_kummer_ns().ns
+        assert ns.rank == 17  # the lattice's own HNF is taken before counting
+        monkeypatch.setattr(lattice, "_hnf_rows", counted)
+        # the eliminated rows are reduced once; the section is not rebuilt
+        assert ns.coordinate_section(even_eight(1, 2).labels()).rank == 8
+        assert calls == [8]
+
+    def test_vector_comparisons_per_run(self, monkeypatch):
+        calls = []
+        original = RationalVector.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalVector, "__eq__", counted)
+        run_checks()
+        # the transforms test branch membership in a set, not a list of nodes
+        assert len(calls) <= 200
 
     def test_roots_enumerated_once_per_run(self, monkeypatch):
         calls = []
@@ -358,6 +386,13 @@ class TestFaultInjection:
         detail = results["cover.incidence_sextic"].detail
         assert not detail.startswith("error:")
         assert detail == "15 double points, 5 per line, 5 blown for the quartic, degrees 6 = 4 + 2"
+
+    def test_split_conic_cross_sum_changed(self, monkeypatch):
+        monkeypatch.setitem(covers.SPLIT_CONIC_TABLE, "W'1.W'2", 2)
+        # the inventory reports the cross sum 6 and its own check compares it
+        results = {r.id: r for r in run_checks()}
+        assert {i for i, r in results.items() if r.status == FAIL} == {"cover.X_sixteen"}
+        assert results["cover.X_sixteen"].detail.endswith("split-conic cross sum 6, expected 8")
 
     def test_star_centres_listed_as_sections(self, monkeypatch):
         original = fibration.build_fibration

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from kummerlab.kummer_ns import jacobian_kummer_ns
-from kummerlab.labels import NODE_LABELS
+from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
+from kummerlab.labels import INDEX_PAIRS, NODE_LABELS
 from kummerlab.lattice import (
     DiscriminantGroup,
     LatticeError,
@@ -695,6 +695,33 @@ def _old_index_of_sublattice(big, sub):
     return None if None in coords else abs(_det_int(coords))
 
 
+def _old_coordinate_section(lat, labels):
+    """The former section path: an HNF of all the lattice's rows with the
+    other coordinates ordered first, whose rows with a pivot past them are
+    rebuilt as vectors and reduced again by a new model."""
+    keep = {lat.space.index(label) for label in labels}
+    order = [i for i in range(lat.space.dim) if i not in keep] + sorted(keep)
+    back = sorted(range(len(order)), key=order.__getitem__)
+    cut = len(order) - len(keep)
+    den, hnf, _ = lat._scaled
+    echelon, pivots = _hnf_rows([[row[c] for c in order] for row in hnf], len(order))
+    section = tuple(
+        RationalVector(lat.space, tuple(row[k] for k in back), den)
+        for row, p in zip(echelon, pivots)
+        if p >= cut
+    )
+    return SublatticeModel(lat.space, section)
+
+
+def assert_section_matches_oracle(lat, labels):
+    """The section's directly set basis is the one the oracle and the normal
+    construction from its generators compute."""
+    section = lat.coordinate_section(labels)
+    expected = _old_coordinate_section(lat, labels)._scaled
+    assert section._scaled == expected
+    assert SublatticeModel(lat.space, section.generators)._scaled == expected
+
+
 @st.composite
 def lattices_with_labels(draw):
     """A small rational lattice and a random label subset, empty and full included."""
@@ -809,6 +836,20 @@ class TestSectionsAndIndex:
         if coords:
             snf = smith_normal_form(Matrix(coords), domain=ZZ)
             assert all(abs(snf[i, i]) == 1 for i in range(min(snf.shape)))
+
+    @given(lattices_with_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_coordinate_section_against_old_path(self, case):
+        assert_section_matches_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "eights",
+        [MODEL.even_eights(), [even_eight(i, j) for i, j in INDEX_PAIRS]],
+        ids=["all_thirty", "index_pairs"],
+    )
+    def test_model_sections_against_old_path(self, eights):
+        for eight in eights:
+            assert_section_matches_oracle(MODEL.ns, eight.labels())
 
     @given(lattice_pairs())
     @example(_HALVES_AND_THIRDS)
