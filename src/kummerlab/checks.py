@@ -269,9 +269,8 @@ def _tropes_contained(ctx: CheckContext):
     "tropes have norm -2, meet L twice, and are mutually orthogonal",
 )
 def _trope_pairings(ctx: CheckContext):
-    m = ctx.model
-    table, scale = m.space.gram([m.space.basis_vector("L"), *map(m.trope_class, TROPE_LABELS)])
-    tropes = range(1, 17)  # row and column 0 hold L
+    labels, _, table, scale = ctx.model.curve_table
+    tropes = range(labels.index("C0"), len(labels))  # row and column 0 hold L
     norms = all(table[a][a] == -2 * scale for a in tropes)
     degrees = all(table[0][a] == 2 * scale for a in tropes)
     orthogonal = all(table[a][b] == 0 for a in tropes for b in tropes if a < b)
@@ -467,9 +466,7 @@ def _nik_shape(ctx: CheckContext):
     "index-2 saturation generated by the nodes and their half-sum",
 )
 def _nik_saturation(ctx: CheckContext, i: int, j: int):
-    eight = even_eight(i, j)
-    index = nik_mod.saturation_index(eight, ctx.model)
-    gram_ok = nik_mod.saturation_gram_matches(eight, ctx.model)
+    index, gram_ok = nik_mod.saturation(even_eight(i, j), ctx.model)
     ok = index == 2 and gram_ok
     return ok, f"({i},{j}) eight saturates with index {index}; Gram matches the abstract lattice", {
         "index": index,

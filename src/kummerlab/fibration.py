@@ -1,19 +1,21 @@
 """Elliptic-fibration bookkeeping on the Kummer divisor lattice.
 
 The fibration through the intersection point of two of the six branch lines
-has fiber class L - E0 - E_ij.  Its singular fibers are verified, not
-discovered: two star-shaped fibers built from a double trope plus four nodes,
-and six two-component fibers, one for each index pair disjoint from {i, j}.
+has fiber class F = L - E0 - E_ij.  Its singular fibers are discovered from
+the model's integer table of the pairings of L and the 32 curves: the curves
+orthogonal to F split by their dual graph into two stars, a double trope
+meeting four nodes, and six isolated nodes E, each completed by F - E.  The
+pairings cannot tell two curves meeting twice (I2) from two tangent curves
+(III); the fibers are recorded as I2, the type whose Euler numbers total 24.
 The two-to-one cover branched along the matching even eight turns the star
-fibers into smooth fibers and splits the six others in two, keeping the
-total Euler number at 24.
+fibers into smooth fibers and splits the six others in two.
 """
 
 from __future__ import annotations
 
 from ._frozen import Frozen
 from .kummer_ns import JacobianKummerNS, even_eight
-from .labels import INDEX_PAIRS, NODE_LABELS, node_label
+from .labels import node_label
 from .lattice import RationalVector, _integral_table
 from .nodecode import NodeSet
 
@@ -49,15 +51,12 @@ class FiberComponent(Frozen):
 
 
 class Fiber(Frozen):
-    __slots__ = ("components", "kodaira_type")
+    __slots__ = ("components", "kodaira_type", "euler_number")
 
     def __init__(self, components: tuple[FiberComponent, ...], kodaira_type: str) -> None:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "kodaira_type", kodaira_type)
-
-    @property
-    def euler_number(self) -> int:
-        return kodaira_euler(self.kodaira_type)
+        object.__setattr__(self, "euler_number", kodaira_euler(kodaira_type))
 
     def weighted_sum(self) -> RationalVector:
         if not self.components:
@@ -72,9 +71,9 @@ class Fiber(Frozen):
 
 
 class Fibration(Frozen):
-    """The pencil through the (i, j) double point: ``pair`` is (i, j)."""
+    """The pencil through the (i, j) double point: ``pair`` is (i, j), ``euler`` its Euler sum."""
 
-    __slots__ = ("pair", "fiber_class", "fibers", "sections")
+    __slots__ = ("pair", "fiber_class", "fibers", "sections", "euler")
 
     def __init__(
         self, pair: tuple[int, int], fiber_class: RationalVector, fibers: tuple[Fiber, ...],
@@ -84,21 +83,27 @@ class Fibration(Frozen):
         object.__setattr__(self, "fiber_class", fiber_class)
         object.__setattr__(self, "fibers", fibers)
         object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "euler", sum(f.euler_number for f in fibers))
 
 
 def classify_fiber(components: tuple[FiberComponent, ...] | list[FiberComponent]) -> str:
     """Recognize the fiber type from the dual graph of the components, each of
-    which must have norm -2."""
+    which must have norm -2: one Gram, typed by `_kodaira_type`."""
     comps = tuple(components)
     if not comps:
         raise FibrationError("a fiber needs at least one component")
     pairing = _integral_table(*comps[0].divisor.space.gram([c.divisor for c in comps]))
     if pairing is None:
         raise FibrationError("non-integral component pairing")
-    n = len(comps)
+    return _kodaira_type(pairing, [c.multiplicity for c in comps])
+
+
+def _kodaira_type(pairing: list[list[int]], mults: list[int]) -> str:
+    """The fiber type of components with these integer pairings and
+    multiplicities; raises unless every component has norm -2."""
+    n = len(mults)
     if any(pairing[k][k] != -2 for k in range(n)):
         raise FibrationError(f"fiber components must have norm -2, got pairings {pairing}")
-    mults = [c.multiplicity for c in comps]
 
     if n == 2 and mults == [1, 1] and pairing[0][1] == 2:
         return "I2"
@@ -113,145 +118,128 @@ def classify_fiber(components: tuple[FiberComponent, ...] | list[FiberComponent]
             return I0_STAR
 
     if n >= 3 and all(m == 1 for m in mults):
-        cycle = all(
-            pairing[a][b] in (0, 1) for a in range(n) for b in range(n) if a != b
-        ) and all(
-            sum(pairing[a][b] for b in range(n) if b != a) == 2 for a in range(n)
-        )
-        if cycle and _is_single_cycle(pairing):
-            return f"I{n}"
+        # a cycle: each component meets two others once, and the walk from 0,
+        # on to the neighbour it did not come from, is back after n steps
+        nbrs = [[b for b in range(n) if b != a and pairing[a][b]] for a in range(n)]
+        if all(len(nb) == 2 and pairing[a][nb[0]] == pairing[a][nb[1]] == 1 for a, nb in enumerate(nbrs)):
+            prev, a, steps = 0, nbrs[0][0], 1
+            while a:
+                prev, a, steps = a, sum(nbrs[a]) - prev, steps + 1
+            if steps == n:
+                return f"I{n}"
 
-    raise FibrationError(
-        f"unrecognized fiber configuration: multiplicities {mults}, pairings {pairing}"
-    )
-
-
-def _is_single_cycle(pairing: list[list[int]]) -> bool:
-    n = len(pairing)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        a = frontier.pop()
-        for b in range(n):
-            if b != a and pairing[a][b] == 1 and b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return len(seen) == n
+    raise FibrationError(f"unrecognized fiber configuration: multiplicities {mults}, pairings {pairing}")
 
 
 def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibration:
     """The pencil of lines through the (i, j) double point, pulled to the surface.
 
-    Fiber class L - E0 - E_ij; two star fibers around the tropes carrying
-    index i resp. j; six two-component fibers indexed by the pairs of the
-    remaining four symbols; four trope sections.  Raises unless each star
-    fiber classifies (as an I0*, the only type its multiplicities allow) and
-    sums to F, and each (F - E_ab, E_ab) classifies as an I2; that fiber sums
-    to F by construction, and (F - E)^2 = E^2 = -2 with (F - E).E = 2 force
-    F^2 = 0.  The sections are recorded; the checks pair them with F.
+    Reads F.X = L.X - E0.X - E_ij.X off the model's curve table.  The curves
+    with F.X = 0 must split by their dual graph into exactly two stars (a
+    centre of multiplicity 2 meeting four curves that meet nothing else, one
+    per branch line through the point) and isolated curves E, completed to
+    (F - E, E); anything else raises.  Each fiber is typed from its pairings,
+    a star must sum to F, and stars come first, each group in table order.
+    The sections, which the checks pair with F, are the tropes meeting E0
+    among the curves with F.X = 1.
     """
     if not (1 <= i < j <= 6):
         raise FibrationError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-    space = model.space
-    # one pass over the pair nodes: E_ik and E_jk (k outside {i, j}) join the
-    # star at i resp. j in the order of k; each E_ab with a, b outside {i, j}
-    # makes an I2 fiber, in pair order
-    stars: dict[int, list[FiberComponent]] = {i: [], j: []}
-    i2_nodes = []
-    for pair, label in zip(INDEX_PAIRS, NODE_LABELS[1:]):
-        shared = [k for k in pair if k in stars]
-        if not shared:
-            i2_nodes.append(model.node_class(label))
-        elif len(shared) == 1:
-            stars[shared[0]].append(FiberComponent(model.node_class(label), 1))
-    fiber_class = space.combination(
-        (1, -1, -1),
-        (space.basis_vector("L"), space.basis_vector("E0"), model.node_class(node_label(i, j))),
-    )
+    labels, classes, table, scale = model.curve_table
+    try:
+        e0, eij = [labels.index(label) for label in ("E0", node_label(i, j))]
+    except ValueError:
+        raise FibrationError(f"the curve table lacks E0 or {node_label(i, j)}") from None
+    row = [a - b - c for a, b, c in zip(table[0], table[e0], table[eij])]
+    zero = [x for x in range(1, len(row)) if row[x] == 0]
+    pairing = _integral_table([[table[x][y] for y in zero] for x in zero], scale)
+    f2, rem = divmod(row[0] - row[e0] - row[eij], scale)
+    if pairing is None or rem:
+        raise FibrationError("non-integral pairing among F and the curves orthogonal to it")
+    nbrs = [[b for b, p in enumerate(pa) if p and b != a] for a, pa in enumerate(pairing)]
+    fiber_class = model.space.combination((1, -1, -1), (classes[0], classes[e0], classes[eij]))
 
-    fibers = []
-    for center_index, nodes in stars.items():
-        comps = (FiberComponent(model.trope_class(f"C1{center_index}"), 2), *nodes)
-        fiber = Fiber(comps, classify_fiber(comps))
-        if fiber.weighted_sum() != fiber_class:
-            raise FibrationError(f"star fiber at index {center_index} does not sum to the fiber class")
-        fibers.append(fiber)
-    for node in i2_nodes:
-        comps = (FiberComponent(fiber_class - node, 1), FiberComponent(node, 1))
-        fibers.append(Fiber(comps, classify_fiber(comps)))
+    stars, pairs = [], []
+    for a, x in enumerate(zero):  # a indexes `pairing`, x the curve table
+        leaves = nbrs[a]
+        if not leaves:
+            d = pairing[a][a]
+            comps = (FiberComponent(fiber_class - classes[x], 1), FiberComponent(classes[x], 1))
+            pairs.append(Fiber(comps, _kodaira_type([[f2 + d, -d], [-d, d]], [1, 1])))
+        elif len(leaves) == 4 and all(nbrs[b] == [a] for b in leaves):
+            star = [a, *leaves]
+            comps = tuple(FiberComponent(classes[zero[b]], 1 + (b == a)) for b in star)
+            fiber = Fiber(comps, _kodaira_type([[pairing[p][q] for q in star] for p in star], [2, 1, 1, 1, 1]))
+            if fiber.weighted_sum() != fiber_class:
+                raise FibrationError(f"star fiber at {labels[x]} does not sum to the fiber class")
+            stars.append(fiber)
+        elif len(leaves) != 1 or len(nbrs[leaves[0]]) != 4:
+            raise FibrationError(f"{labels[x]} lies in neither a star nor an isolated fiber")
+    if len(stars) != 2:
+        raise FibrationError(f"{len(stars)} star fibers, not one for each branch line through the point")
 
-    sections = tuple(model.trope_class(f"C1{k}") for k in range(1, 7) if k not in stars)
-    return Fibration((i, j), fiber_class, tuple(fibers), sections)
+    sections = tuple(classes[x] for x in range(1, len(row)) if row[x] == scale and table[x][e0])
+    return Fibration((i, j), fiber_class, (*stars, *pairs), sections)
 
 
 def euler_sum(fib: Fibration) -> int:
     """Total Euler number of the singular fibers; 24 on a K3 total space."""
-    return sum(f.euler_number for f in fib.fibers)
+    return fib.euler
+
+
+def _node_bit(divisor: RationalVector) -> int:
+    """1 << k if the divisor is node k, the basis vector e_(k+1), else 0."""
+    nums = divisor.nums
+    if divisor.den != 1 or nums.count(0) != len(nums) - 1 or 1 not in nums[1:]:
+        return 0
+    return 1 << nums.index(1) - 1
+
+
+def _meets(divisor: RationalVector, node_coords: list[int]) -> bool:
+    """True iff the divisor pairs nonzero with a node at one of the given
+    coordinates: a node is a basis vector e_k of the diagonal form, diag[k] !=
+    0, so <divisor, e_k> = diag[k] * divisor_k is read off coordinate k."""
+    return any(divisor.nums[k] for k in node_coords)
 
 
 def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     """The even eight of the fibration's index pair is cut out by its two star
     fibers: the node sum equals F1 + F2 - 2*(central tropes) = 2F - 2*(central
     tropes), as `build_fibration` checks that each star fiber sums to F, and
-    the multiplicity-one components of F1 and F2 are exactly those eight nodes."""
+    the multiplicity-one components of F1 and F2 are the eight nodes, by bit."""
     eight = even_eight(*fib.pair)
     stars = [f for f in fib.fibers if f.kodaira_type == I0_STAR]
     centers = [c.divisor for fiber in stars for c in fiber.components if c.multiplicity == 2]
     if len(stars) != 2 or len(centers) != 2:
         return False
-    mult_one = [c for fiber in stars for c in fiber.multiplicity_one_components()]
+    bits = [_node_bit(c) for fiber in stars for c in fiber.multiplicity_one_components()]
     identity_rhs = model.space.combination((2, -2, -2), (fib.fiber_class, *centers))
-    node_classes = {model.node_class(label) for label in eight.labels()}
-    return (
-        model.node_set_sum(eight) == identity_rhs
-        and set(mult_one) == node_classes
-        and len(mult_one) == 8
-    )
+    nodes_ok = len(bits) == len(set(bits)) == 8 and sum(bits) == eight.bits
+    return model.node_set_sum(eight) == identity_rhs and nodes_ok
 
 
-def _meets(divisor: RationalVector, node_coords: list[int]) -> bool:
-    """True iff the divisor pairs nonzero with a node at one of the given
-    coordinates.  A node is a basis vector e_k of the diagonal form with
-    diag[k] != 0, so <divisor, e_k> = diag[k] * divisor_k is read off the
-    k-th coordinate."""
-    return any(divisor.nums[k] for k in node_coords)
-
-
-def transform_double_cover(
-    fib: Fibration, branch: NodeSet, model: JacobianKummerNS
-) -> Fibration:
+def transform_double_cover(fib: Fibration, branch: NodeSet, model: JacobianKummerNS) -> Fibration:
     """Fibration induced on the double cover branched along an even eight.
 
-    A star fiber whose multiplicity-one components all lie in the branch
-    becomes a smooth fiber; a fiber disjoint from the branch splits into two
+    A star fiber whose multiplicity-one components are all branch nodes
+    becomes a smooth fiber; a fiber that meets no branch node splits into two
     copies.  Any other incidence is rejected.  Sections pull back to
-    sections; the transformed Euler numbers must again total the input sum.
-    Whether a fiber meets the branch is read off the coordinates of its
-    components at the branch nodes.
+    sections.  Both are read off coordinates at the branch's mask bits.  The
+    checks compare both Euler numbers with 24, so a missing fiber fails them.
     """
     if branch.weight != 8 or not model.is_even_set(branch):
         raise FibrationError("branch must be an even eight")
-    labels = branch.labels()
-    branch_nodes = {model.node_class(label) for label in labels}
-    branch_coords = [model.space.index(label) for label in labels]
-
+    coords = [k for k in range(1, model.space.dim) if branch.bits >> k - 1 & 1]  # node k - 1 is e_k
     new_fibers: list[Fiber] = []
     for fiber in fib.fibers:
         mult_one = fiber.multiplicity_one_components()
-        if fiber.kodaira_type == I0_STAR and mult_one and all(c in branch_nodes for c in mult_one):
+        if fiber.kodaira_type == I0_STAR and mult_one and all(_node_bit(c) & branch.bits for c in mult_one):
             new_fibers.append(Fiber((), SMOOTH))
             continue
         # a component equal to a branch node pairs -2 with it, so it is caught
-        if any(_meets(c.divisor, branch_coords) for c in fiber.components):
-            raise FibrationError(
-                "branch/fiber incidence not covered: fiber meets the branch "
-                "without being a star fiber inside it"
-            )
+        if any(_meets(c.divisor, coords) for c in fiber.components):
+            raise FibrationError("branch/fiber incidence not covered: fiber meets the branch "
+                                 "without being a star fiber inside it")
         new_fibers += [fiber, fiber]
 
-    transformed = Fibration(fib.pair, fib.fiber_class, tuple(new_fibers), fib.sections)
-    if euler_sum(transformed) != euler_sum(fib):
-        raise FibrationError(
-            f"Euler bookkeeping failed: {euler_sum(fib)} -> {euler_sum(transformed)}"
-        )
-    return transformed
+    return Fibration(fib.pair, fib.fiber_class, tuple(new_fibers), fib.sections)

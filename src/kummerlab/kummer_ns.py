@@ -55,7 +55,7 @@ def trope_support(label: str) -> tuple[str, ...]:
 class JacobianKummerNS:
     """The divisor-class lattice together with its node/trope bookkeeping.
 
-    Immutable after construction; the even-set scan is cached on first use.
+    Immutable after construction; the even-set scan and curve table are cached.
     """
 
     def __init__(self) -> None:
@@ -102,19 +102,23 @@ class JacobianKummerNS:
 
     # -- configuration -----------------------------------------------------
 
+    @cached_property
+    def curve_table(self) -> tuple[tuple[str, ...], tuple[RationalVector, ...], list[list[int]], int]:
+        """``(labels, classes, table, scale)`` for L and the 32 curves, the
+        sixteen nodes and then the sixteen tropes, from one Gram: the pairing
+        of ``classes[a]`` and ``classes[b]`` is ``table[a][b] / scale``."""
+        classes = self.space.basis + tuple(self._tropes.values())
+        return (BASIS_LABELS + TROPE_LABELS, classes, *self.space.gram(classes))
+
     def incidence_matrix(self) -> list[list[int]]:
-        """16 x 16 table of trope-node intersection numbers, in canonical order:
-        a node is a basis vector e_k, so <t, e_k> = diag[k] * t_k."""
-        weights, scale = self.space.weights, self.space.scale
-        nodes = [self.space.index(n) for n in NODE_LABELS]
-        table = []
-        for t in TROPE_LABELS:
-            tv = self._tropes[t]
-            row = [divmod(weights[k] * tv.nums[k], scale * tv.den) for k in nodes]
-            if any(r for _, r in row):
-                raise ValueError(f"non-integral intersection of {t} with a node")
-            table.append([q for q, _ in row])
-        return table
+        """16 x 16 table of trope-node intersection numbers, in canonical order,
+        read off the curve table."""
+        labels, _, table, scale = self.curve_table
+        at = {label: k for k, label in enumerate(labels)}
+        rows = [[divmod(table[at[t]][at[n]], scale) for n in NODE_LABELS] for t in TROPE_LABELS]
+        if any(r for row in rows for _, r in row):
+            raise ValueError("non-integral intersection of a trope with a node")
+        return [[q for q, _ in row] for row in rows]
 
     # -- the double-plane covering involution --------------------------------
 

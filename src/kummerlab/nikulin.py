@@ -72,28 +72,37 @@ def roots(n: NikulinLattice) -> tuple[RationalVector, ...]:
     return found
 
 
-def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:
-    """Index of the span of the eight node classes inside its saturation.
+def _eight(eight: NodeSet, model: JacobianKummerNS) -> tuple[tuple[RationalVector, ...], RationalVector, bool]:
+    """The node classes of a node set, read off its mask bits (node k is basis
+    vector k + 1), their half-sum, and whether seven nodes and it have the canonical Gram."""
+    nodes = tuple(v for k, v in enumerate(model.space.basis[1:]) if eight.bits >> k & 1)
+    half = model.half_sum(eight)
+    gram = _integral_table(*model.space.gram(nodes[:7] + (half,)))
+    return nodes, half, gram == nikulin_lattice().canonical_gram
 
-    Raises unless the input is an even eight; also verifies that the
-    saturation is exactly the span of the nodes together with the half-sum.
-    """
-    if eight.weight != 8 or not model.is_even_set(eight):
+
+def saturation(eight: NodeSet, model: JacobianKummerNS) -> tuple[int, bool]:
+    """`saturation_index` and `saturation_gram_matches` of one even eight, whose
+    node classes and half-sum are built once.  Raises unless the input is an
+    even eight and its saturation is the span of the nodes and the half-sum."""
+    nodes, half, gram_ok = _eight(eight, model)
+    if eight.weight != 8 or not model.ns.contains(half):  # `is_even_set` on this half-sum
         raise ValueError("not an even set of eight nodes")
-    labels = eight.labels()
-    nodes = tuple(model.node_class(label) for label in labels)
-    sat = model.ns.coordinate_section(labels)
+    sat = model.ns.coordinate_section(eight.labels())
     index = sat.index_of_sublattice(SublatticeModel(model.space, nodes))
-    with_halfsum = SublatticeModel(model.space, nodes + (model.half_sum(eight),))
-    if not sat.same_lattice(with_halfsum):
+    # the half-sum lies in the section and spans an index-2 lattice with the
+    # nodes, so it and the nodes span the section iff the index is 2
+    if index != 2:
         raise ValueError("saturation is not generated by the nodes and the half-sum")
-    return index
+    return index, gram_ok
+
+
+def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:
+    """Index of the span of the eight node classes inside its saturation."""
+    return saturation(eight, model)[0]
 
 
 def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:
     """Gram of the saturated even eight, in the basis of seven nodes plus the
     half-sum, equals the canonical Gram of the abstract rank-8 lattice."""
-    labels = eight.labels()
-    nodes = [model.node_class(label) for label in labels]
-    basis = nodes[:7] + [model.half_sum(eight)]
-    return _integral_table(*model.space.gram(basis)) == nikulin_lattice().canonical_gram
+    return _eight(eight, model)[2]

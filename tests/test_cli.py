@@ -143,6 +143,59 @@ class TestRunChecks:
         run_checks()
         assert sorted(built) == sorted(transformed) == sorted(INDEX_PAIRS)
 
+    def test_gram_budget_per_run(self, monkeypatch):
+        run_checks()  # the model's curve table and the cached surfaces exist
+        calls = []
+        original = QuadraticSpace.gram
+
+        def counted(self, vectors):
+            calls.append(len(vectors))
+            return original(self, vectors)
+
+        monkeypatch.setattr(QuadraticSpace, "gram", counted)
+        run_checks()
+        # the pencils read the curve table; no fiber takes its own Gram
+        assert len(calls) <= 20
+
+    def test_euler_numbers_looked_up_once(self, monkeypatch):
+        lookups, sums = [], []
+        lookup, init = fibration.kodaira_euler, fibration.Fibration.__init__
+
+        def counted_lookup(tag):
+            lookups.append(tag)
+            return lookup(tag)
+
+        def counted_init(self, *args, **kwargs):
+            sums.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(fibration, "kodaira_euler", counted_lookup)
+        monkeypatch.setattr(fibration.Fibration, "__init__", counted_init)
+        run_checks()
+        # one lookup per fiber built (eight per pencil, two smooth ones per
+        # cover) and one sum per pencil and per cover
+        assert len(lookups) == 15 * (8 + 2)
+        assert len(sums) == 2 * 15
+
+    def test_saturation_builds_each_eight_once(self, monkeypatch):
+        lookups, halves = [], []
+        node_class, half_sum = kummer_ns.JacobianKummerNS.node_class, kummer_ns.JacobianKummerNS.half_sum
+
+        def counted_node_class(self, label):
+            lookups.append(label)
+            return node_class(self, label)
+
+        def counted_half_sum(self, s):
+            halves.append(s)
+            return half_sum(self, s)
+
+        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "node_class", counted_node_class)
+        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "half_sum", counted_half_sum)
+        run_checks(select_ids(["nikulin.saturation.*"]))
+        # the nodes are read off the mask bits, the half-sum is built once
+        assert lookups == []
+        assert sorted(halves) == sorted(even_eight(i, j) for i, j in INDEX_PAIRS)
+
     def test_section_is_one_hnf(self, monkeypatch):
         calls = []
         original = lattice._hnf_rows
@@ -267,8 +320,13 @@ class TestFaultInjection:
 
         monkeypatch.setattr(kummer_ns, "trope_support", e0_for_e12)
         # C23 meets E0 instead of E12: the incidence table, the even sets
-        # and their code, the discriminant and the isometry all change
-        assert self.failing() == {
+        # and their code, the discriminant and the isometry all change; every
+        # pencil that C23 meets once discovers it as a fifth ramification
+        # section, and the others find E13 or E23 outside a star or an
+        # isolated fiber
+        assert self.failing() == SWEEPS | {
+            "fibration.cover12I2",
+            "fibration.sections4",
             "alpha.isometry",
             "config.sixteen_six",
             "code.affine_hyperplanes",
@@ -393,6 +451,76 @@ class TestFaultInjection:
         results = {r.id: r for r in run_checks()}
         assert {i for i, r in results.items() if r.status == FAIL} == {"cover.X_sixteen"}
         assert results["cover.X_sixteen"].detail.endswith("split-conic cross sum 6, expected 8")
+
+    def test_node_dropped_from_curve_table(self, monkeypatch):
+        original = kummer_ns.JacobianKummerNS.curve_table.func
+
+        def without_e56(self):
+            labels, classes, table, scale = original(self)
+            keep = [k for k, label in enumerate(labels) if label != "E56"]
+            return (
+                tuple(labels[k] for k in keep),
+                tuple(classes[k] for k in keep),
+                [[table[a][b] for b in keep] for a in keep],
+                scale,
+            )
+
+        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "curve_table", property(without_e56))
+        results = {r.id: r for r in run_checks()}
+        # the six pencils in which E56 is an isolated node lose that fiber and
+        # fail by their own comparisons; where E56 is a star leaf or E_ij the
+        # build raises, and the configuration table cannot be read without it
+        assert {i for i, r in results.items() if r.status == FAIL} == SWEEPS | {
+            "config.sixteen_six",
+            "cross.euler24",
+            "fibration.classify",
+            "fibration.cover12I2",
+            "fibration.eulersum24",
+        }
+        for ij in ("12", "13", "14", "23", "24", "34"):
+            assert not results[f"fibration.sweep.{ij}"].detail.startswith("error:")
+        assert results["fibration.eulersum24"].detail == "2*6 + 6*2 = 22"
+
+    def test_star_leaf_moved(self, monkeypatch, fresh_model):
+        original = kummer_ns.trope_support
+
+        def e36_for_e26(label):
+            support = original(label)
+            if label != "C12":
+                return support
+            return tuple("E36" if node == "E26" else node for node in support)
+
+        monkeypatch.setattr(kummer_ns, "trope_support", e36_for_e26)
+        # the C12 star of the (1,2) pencil takes E36 for its leaf E26 and still
+        # sums to F, so that pencil builds, its multiplicity-one locus is no
+        # longer the (1,2) eight, and the cover branched along that eight is
+        # rejected; C12 now meets seven tropes in half-integers, and the
+        # pencils (2,3), (2,6) and (3,6) do not build; the even sets, their
+        # code and the saturations change
+        results = {r.id: r for r in run_checks()}
+        assert {i for i, r in results.items() if r.status == FAIL} == {
+            f"fibration.sweep.{ij}" for ij in ("12", "23", "24", "25", "26", "36")
+        } | {
+            f"delta.identity.{ij}" for ij in ("12", "23", "24", "25", "26")
+        } | {
+            f"nikulin.saturation.{ij}" for ij in ("16", "23", "46", "56")
+        } | {
+            "code.affine_hyperplanes",
+            "code.linear_dim5",
+            "code.weight_enumerator",
+            "config.sixteen_six",
+            "containment.quadruple_1235",
+            "containment.quadruple_1324",
+            "cross.euler24",
+            "even_sets.census",
+            "even_sets.count30",
+            "even_sets.delta15",
+            "fibration.cover12I2",
+            "fibration.delta12_identity",
+            "ns.discriminant",
+            "ns.trope_pairings",
+        }
+        assert not results["fibration.delta12_identity"].detail.startswith("error:")
 
     def test_star_centres_listed_as_sections(self, monkeypatch):
         original = fibration.build_fibration

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from kummerlab.fibration import (
     FiberComponent,
     Fibration,
     FibrationError,
+    _kodaira_type,
     build_fibration,
     classify_fiber,
     euler_sum,
@@ -16,8 +18,8 @@ from kummerlab.fibration import (
     kodaira_euler,
     transform_double_cover,
 )
-from kummerlab.kummer_ns import JacobianKummerNS, even_eight, jacobian_kummer_ns
-from kummerlab.labels import INDEX_PAIRS
+from kummerlab.kummer_ns import JacobianKummerNS, even_eight, jacobian_kummer_ns, trope_support
+from kummerlab.labels import INDEX_PAIRS, NODE_LABELS, node_label
 from kummerlab.lattice import QuadraticSpace
 from kummerlab.nodecode import EMPTY
 
@@ -48,6 +50,47 @@ class TestClassification:
         comps = [FiberComponent(v, 1) for v in (x - y, y - z, z - x)]
         assert classify_fiber(comps) == "I3"
 
+    def test_cycle_typing_against_search(self):
+        # differential: random symmetric tables with -2 on the diagonal, and
+        # planted cycles and unions of cycles, typed against the former test
+        # (0/1 entries off the diagonal, each row summing to 2, and a search
+        # from component 0 reaching every component)
+        def is_cycle(pairing):
+            n = len(pairing)
+            off = [(a, b) for a in range(n) for b in range(n) if a != b]
+            if any(pairing[a][b] not in (0, 1) for a, b in off):
+                return False
+            if any(sum(pairing[a][b] for b in range(n) if b != a) != 2 for a in range(n)):
+                return False
+            seen, frontier = {0}, [0]
+            while frontier:
+                a = frontier.pop()
+                for b in range(n):
+                    if b != a and pairing[a][b] == 1 and b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+            return len(seen) == n
+
+        rng = random.Random(16)
+        cycles = 0
+        for n in range(3, 8):
+            for trial in range(600):
+                table = [[-2 if a == b else 0 for b in range(n)] for a in range(n)]
+                order = rng.sample(range(n), n)
+                for part in ([order] if n < 6 or trial % 2 else [order[:3], order[3:]]):
+                    for a, b in zip(part, part[1:] + part[:1]):
+                        table[a][b] = table[b][a] = 1
+                if trial % 3 == 0:  # perturb one pair
+                    a, b = rng.sample(range(n), 2)
+                    table[a][b] = table[b][a] = rng.choice([-1, 0, 1, 2])
+                try:
+                    found = _kodaira_type(table, [1] * n) == f"I{n}"
+                except FibrationError:
+                    found = False
+                assert found == is_cycle(table), table
+                cycles += found
+        assert cycles > 100
+
     def test_single_component_rejected(self):
         with pytest.raises(FibrationError, match="unrecognized"):
             classify_fiber([FiberComponent(MODEL.node_class("E12"), 1)])
@@ -70,10 +113,17 @@ class TestClassification:
         ]
         with pytest.raises(FibrationError, match="norm -2"):
             classify_fiber(wrong)
-        # every star fiber is then centred on L, of norm 4
-        monkeypatch.setattr(
-            JacobianKummerNS, "trope_class", lambda self, label: self.space.basis_vector("L")
-        )
+        # every star fiber is then centred on a trope of norm 4
+        original = JacobianKummerNS.curve_table.func
+
+        def heavy_tropes(self):
+            labels, classes, table, scale = original(self)
+            table = [row[:] for row in table]
+            for k in range(labels.index("C0"), len(labels)):
+                table[k][k] = 4 * scale
+            return labels, classes, table, scale
+
+        monkeypatch.setattr(JacobianKummerNS, "curve_table", property(heavy_tropes))
         with pytest.raises(FibrationError, match="norm -2"):
             build_fibration(MODEL)
 
@@ -267,3 +317,167 @@ class TestInvariants:
             for a in range(len(comps)):
                 for b in range(a + 1, len(comps)):
                     assert comps[a].divisor.dot(comps[b].divisor) >= 0
+
+
+def hand_sorted_fibration(model, i, j):
+    """The (i, j) pencil assembled by hand, as the package built it before the
+    fibers were discovered from the curve table: the stars around C1i and C1j
+    (C11 is C0) with the nodes E_ik resp. E_jk, k outside {i, j}, in pair
+    order; one (F - E_ab, E_ab) fiber per pair disjoint from {i, j}, in pair
+    order; the trope sections C1k, k outside {i, j}."""
+    space = model.space
+    stars = {i: [], j: []}
+    i2_nodes = []
+    for pair, label in zip(INDEX_PAIRS, NODE_LABELS[1:]):
+        shared = [k for k in pair if k in stars]
+        if not shared:
+            i2_nodes.append(model.node_class(label))
+        elif len(shared) == 1:
+            stars[shared[0]].append(FiberComponent(model.node_class(label), 1))
+    fiber_class = space.combination(
+        (1, -1, -1),
+        (space.basis_vector("L"), space.basis_vector("E0"), model.node_class(node_label(i, j))),
+    )
+    fibers = []
+    for center_index, nodes in stars.items():
+        comps = (FiberComponent(model.trope_class(f"C1{center_index}"), 2), *nodes)
+        fiber = Fiber(comps, classify_fiber(comps))
+        assert fiber.weighted_sum() == fiber_class
+        fibers.append(fiber)
+    for node in i2_nodes:
+        comps = (FiberComponent(fiber_class - node, 1), FiberComponent(node, 1))
+        fibers.append(Fiber(comps, classify_fiber(comps)))
+    sections = tuple(model.trope_class(f"C1{k}") for k in range(1, 7) if k not in stars)
+    return Fibration((i, j), fiber_class, tuple(fibers), sections)
+
+
+def f_dot(model, i, j):
+    """F.X for every curve X of the curve table, F = L - E0 - E_ij, by label."""
+    labels, _, table, scale = model.curve_table
+    e0, eij = labels.index("E0"), labels.index(node_label(i, j))
+    return {
+        labels[x]: (table[0][x] - table[e0][x] - table[eij][x]) // scale
+        for x in range(1, len(labels))
+    }
+
+
+class TestDiscovery:
+    """The pencils read off the curve table against the hand-sorted oracle."""
+
+    @pytest.mark.parametrize("i, j", INDEX_PAIRS)
+    def test_matches_hand_sorted_oracle(self, i, j):
+        found, oracle = build_fibration(MODEL, i, j), hand_sorted_fibration(MODEL, i, j)
+        assert found.fiber_class == oracle.fiber_class
+        assert [f.kodaira_type for f in found.fibers] == [f.kodaira_type for f in oracle.fibers]
+        for got, want in zip(found.fibers, oracle.fibers):
+            assert got.components == want.components  # same components, same order
+        assert found.sections == oracle.sections
+        assert found == oracle
+
+    @pytest.mark.parametrize("i, j", INDEX_PAIRS)
+    def test_two_stars_and_six_isolated_nodes(self, i, j):
+        labels, classes, _, _ = MODEL.curve_table
+        name = dict(zip(classes, labels))
+        fib = build_fibration(MODEL, i, j)
+        stars = [
+            [(name[c.divisor], c.multiplicity) for c in f.components]
+            for f in fib.fibers
+            if f.kodaira_type == I0_STAR
+        ]
+        centre = {k: "C0" if k == 1 else f"C1{k}" for k in (i, j)}
+        rest = [k for k in range(1, 7) if k not in (i, j)]
+        assert stars == [
+            [(centre[c], 2)] + [(node_label(c, k), 1) for k in rest] for c in (i, j)
+        ]
+        isolated = [name[f.components[1].divisor] for f in fib.fibers if f.kodaira_type == "I2"]
+        assert isolated == [node_label(a, b) for a, b in INDEX_PAIRS if not {a, b} & {i, j}]
+        # the stars and the isolated nodes are all the curves orthogonal to F
+        dots = f_dot(MODEL, i, j)
+        assert sorted(label for label, d in dots.items() if d == 0) == sorted(
+            [label for star in stars for label, _ in star] + isolated
+        )
+
+    @pytest.mark.parametrize("i, j", INDEX_PAIRS)
+    def test_eight_curves_meet_f_once(self, i, j):
+        dots = f_dot(MODEL, i, j)
+        once = [label for label, d in dots.items() if d == 1]
+        assert len(once) == 8 and all(label.startswith("C") for label in once)
+        assert sorted(dots.values()) == [0] * 16 + [1] * 8 + [2] * 8
+        # the sections are the four of them that meet E0
+        labels, classes, _, _ = MODEL.curve_table
+        name = dict(zip(classes, labels))
+        sections = [name[s] for s in build_fibration(MODEL, i, j).sections]
+        assert sections == [t for t in once if "E0" in trope_support(t)]
+        assert len(sections) == 4
+
+    @pytest.mark.parametrize("i, j", INDEX_PAIRS)
+    def test_shioda_tate_rank_one(self, i, j):
+        # rank NS = 17, minus the hyperbolic plane of F and a section, minus
+        # the non-identity components of the singular fibers: 2 * 4 + 6 * 1
+        fib = build_fibration(MODEL, i, j)
+        trivial = sum(len(f.components) - 1 for f in fib.fibers)
+        assert trivial == 14
+        assert MODEL.ns.rank - 2 - trivial == 1
+
+    def test_configuration_outside_star_or_isolated_rejected(self, monkeypatch):
+        # E34 also meets E35: the two isolated nodes of the (1,2) pencil become
+        # a two-curve component, neither a star nor an isolated curve
+        original = JacobianKummerNS.curve_table.func
+
+        def joined(self):
+            labels, classes, table, scale = original(self)
+            table = [row[:] for row in table]
+            a, b = labels.index("E34"), labels.index("E35")
+            table[a][b] = table[b][a] = scale
+            return labels, classes, table, scale
+
+        monkeypatch.setattr(JacobianKummerNS, "curve_table", property(joined))
+        with pytest.raises(FibrationError, match="neither a star nor an isolated"):
+            build_fibration(MODEL, 1, 2)
+
+    def test_star_that_misses_f_rejected(self, monkeypatch):
+        # the table still reads a star around C0 in the (1,2) pencil, but the
+        # class behind it is C13's, so the star sums to 2 C13 + E13 + ... + E16
+        original = JacobianKummerNS.curve_table.func
+
+        def swapped(self):
+            labels, classes, table, scale = original(self)
+            classes = list(classes)
+            classes[labels.index("C0")] = classes[labels.index("C13")]
+            return labels, tuple(classes), table, scale
+
+        monkeypatch.setattr(JacobianKummerNS, "curve_table", property(swapped))
+        with pytest.raises(FibrationError, match="star fiber at C0 does not sum"):
+            build_fibration(MODEL, 1, 2)
+
+    def test_missing_star_rejected(self, monkeypatch):
+        # C12 no longer meets E23 in the table: its leaves drop to three, so
+        # E23 is isolated and E24 lies in no star
+        original = JacobianKummerNS.curve_table.func
+
+        def cut(self):
+            labels, classes, table, scale = original(self)
+            table = [row[:] for row in table]
+            a, b = labels.index("C12"), labels.index("E23")
+            table[a][b] = table[b][a] = 0
+            return labels, classes, table, scale
+
+        monkeypatch.setattr(JacobianKummerNS, "curve_table", property(cut))
+        with pytest.raises(FibrationError, match="neither a star nor an isolated"):
+            build_fibration(MODEL, 1, 2)
+
+    def test_one_star_rejected(self, monkeypatch):
+        # C12 meets L once more in the table, so F.C12 = 1: the star at 2 is
+        # gone and its four leaves are read as isolated nodes
+        original = JacobianKummerNS.curve_table.func
+
+        def lifted(self):
+            labels, classes, table, scale = original(self)
+            table = [row[:] for row in table]
+            c = labels.index("C12")
+            table[0][c] = table[c][0] = table[0][c] + scale
+            return labels, classes, table, scale
+
+        monkeypatch.setattr(JacobianKummerNS, "curve_table", property(lifted))
+        with pytest.raises(FibrationError, match="1 star fibers"):
+            build_fibration(MODEL, 1, 2)

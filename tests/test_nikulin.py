@@ -1,12 +1,15 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
+from kummerlab.lattice import SublatticeModel
 from kummerlab.nikulin import (
     _parity_tuples,
     nikulin_lattice,
     roots,
+    saturation,
     saturation_gram_matches,
     saturation_index,
 )
@@ -137,3 +140,29 @@ class TestSaturation:
         )
         with pytest.raises(ValueError, match="not an even set"):
             saturation_index(bad, MODEL)
+
+    def test_one_pass_matches_both_functions(self):
+        for eight in MODEL.even_eights():
+            both = (saturation_index(eight, MODEL), saturation_gram_matches(eight, MODEL))
+            assert saturation(eight, MODEL) == both == (2, True)
+
+    def test_index_two_decides_the_span(self):
+        # differential: a lattice that holds the nodes and their half-sum is
+        # their span exactly when the nodes have index 2 in it
+        for eight in MODEL.even_eights():
+            labels = eight.labels()
+            nodes = tuple(MODEL.node_class(label) for label in labels)
+            half = MODEL.half_sum(eight)
+            spanned = SublatticeModel(MODEL.space, nodes + (half,))
+            larger = SublatticeModel(MODEL.space, nodes + (half, (nodes[0] + nodes[1]) * Fraction(1, 2)))
+            for lattice in (MODEL.ns.coordinate_section(labels), spanned, larger):
+                index = lattice.index_of_sublattice(SublatticeModel(MODEL.space, nodes))
+                assert lattice.same_lattice(spanned) == (index == 2)
+            assert not larger.same_lattice(spanned)
+
+    def test_gram_of_non_even_set_does_not_raise(self):
+        # seven nodes and a half-sum have the same Gram for any eight nodes
+        bad = NodeSet.from_labels(["E0", "E12", "E13", "E14", "E15", "E16", "E23", "E24"])
+        assert saturation_gram_matches(bad, MODEL) is True
+        with pytest.raises(ValueError, match="not an even set"):
+            saturation(bad, MODEL)
