@@ -107,14 +107,13 @@ class CheckContext:
             self._pencils[i, j] = fib_mod.build_fibration(self.model, i, j)
         return self._pencils[i, j]
 
-    def _cover(self, i: int, j: int) -> fib_mod.Fibration:
-        """The (i, j) pencil on the double cover branched along the (i, j)
-        even eight, built once per context."""
-        if (i, j) not in self._covers:
-            self._covers[i, j] = fib_mod.transform_double_cover(
-                self._pencil(i, j), even_eight(i, j), self.model
-            )
-        return self._covers[i, j]
+    def _cover(self, pencil: fib_mod.Fibration) -> fib_mod.Fibration:
+        """A pencil on the double cover branched along its pair's even eight,
+        built once per context."""
+        pair = pencil.pair
+        if pair not in self._covers:
+            self._covers[pair] = fib_mod.transform_double_cover(pencil, even_eight(*pair), self.model)
+        return self._covers[pair]
 
     @cached_property
     def model(self) -> JacobianKummerNS:
@@ -138,7 +137,8 @@ class CheckContext:
 
     @cached_property
     def transformed(self) -> fib_mod.Fibration:
-        return self._cover(1, 2)
+        # the pencil comes through `fibration`, so its build is timed there
+        return self._cover(self.fibration)
 
 
 def _labels(sets) -> list[list[str]]:
@@ -558,7 +558,7 @@ def _fib_sweep(ctx: CheckContext, i: int, j: int):
         and fib_mod.even_eight_from_fibers(f, ctx.model)
         and _four_sections(f)
     )
-    out = ctx._cover(i, j)
+    out = ctx._cover(f)
     i2 = sum(1 for x in out.fibers if x.kodaira_type == "I2")
     ok = ok and i2 == 12 and fib_mod.euler_sum(out) == 24
     return ok, f"pencil through the ({i},{j}) point passes all fibration checks", {

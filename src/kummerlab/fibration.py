@@ -227,7 +227,7 @@ def transform_double_cover(fib: Fibration, branch: NodeSet, model: JacobianKumme
     sections.  Both are read off coordinates at the branch's mask bits.  The
     checks compare both Euler numbers with 24, so a missing fiber fails them.
     """
-    if branch.weight != 8 or not model.is_even_set(branch):
+    if branch.weight != 8 or branch not in model.even_sets:
         raise FibrationError("branch must be an even eight")
     coords = [k for k in range(1, model.space.dim) if branch.bits >> k - 1 & 1]  # node k - 1 is e_k
     new_fibers: list[Fiber] = []

@@ -72,29 +72,21 @@ def roots(n: NikulinLattice) -> tuple[RationalVector, ...]:
     return found
 
 
-def _eight(eight: NodeSet, model: JacobianKummerNS) -> tuple[tuple[RationalVector, ...], RationalVector, bool]:
-    """The node classes of a node set, read off its mask bits (node k is basis
-    vector k + 1), their half-sum, and whether seven nodes and it have the canonical Gram."""
-    nodes = tuple(v for k, v in enumerate(model.space.basis[1:]) if eight.bits >> k & 1)
-    half = model.half_sum(eight)
-    gram = _integral_table(*model.space.gram(nodes[:7] + (half,)))
-    return nodes, half, gram == nikulin_lattice().canonical_gram
-
-
 def saturation(eight: NodeSet, model: JacobianKummerNS) -> tuple[int, bool]:
-    """`saturation_index` and `saturation_gram_matches` of one even eight, whose
-    node classes and half-sum are built once.  Raises unless the input is an
-    even eight and its saturation is the span of the nodes and the half-sum."""
-    nodes, half, gram_ok = _eight(eight, model)
-    if eight.weight != 8 or not model.ns.contains(half):  # `is_even_set` on this half-sum
+    """`saturation_index` and `saturation_gram_matches` of one even eight.
+    Raises unless the input is an even set of eight nodes.
+
+    The index is the number of even sets inside the eight.  `even_sets` has
+    checked that the lattice has denominator 2 and contains Z^17, so a lattice
+    vector on the eight's coordinates is an integer node combination plus the
+    half-sum of the set T of its half-odd coordinates, and it lies in the
+    lattice iff T is even.  So the nodes and their half-sum span the
+    saturation iff the index is 2.
+    """
+    if eight.weight != 8 or eight not in model.even_sets:
         raise ValueError("not an even set of eight nodes")
-    sat = model.ns.coordinate_section(eight.labels())
-    index = sat.index_of_sublattice(SublatticeModel(model.space, nodes))
-    # the half-sum lies in the section and spans an index-2 lattice with the
-    # nodes, so it and the nodes span the section iff the index is 2
-    if index != 2:
-        raise ValueError("saturation is not generated by the nodes and the half-sum")
-    return index, gram_ok
+    index = sum(1 for t in model.even_sets if not t.bits & ~eight.bits)
+    return index, saturation_gram_matches(eight, model)
 
 
 def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:
@@ -103,6 +95,9 @@ def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:
 
 
 def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:
-    """Gram of the saturated even eight, in the basis of seven nodes plus the
-    half-sum, equals the canonical Gram of the abstract rank-8 lattice."""
-    return _eight(eight, model)[2]
+    """Gram of the saturated even eight, in the basis of seven nodes (read off
+    its mask bits; node k is basis vector k + 1) plus the half-sum, equals the
+    canonical Gram of the abstract rank-8 lattice."""
+    nodes = tuple(v for k, v in enumerate(model.space.basis[1:]) if eight.bits >> k & 1)
+    gram = _integral_table(*model.space.gram(nodes[:7] + (model.half_sum(eight),)))
+    return gram == nikulin_lattice().canonical_gram

@@ -6,6 +6,7 @@ import pytest
 from kummerlab import __version__, checks, covers, fibration, kummer_ns, lattice
 from kummerlab.checks import (
     FAIL,
+    PASS,
     REGISTRY,
     CheckContext,
     CheckDef,
@@ -196,6 +197,26 @@ class TestRunChecks:
         assert lookups == []
         assert sorted(halves) == sorted(even_eight(i, j) for i, j in INDEX_PAIRS)
 
+    def test_saturation_reduces_nothing(self, monkeypatch):
+        run_checks(select_ids(["nikulin.saturation.*"]))  # warm: the scan is cached
+        hnfs, sections = [], []
+        hnf_rows, section = lattice._hnf_rows, lattice.SublatticeModel.coordinate_section
+
+        def counted_hnf(rows, ncols):
+            hnfs.append(len(rows))
+            return hnf_rows(rows, ncols)
+
+        def counted_section(self, labels):
+            sections.append(labels)
+            return section(self, labels)
+
+        monkeypatch.setattr(lattice, "_hnf_rows", counted_hnf)
+        monkeypatch.setattr(lattice.SublatticeModel, "coordinate_section", counted_section)
+        results = run_checks(select_ids(["nikulin.saturation.*"]))
+        # each index is a count of the cached even sets, not a reduction
+        assert len(results) == 15 and all(r.status == PASS for r in results)
+        assert hnfs == [] and sections == []
+
     def test_section_is_one_hnf(self, monkeypatch):
         calls = []
         original = lattice._hnf_rows
@@ -375,14 +396,16 @@ class TestFaultInjection:
         monkeypatch.setattr(kummer_ns, "trope_support", e23_for_e12)
         # the C0 star of each (1, j) pencil still classifies as I0* but sums
         # to L - E0 - E23, so those pencils fail to build; C0 = C11 is a
-        # section of the (2,3) pencil and no longer meets its fiber class once
-        assert self.failing() == {
+        # section of the (2,3) pencil and no longer meets its fiber class once;
+        # four eights hold the new even pair {E12, E23} and its complement in
+        # them, so those saturations have index 4
+        results = {r.id: r for r in run_checks()}
+        saturations = {f"nikulin.saturation.{ij}" for ij in ("13", "24", "25", "26")}
+        assert {i for i, r in results.items() if r.status == FAIL} == {
             f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "15", "16", "23")
         } | {
             f"delta.identity.1{j}" for j in range(2, 7)
-        } | {
-            f"nikulin.saturation.{ij}" for ij in ("13", "24", "25", "26")
-        } | {
+        } | saturations | {
             "code.affine_hyperplanes",
             "code.linear_dim5",
             "code.weight_enumerator",
@@ -401,6 +424,8 @@ class TestFaultInjection:
             "ns.discriminant",
             "ns.trope_pairings",
         }
+        for i in saturations:
+            assert results[i].data["index"] == 4 and not results[i].detail.startswith("error:")
 
     @pytest.fixture
     def fresh_tower(self):
@@ -496,15 +521,15 @@ class TestFaultInjection:
         # longer the (1,2) eight, and the cover branched along that eight is
         # rejected; C12 now meets seven tropes in half-integers, and the
         # pencils (2,3), (2,6) and (3,6) do not build; the even sets, their
-        # code and the saturations change
+        # code and the saturations change: four eights hold the new even pair
+        # {E26, E36}, so those saturations have index 4
         results = {r.id: r for r in run_checks()}
+        saturations = {f"nikulin.saturation.{ij}" for ij in ("16", "23", "46", "56")}
         assert {i for i, r in results.items() if r.status == FAIL} == {
             f"fibration.sweep.{ij}" for ij in ("12", "23", "24", "25", "26", "36")
         } | {
             f"delta.identity.{ij}" for ij in ("12", "23", "24", "25", "26")
-        } | {
-            f"nikulin.saturation.{ij}" for ij in ("16", "23", "46", "56")
-        } | {
+        } | saturations | {
             "code.affine_hyperplanes",
             "code.linear_dim5",
             "code.weight_enumerator",
@@ -521,6 +546,8 @@ class TestFaultInjection:
             "ns.trope_pairings",
         }
         assert not results["fibration.delta12_identity"].detail.startswith("error:")
+        for i in saturations:
+            assert results[i].data["index"] == 4 and not results[i].detail.startswith("error:")
 
     def test_star_centres_listed_as_sections(self, monkeypatch):
         original = fibration.build_fibration

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,18 @@ from kummerlab.nodecode import NodeSet
 
 MODEL = jacobian_kummer_ns()
 LATTICE = nikulin_lattice()
+
+
+def hnf_index(s: NodeSet) -> int:
+    """Slow reference: the index of the node span of ``s`` in the lattice's
+    section over those nodes, from Hermite reductions."""
+    labels = s.labels()
+    nodes = tuple(MODEL.node_class(label) for label in labels)
+    return MODEL.ns.coordinate_section(labels).index_of_sublattice(SublatticeModel(MODEL.space, nodes))
+
+
+def even_subsets(s: NodeSet) -> int:
+    return sum(1 for t in MODEL.even_sets if not t.bits & ~s.bits)
 
 
 def brute_force_box_roots():
@@ -166,3 +179,26 @@ class TestSaturation:
         assert saturation_gram_matches(bad, MODEL) is True
         with pytest.raises(ValueError, match="not an even set"):
             saturation(bad, MODEL)
+
+
+class TestSaturationCount:
+    """The saturation index is the number of even sets inside the node set."""
+
+    def test_eights_match_hnf(self):
+        eights = MODEL.even_eights()
+        assert len(eights) == 30
+        for eight in eights:
+            assert saturation_index(eight, MODEL) == even_subsets(eight) == hnf_index(eight) == 2
+
+    def test_even_sets_match_hnf(self):
+        assert len(MODEL.even_sets) == 32
+        for s in MODEL.even_sets:
+            assert even_subsets(s) == hnf_index(s)
+
+    def test_random_node_sets_match_hnf(self):
+        rng = random.Random(20081017)
+        sets = [NodeSet(rng.getrandbits(16)) for _ in range(60)]
+        counts = [even_subsets(s) for s in sets]
+        assert counts == [hnf_index(s) for s in sets]
+        # the sample holds sets with no, one and several nontrivial even subsets
+        assert {1, 2} <= set(counts) and max(counts) > 2
