@@ -468,7 +468,8 @@ def _nik_shape(ctx: CheckContext):
 def _nik_saturation(ctx: CheckContext, i: int, j: int):
     index, gram_ok = nik_mod.saturation(even_eight(i, j), ctx.model)
     ok = index == 2 and gram_ok
-    return ok, f"({i},{j}) eight saturates with index {index}; Gram matches the abstract lattice", {
+    gram = "matches" if gram_ok else "differs from"
+    return ok, f"({i},{j}) eight saturates with index {index}; Gram {gram} the abstract lattice", {
         "index": index,
         "gram_matches": gram_ok,
     }
@@ -513,7 +514,7 @@ def _fib_classify(ctx: CheckContext):
     "2*6 + 6*2 = 24, the Euler number of a K3 surface",
 )
 def _fib_euler(ctx: CheckContext):
-    total = fib_mod.euler_sum(ctx.fibration)
+    total = ctx.fibration.euler
     return total == 24, f"2*6 + 6*2 = {total}", {"euler_sum": total}
 
 
@@ -536,7 +537,7 @@ def _fib_cover(ctx: CheckContext):
     out = ctx.transformed
     i2 = sum(1 for f in out.fibers if f.kodaira_type == "I2")
     smooth = sum(1 for f in out.fibers if f.kodaira_type == "smooth")
-    total = fib_mod.euler_sum(out)
+    total = out.euler
     ok = i2 == 12 and smooth == 2 and total == 24 and len(out.sections) == 4
     return ok, f"cover fibration has {i2} two-component fibers, Euler sum {total}", {
         "i2_fibers": i2,
@@ -553,17 +554,16 @@ def _fib_cover(ctx: CheckContext):
 )
 def _fib_sweep(ctx: CheckContext, i: int, j: int):
     f = ctx._pencil(i, j)
-    ok = (
-        fib_mod.euler_sum(f) == 24
-        and fib_mod.even_eight_from_fibers(f, ctx.model)
-        and _four_sections(f)
-    )
     out = ctx._cover(f)
     i2 = sum(1 for x in out.fibers if x.kodaira_type == "I2")
-    ok = ok and i2 == 12 and fib_mod.euler_sum(out) == 24
-    return ok, f"pencil through the ({i},{j}) point passes all fibration checks", {
-        "i2_fibers_on_cover": i2
-    }
+    failed = [name for name, ok in (
+        (f"Euler sum {f.euler}", f.euler == 24),
+        ("even eight", fib_mod.even_eight_from_fibers(f, ctx.model)),
+        ("sections", _four_sections(f)),
+        (f"{i2} I2 fibers and Euler sum {out.euler} on the cover", i2 == 12 and out.euler == 24),
+    ) if not ok]
+    verdict = "fails on the " + ", the ".join(failed) if failed else "passes all fibration checks"
+    return not failed, f"pencil through the ({i},{j}) point {verdict}", {"i2_fibers_on_cover": i2}
 
 
 @check(
@@ -706,7 +706,7 @@ def _cover_incidence(ctx: CheckContext):
     "two independent computations of the Euler number 24 agree",
 )
 def _cross_euler(ctx: CheckContext):
-    fib_total = fib_mod.euler_sum(ctx.transformed)
+    fib_total = ctx.transformed.euler
     surf_total = covers.build_final_cover().euler
     ok = fib_total == surf_total == 24
     return ok, f"fiber Euler sum {fib_total} agrees with the surface Euler number {surf_total}", {

@@ -68,15 +68,11 @@ class BranchData(Frozen):
     component; the genus-1 branch used for the final cover carries 0.
     """
 
-    __slots__ = ("divisor_class", "euler_of_branch", "components")
+    __slots__ = ("divisor_class", "euler_of_branch")
 
-    def __init__(
-        self, divisor_class: RationalVector, euler_of_branch: int,
-        components: tuple[RationalVector, ...] = (),
-    ) -> None:
+    def __init__(self, divisor_class: RationalVector, euler_of_branch: int) -> None:
         object.__setattr__(self, "divisor_class", divisor_class)
         object.__setattr__(self, "euler_of_branch", euler_of_branch)
-        object.__setattr__(self, "components", components)
 
     @classmethod
     def disjoint_rational(cls, components: tuple[RationalVector, ...]) -> "BranchData":
@@ -92,7 +88,7 @@ class BranchData(Frozen):
         total = comps[0]
         for c in comps[1:]:
             total = total + c
-        return cls(total, 2 * len(comps), comps)
+        return cls(total, 2 * len(comps))
 
 
 def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
@@ -244,7 +240,7 @@ def elliptic_branch(t: SurfaceModel) -> BranchData:
     e1, e2 = t.curve("l1"), t.curve("l2")
     if t.pic.inner(e1, e2) != 0:
         raise CoverError("genus-1 branch components must be disjoint after blowup")
-    return BranchData(e1 + e2, 0, (e1, e2))
+    return BranchData(e1 + e2, 0)
 
 
 @cache

@@ -22,7 +22,7 @@ from .labels import (
     node_label,
 )
 from .lattice import QuadraticSpace, RationalVector, SublatticeModel
-from .nodecode import EMPTY, FULL, NodeSet, f2_basis, f2_reduce, f2_span
+from .nodecode import NodeSet, f2_basis, f2_reduce, f2_span
 
 
 def trope_support(label: str) -> tuple[str, ...]:
@@ -81,8 +81,6 @@ class JacobianKummerNS:
 
     def trope_class(self, label: str) -> RationalVector:
         """(L - sum of the trope's six support classes) / 2."""
-        if label == "C11":  # alias used by the hatted-sum conventions
-            label = "C0"
         try:
             return self._tropes[label]
         except (KeyError, TypeError):
@@ -185,7 +183,7 @@ class JacobianKummerNS:
             (
                 self.space.basis_vector("L"),
                 self.space.basis_vector("E0"),
-                self.trope_class(f"C1{i}"),  # C11 aliases C0
+                self.trope_class("C0" if i == 1 else f"C1{i}"),
                 self.trope_class(f"C1{j}"),
                 self.node_class(node_label(i, j)),
             ),
@@ -244,8 +242,6 @@ def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int,
 
 
 __all__ = [
-    "EMPTY",
-    "FULL",
     "JacobianKummerNS",
     "even_eight",
     "isogeny_polarization_type",

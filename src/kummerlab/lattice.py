@@ -12,9 +12,8 @@ Normal forms (Hermite, Smith) run on integer matrices obtained by clearing
 denominators with a single scalar; the matrices involved are tiny (at most
 33 x 17), so the routines use plain fraction-free pivoting with no
 modular-arithmetic shortcuts.  Both share one two-row step, and no kernel
-tracks a transform by hand: the Smith transform U is read off an identity
-appended to the rows, and a coordinate section is what the same step leaves of
-a lattice's HNF rows once it has cleared the other coordinates one by one.
+tracks a transform: a coordinate section is what the same step leaves of a
+lattice's HNF rows once it has cleared the other coordinates one by one.
 """
 
 from __future__ import annotations
@@ -116,21 +115,13 @@ def _hnf_rows(
     return work, pivots
 
 
-def _smith_normal_form(
-    mat: Sequence[Sequence[int]],
-) -> tuple[list[int], list[list[int]]]:
-    """Smith normal form with its row transform: U * mat * V = diag(d), d_i | d_{i+1}.
-
-    U is returned and V is not built; both are unimodular.  The diagonal
-    entries are non-negative.  U is read off the identity appended to the
-    rows: row operations act on it too, column operations stop at column n.
-    """
+def _smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
+    """The Smith diagonal d of mat, U * mat * V = diag(d) with d_i | d_{i+1}
+    for unimodular U and V, which are not built.  The entries are
+    non-negative."""
     m = len(mat)
     n = len(mat[0]) if mat else 0
-    a = [
-        [int(x) for x in row] + [int(i == k) for k in range(m)]
-        for i, row in enumerate(mat)
-    ]
+    a = [[int(x) for x in row] for row in mat]
 
     def col_combine(j1: int, j2: int, row: int) -> None:
         p, q = a[row][j1], a[row][j2]
@@ -187,12 +178,7 @@ def _smith_normal_form(
             continue
         t += 1
 
-    diag = []
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-        diag.append(a[i][i])
-    return diag, [row[n:] for row in a]
+    return [abs(a[i][i]) for i in range(min(m, n))]
 
 
 def _gram_table(weights: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -499,11 +485,11 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
 
 
 class DiscriminantGroup(Frozen):
-    """Invariant factors of dual-modulo-lattice, with lifted generators."""
+    """Invariant factors of dual-modulo-lattice."""
 
-    __slots__ = ("invariant_factors", "generator_lifts")
+    __slots__ = ("invariant_factors",)
 
-    def __init__(self, invariant_factors: Iterable[int], generator_lifts: Sequence[RationalVector]) -> None:
+    def __init__(self, invariant_factors: Iterable[int]) -> None:
         factors = tuple(invariant_factors)
         if any(type(f) is not int for f in factors):
             raise LatticeError(f"invariant factors must be ints, got {factors!r}")
@@ -512,10 +498,7 @@ class DiscriminantGroup(Frozen):
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
-        if len(generator_lifts) != len(factors):
-            raise LatticeError("one generator lift per invariant factor")
         object.__setattr__(self, "invariant_factors", factors)
-        object.__setattr__(self, "generator_lifts", generator_lifts)
 
     @property
     def order(self) -> int:
@@ -623,28 +606,17 @@ class SublatticeModel(Frozen):
         gram, scale = self._zgram
         return [[Fraction(x, scale) for x in row] for row in gram]
 
-    def _hnf_combination(self, combo: Sequence[int], divisor: int) -> RationalVector:
-        """The vector sum_r combo[r] * zbasis[r] / divisor."""
-        den, hnf, _ = self._scaled
-        coords = [0] * self.space.dim
-        for c, row in zip(combo, hnf):
-            if c:
-                coords = [x + c * y for x, y in zip(coords, row)]
-        return RationalVector(self.space, tuple(coords), den * divisor)
-
     def discriminant_group(self) -> DiscriminantGroup:
-        """Smith normal form of the Z-basis Gram matrix, with lifted generators."""
+        """Smith normal form of the Z-basis Gram matrix."""
         if not self.rank:
-            return DiscriminantGroup((), ())
+            return DiscriminantGroup(())
         int_gram = _integral_table(*self._zgram)
         if int_gram is None:
             raise LatticeError("Gram matrix of the Z-basis is not integral")
-        diag, u = _smith_normal_form(int_gram)
+        diag = _smith_normal_form(int_gram)
         if len(diag) < self.rank or any(d == 0 for d in diag):
             raise LatticeError("degenerate lattice: Gram determinant is zero")
-        factors = [d for d in diag if d > 1]
-        lifts = [self._hnf_combination(u[i], d) for i, d in enumerate(diag) if d > 1]
-        return DiscriminantGroup(tuple(factors), tuple(lifts))
+        return DiscriminantGroup(d for d in diag if d > 1)
 
     def in_dual(self, v: RationalVector) -> bool:
         """True iff v pairs integrally with every generator."""

@@ -73,8 +73,9 @@ def roots(n: NikulinLattice) -> tuple[RationalVector, ...]:
 
 
 def saturation(eight: NodeSet, model: JacobianKummerNS) -> tuple[int, bool]:
-    """`saturation_index` and `saturation_gram_matches` of one even eight.
-    Raises unless the input is an even set of eight nodes.
+    """The index of the span of one even eight's node classes inside its
+    saturation, and `saturation_gram_matches` of the eight.  Raises unless
+    the input is an even set of eight nodes.
 
     The index is the number of even sets inside the eight.  `even_sets` has
     checked that the lattice has denominator 2 and contains Z^17, so a lattice
@@ -87,11 +88,6 @@ def saturation(eight: NodeSet, model: JacobianKummerNS) -> tuple[int, bool]:
         raise ValueError("not an even set of eight nodes")
     index = sum(1 for t in model.even_sets if not t.bits & ~eight.bits)
     return index, saturation_gram_matches(eight, model)
-
-
-def saturation_index(eight: NodeSet, model: JacobianKummerNS) -> int:
-    """Index of the span of the eight node classes inside its saturation."""
-    return saturation(eight, model)[0]
 
 
 def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:

@@ -13,7 +13,6 @@ from kummerlab import covers
 from kummerlab.cli import build_report, render_json
 from kummerlab.fibration import (
     build_fibration,
-    euler_sum,
     even_eight_from_fibers,
     transform_double_cover,
 )
@@ -26,8 +25,8 @@ from kummerlab.labels import NODE_LABELS, TROPE_LABELS
 from kummerlab.nikulin import (
     nikulin_lattice,
     roots,
+    saturation,
     saturation_gram_matches,
-    saturation_index,
 )
 from kummerlab.nodecode import (
     EMPTY,
@@ -114,7 +113,7 @@ def test_criterion_05_rank8_lattice():
         expected.add((-v).coords)
     group = lattice.lattice.discriminant_group()
     saturations = all(
-        saturation_index(even_eight(i, j), MODEL) == 2
+        saturation(even_eight(i, j), MODEL)[0] == 2
         and saturation_gram_matches(even_eight(i, j), MODEL)
         for i, j in PAIRS
     )
@@ -151,20 +150,20 @@ def test_criterion_07_fibration():
         o = transform_double_cover(f, even_eight(i, j), MODEL)
         sweep = sweep and (
             f.fiber_class.norm() == 0
-            and euler_sum(f) == 24
+            and f.euler == 24
             and even_eight_from_fibers(f, MODEL)
             and sum(1 for x in o.fibers if x.kodaira_type == "I2") == 12
-            and euler_sum(o) == 24
+            and o.euler == 24
         )
     ok = (
         fib.fiber_class.norm() == 0
         and len(fib.sections) == 4
         and all(s.dot(fib.fiber_class) == 1 for s in fib.sections)
         and types == ["I0*", "I0*"] + ["I2"] * 6
-        and euler_sum(fib) == 2 * 6 + 6 * 2 == 24
+        and fib.euler == 2 * 6 + 6 * 2 == 24
         and even_eight_from_fibers(fib, MODEL)
         and sum(1 for f in out.fibers if f.kodaira_type == "I2") == 12
-        and euler_sum(out) == 24
+        and out.euler == 24
         and sweep
     )
     _verdict(7, "fiber class isotropic, 4 sections, fiber types and Euler sums as stated, 12 two-component fibers on the cover, 15-pair sweep", ok)

@@ -264,8 +264,14 @@ SWEEPS = {f"fibration.sweep.{i}{j}" for i, j in INDEX_PAIRS}
 class TestFaultInjection:
     """A fault in one kernel turns exactly the checks that depend on it to FAIL."""
 
-    def failing(self):
-        return {r.id for r in run_checks() if r.status == FAIL}
+    def results(self):
+        return {r.id: r for r in run_checks()}
+
+    def failing(self, results=None):
+        """The failing ids, and the subset of them whose detail starts with
+        `error:`: those fail through a raise, not by their own comparison."""
+        failed = [r for r in (results or self.results()).values() if r.status == FAIL]
+        return {r.id for r in failed}, {r.id for r in failed if r.detail.startswith("error:")}
 
     def test_combination_drops_last_term(self, monkeypatch):
         original = QuadraticSpace.combination
@@ -277,10 +283,7 @@ class TestFaultInjection:
         # the fiber class loses E_ij, so every pencil fails to build; the
         # even-eight identity loses E_ij; the isometry test loses a term of
         # each image sum
-        assert self.failing() == SWEEPS | {
-            f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS
-        } | {
-            "alpha.isometry",
+        pencil = SWEEPS | {
             "cross.euler24",
             "fibration.F2zero",
             "fibration.classify",
@@ -289,14 +292,23 @@ class TestFaultInjection:
             "fibration.eulersum24",
             "fibration.sections4",
         }
+        assert self.failing() == (
+            pencil | {f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS} | {"alpha.isometry"},
+            pencil,
+        )
 
     def test_incidence_reads_next_coordinate(self, monkeypatch):
         def shifted(divisor, node_coords):
             return any(divisor.nums[k + 1] for k in node_coords)
 
         monkeypatch.setattr(fibration, "_meets", shifted)
-        # every transform fails, the pencils themselves stay intact
-        assert self.failing() == SWEEPS | {"cross.euler24", "fibration.cover12I2"}
+        # every transform keeps fibers unsplit, the pencils themselves stay
+        # intact; the (4,5) branch holds E56, the last coordinate, whose
+        # shifted read is out of range
+        assert self.failing() == (
+            SWEEPS | {"cross.euler24", "fibration.cover12I2"},
+            {"fibration.sweep.45"},
+        )
 
     @pytest.fixture
     def fresh_model(self):
@@ -315,12 +327,7 @@ class TestFaultInjection:
         # the (16,6) table and trope norms see the -4, the lattice's
         # discriminant changes, every pencil holds a component of norm -4,
         # and each saturation whose eight contains E56 loses its Gram
-        assert self.failing() == SWEEPS | {
-            f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")
-        } | {
-            "config.sixteen_six",
-            "ns.discriminant",
-            "ns.trope_pairings",
+        pencil = SWEEPS | {
             "cross.euler24",
             "fibration.F2zero",
             "fibration.classify",
@@ -329,6 +336,16 @@ class TestFaultInjection:
             "fibration.eulersum24",
             "fibration.sections4",
         }
+        results = self.results()
+        assert self.failing(results) == (
+            pencil | {
+                f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")
+            } | {"config.sixteen_six", "ns.discriminant", "ns.trope_pairings"},
+            pencil | {"ns.discriminant"},
+        )
+        assert results["nikulin.saturation.15"].detail == (
+            "(1,5) eight saturates with index 2; Gram differs from the abstract lattice"
+        )
 
     def test_trope_support_altered(self, monkeypatch, fresh_model):
         original = kummer_ns.trope_support
@@ -345,21 +362,24 @@ class TestFaultInjection:
         # pencil that C23 meets once discovers it as a fifth ramification
         # section, and the others find E13 or E23 outside a star or an
         # isolated fiber
-        assert self.failing() == SWEEPS | {
-            "fibration.cover12I2",
-            "fibration.sections4",
-            "alpha.isometry",
-            "config.sixteen_six",
-            "code.affine_hyperplanes",
-            "code.linear_dim5",
-            "code.weight_enumerator",
-            "even_sets.census",
-            "even_sets.count30",
-            "even_sets.delta15",
-            "ns.disc_elements",
-            "ns.discriminant",
-            "ns.trope_pairings",
-        }
+        assert self.failing() == (
+            SWEEPS | {
+                "fibration.cover12I2",
+                "fibration.sections4",
+                "alpha.isometry",
+                "config.sixteen_six",
+                "code.affine_hyperplanes",
+                "code.linear_dim5",
+                "code.weight_enumerator",
+                "even_sets.census",
+                "even_sets.count30",
+                "even_sets.delta15",
+                "ns.disc_elements",
+                "ns.discriminant",
+                "ns.trope_pairings",
+            },
+            {f"fibration.sweep.{ij}" for ij in ("13", "23", "45", "46", "56")} | {"ns.discriminant"},
+        )
 
     def test_covering_involution_sign_flipped(self, monkeypatch):
         def flipped(self, v):
@@ -369,7 +389,7 @@ class TestFaultInjection:
         monkeypatch.setattr(kummer_ns.JacobianKummerNS, "covering_involution", flipped)
         # L -> 3L + 4E0 is neither an isometry nor an involution; no other
         # check applies the involution
-        assert self.failing() == {"alpha.isometry"}
+        assert self.failing() == ({"alpha.isometry"}, set())
 
     def test_wrong_branch_for_one_cover(self, monkeypatch):
         original = fibration.transform_double_cover
@@ -381,8 +401,12 @@ class TestFaultInjection:
 
         monkeypatch.setattr(fibration, "transform_double_cover", branch_13)
         # the (1,3) eight meets both star fibers of the (1,2) pencil without
-        # holding their multiplicity-one components, so that transform raises
-        assert self.failing() == {"cross.euler24", "fibration.cover12I2", "fibration.sweep.12"}
+        # holding their multiplicity-one components, and meets all six
+        # isolated fibers, so the transform keeps every fiber once: 6 I2
+        # fibers, not 12, fail both checks by their own comparisons; the two
+        # stars kept (+12) and the six fibers not doubled (-12) cancel, so
+        # the Euler sum is 24 and cross.euler24 passes
+        assert self.failing() == ({"fibration.cover12I2", "fibration.sweep.12"}, set())
 
     def test_c0_support_altered(self, monkeypatch, fresh_model):
         original = kummer_ns.trope_support
@@ -394,36 +418,40 @@ class TestFaultInjection:
             return tuple("E23" if node == "E12" else node for node in support)
 
         monkeypatch.setattr(kummer_ns, "trope_support", e23_for_e12)
-        # the C0 star of each (1, j) pencil still classifies as I0* but sums
-        # to L - E0 - E23, so those pencils fail to build; C0 = C11 is a
-        # section of the (2,3) pencil and no longer meets its fiber class once;
+        # C0 meets E23 for E12: the (1,2) pencil finds one star and the (1,3)
+        # and (2,3) pencils non-integral pairings, so those builds raise; the
+        # (1,j) pencils for j > 3 build with E23 as a leaf of the C0 star,
+        # so their eight and their cover fail by their own comparisons;
         # four eights hold the new even pair {E12, E23} and its complement in
         # them, so those saturations have index 4
-        results = {r.id: r for r in run_checks()}
+        results = self.results()
         saturations = {f"nikulin.saturation.{ij}" for ij in ("13", "24", "25", "26")}
-        assert {i for i, r in results.items() if r.status == FAIL} == {
-            f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "15", "16", "23")
-        } | {
-            f"delta.identity.1{j}" for j in range(2, 7)
-        } | saturations | {
-            "code.affine_hyperplanes",
-            "code.linear_dim5",
-            "code.weight_enumerator",
-            "config.sixteen_six",
+        raised = {f"fibration.sweep.{ij}" for ij in ("12", "13", "23")} | {
             "cross.euler24",
-            "even_sets.census",
-            "even_sets.count30",
-            "even_sets.delta15",
             "fibration.F2zero",
             "fibration.classify",
             "fibration.cover12I2",
             "fibration.delta12_identity",
             "fibration.eulersum24",
             "fibration.sections4",
-            "ns.disc_elements",
             "ns.discriminant",
-            "ns.trope_pairings",
         }
+        assert self.failing(results) == (
+            raised | {f"fibration.sweep.1{j}" for j in range(4, 7)} | {
+                f"delta.identity.1{j}" for j in range(2, 7)
+            } | saturations | {
+                "code.affine_hyperplanes",
+                "code.linear_dim5",
+                "code.weight_enumerator",
+                "config.sixteen_six",
+                "even_sets.census",
+                "even_sets.count30",
+                "even_sets.delta15",
+                "ns.disc_elements",
+                "ns.trope_pairings",
+            },
+            raised,
+        )
         for i in saturations:
             assert results[i].data["index"] == 4 and not results[i].detail.startswith("error:")
 
@@ -452,8 +480,8 @@ class TestFaultInjection:
         # l4 keeps square -1, so the quartic branch is not a set of disjoint
         # (-2)-curves and no cover of the tower builds; the incidence count
         # reads l3.l4 = 1 off the blowup and finds five quartic points
-        results = {r.id: r for r in run_checks()}
-        assert {i for i, r in results.items() if r.status == FAIL} == {
+        results = self.results()
+        raised = {
             "cover.X_canonical",
             "cover.X_chi2",
             "cover.X_euler24",
@@ -461,20 +489,19 @@ class TestFaultInjection:
             "cover.chi1",
             "cover.curve_table",
             "cover.eT10",
-            "cover.incidence_sextic",
             "cover.kT2",
             "cover.weak_dp2",
             "cross.euler24",
         }
+        assert self.failing(results) == (raised | {"cover.incidence_sextic"}, raised)
         detail = results["cover.incidence_sextic"].detail
-        assert not detail.startswith("error:")
         assert detail == "15 double points, 5 per line, 5 blown for the quartic, degrees 6 = 4 + 2"
 
     def test_split_conic_cross_sum_changed(self, monkeypatch):
         monkeypatch.setitem(covers.SPLIT_CONIC_TABLE, "W'1.W'2", 2)
         # the inventory reports the cross sum 6 and its own check compares it
-        results = {r.id: r for r in run_checks()}
-        assert {i for i, r in results.items() if r.status == FAIL} == {"cover.X_sixteen"}
+        results = self.results()
+        assert self.failing(results) == ({"cover.X_sixteen"}, set())
         assert results["cover.X_sixteen"].detail.endswith("split-conic cross sum 6, expected 8")
 
     def test_node_dropped_from_curve_table(self, monkeypatch):
@@ -491,19 +518,21 @@ class TestFaultInjection:
             )
 
         monkeypatch.setattr(kummer_ns.JacobianKummerNS, "curve_table", property(without_e56))
-        results = {r.id: r for r in run_checks()}
+        results = self.results()
         # the six pencils in which E56 is an isolated node lose that fiber and
         # fail by their own comparisons; where E56 is a star leaf or E_ij the
         # build raises, and the configuration table cannot be read without it
-        assert {i for i, r in results.items() if r.status == FAIL} == SWEEPS | {
-            "config.sixteen_six",
-            "cross.euler24",
-            "fibration.classify",
-            "fibration.cover12I2",
-            "fibration.eulersum24",
-        }
-        for ij in ("12", "13", "14", "23", "24", "34"):
-            assert not results[f"fibration.sweep.{ij}"].detail.startswith("error:")
+        isolated = {f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "23", "24", "34")}
+        assert self.failing(results) == (
+            SWEEPS | {
+                "config.sixteen_six",
+                "cross.euler24",
+                "fibration.classify",
+                "fibration.cover12I2",
+                "fibration.eulersum24",
+            },
+            SWEEPS - isolated | {"config.sixteen_six"},
+        )
         assert results["fibration.eulersum24"].detail == "2*6 + 6*2 = 22"
 
     def test_star_leaf_moved(self, monkeypatch, fresh_model):
@@ -517,35 +546,36 @@ class TestFaultInjection:
 
         monkeypatch.setattr(kummer_ns, "trope_support", e36_for_e26)
         # the C12 star of the (1,2) pencil takes E36 for its leaf E26 and still
-        # sums to F, so that pencil builds, its multiplicity-one locus is no
-        # longer the (1,2) eight, and the cover branched along that eight is
-        # rejected; C12 now meets seven tropes in half-integers, and the
-        # pencils (2,3), (2,6) and (3,6) do not build; the even sets, their
-        # code and the saturations change: four eights hold the new even pair
-        # {E26, E36}, so those saturations have index 4
-        results = {r.id: r for r in run_checks()}
+        # sums to F, so that pencil builds and its multiplicity-one locus is
+        # no longer the (1,2) eight; the cover branched along that eight keeps
+        # the C12 star and the E26 fiber once each (11 I2 fibers, Euler sum
+        # 28), which the cover checks compare; C12 now meets seven tropes in
+        # half-integers, and the pencils (2,3), (2,6) and (3,6) do not build;
+        # the even sets, their code and the saturations change: four eights
+        # hold the new even pair {E26, E36}, so those saturations have index 4
+        results = self.results()
         saturations = {f"nikulin.saturation.{ij}" for ij in ("16", "23", "46", "56")}
-        assert {i for i, r in results.items() if r.status == FAIL} == {
-            f"fibration.sweep.{ij}" for ij in ("12", "23", "24", "25", "26", "36")
-        } | {
-            f"delta.identity.{ij}" for ij in ("12", "23", "24", "25", "26")
-        } | saturations | {
-            "code.affine_hyperplanes",
-            "code.linear_dim5",
-            "code.weight_enumerator",
-            "config.sixteen_six",
-            "containment.quadruple_1235",
-            "containment.quadruple_1324",
-            "cross.euler24",
-            "even_sets.census",
-            "even_sets.count30",
-            "even_sets.delta15",
-            "fibration.cover12I2",
-            "fibration.delta12_identity",
-            "ns.discriminant",
-            "ns.trope_pairings",
-        }
-        assert not results["fibration.delta12_identity"].detail.startswith("error:")
+        assert self.failing(results) == (
+            {f"fibration.sweep.{ij}" for ij in ("12", "23", "24", "25", "26", "36")} | {
+                f"delta.identity.{ij}" for ij in ("12", "23", "24", "25", "26")
+            } | saturations | {
+                "code.affine_hyperplanes",
+                "code.linear_dim5",
+                "code.weight_enumerator",
+                "config.sixteen_six",
+                "containment.quadruple_1235",
+                "containment.quadruple_1324",
+                "cross.euler24",
+                "even_sets.census",
+                "even_sets.count30",
+                "even_sets.delta15",
+                "fibration.cover12I2",
+                "fibration.delta12_identity",
+                "ns.discriminant",
+                "ns.trope_pairings",
+            },
+            {f"fibration.sweep.{ij}" for ij in ("23", "26", "36")} | {"ns.discriminant"},
+        )
         for i in saturations:
             assert results[i].data["index"] == 4 and not results[i].detail.startswith("error:")
 
@@ -565,7 +595,7 @@ class TestFaultInjection:
         monkeypatch.setattr(fibration, "build_fibration", centres_as_sections)
         # C0 and C12 are fiber components and pair 0 with F; the pencil still
         # has four sections, so only the two section tests see the fault
-        assert self.failing() == {"fibration.sections4", "fibration.sweep.12"}
+        assert self.failing() == ({"fibration.sections4", "fibration.sweep.12"}, set())
 
 
 class TestReport:

@@ -91,7 +91,7 @@ class TestDoubleCover:
         base = blowup_quartic_points()
         branch = quartic_branch(base)
         assert branch.euler_of_branch == 8
-        assert len(branch.components) == 4
+        assert branch.divisor_class.norm() == 4 * -2  # four disjoint (-2)-curves
 
     def test_pullback_doubles_pairings(self):
         base = blowup_quartic_points()
@@ -181,7 +181,8 @@ class TestFinalCover:
         assert branch.euler_of_branch == 0
         half = Fraction(1, 2) * branch.divisor_class
         assert half.is_integral
-        e1, e2 = branch.components
+        e1, e2 = t.curve("l1"), t.curve("l2")
+        assert branch.divisor_class == e1 + e2
         assert t.pic.inner(e1, e2) == 0
         assert t.pic.inner(e1, e1) == 0  # base-point free genus-1 class upstairs
 

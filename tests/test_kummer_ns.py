@@ -107,12 +107,11 @@ class TestTropeClasses:
             for j in range(i + 1, 16):
                 assert tropes[i].dot(tropes[j]) == 0
 
-    def test_c11_aliases_c0(self):
-        assert MODEL.trope_class("C11") == MODEL.trope_class("C0")
-
     def test_unknown_trope(self):
         with pytest.raises(ValueError):
             MODEL.trope_class("C21")
+        with pytest.raises(ValueError):
+            MODEL.trope_class("C11")  # the trope is C0
         with pytest.raises(ValueError):
             MODEL.trope_class("E12")
 

@@ -122,10 +122,8 @@ class TestSpaceValidation:
         [(2.5,), (2.0,), (Fraction(2),), ("2",), (True,), (2, 4.0)],
     )
     def test_inexact_invariant_factors_rejected(self, factors):
-        space = QuadraticSpace(("a", "b"), [1, -2])
-        lifts = (space.vector([Fraction(1, 2), 0]),) * len(factors)
         with pytest.raises(LatticeError):
-            DiscriminantGroup(factors, lifts)
+            DiscriminantGroup(factors)
 
     def test_basis_is_stored_and_validated(self):
         space = QuadraticSpace(("a", "b", "c"), [1, Fraction(-1, 2), 0])
@@ -385,17 +383,11 @@ class TestSmithNormalForm:
     @given(small_int_matrices())
     @settings(max_examples=200, deadline=None)
     def test_against_sympy(self, rows):
-        diag, u = _smith_normal_form(rows)
+        diag = _smith_normal_form(rows)
         oracle = smith_normal_form(Matrix(rows), domain=ZZ)
         assert diag == [abs(oracle[i, i]) for i in range(min(oracle.shape))]
-        assert abs(_det_int(u)) == 1
         nonzero = [d for d in diag if d]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-        # U * A = D * V^-1: row i of U * A is a multiple of d_i, or zero
-        for i, urow in enumerate(u):
-            row = [sum(x * y for x, y in zip(urow, col)) for col in zip(*rows)]
-            d = diag[i] if i < len(diag) else 0
-            assert all(x % d == 0 for x in row) if d else not any(row)
 
 
 class TestContains:
@@ -494,13 +486,6 @@ class TestDiscriminantGroup:
         for lat in (MODEL.ns, nikulin_lattice().lattice):
             gram = Matrix([[int(x) for x in row] for row in lat.gram_zbasis()])
             assert lat.discriminant_group().order == abs(gram.det())
-
-    def test_generator_lifts(self):
-        group = MODEL.ns.discriminant_group()
-        for factor, lift in zip(group.invariant_factors, group.generator_lifts):
-            assert MODEL.ns.in_dual(lift)
-            assert not MODEL.ns.contains(lift)
-            assert MODEL.ns.contains(factor * lift)
 
     def test_negative_definite_against_sympy(self):
         rng = random.Random(20261018)

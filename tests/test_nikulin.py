@@ -12,7 +12,6 @@ from kummerlab.nikulin import (
     roots,
     saturation,
     saturation_gram_matches,
-    saturation_index,
 )
 from kummerlab.nodecode import NodeSet
 
@@ -134,17 +133,17 @@ class TestLatticeShape:
 
 class TestSaturation:
     def test_index_two(self):
-        assert saturation_index(even_eight(1, 2), MODEL) == 2
+        assert saturation(even_eight(1, 2), MODEL)[0] == 2
 
     def test_gram_matches_for_34(self):
-        assert saturation_index(even_eight(3, 4), MODEL) == 2
+        assert saturation(even_eight(3, 4), MODEL)[0] == 2
         assert saturation_gram_matches(even_eight(3, 4), MODEL)
 
     def test_all_fifteen(self):
         for i in range(1, 7):
             for j in range(i + 1, 7):
                 eight = even_eight(i, j)
-                assert saturation_index(eight, MODEL) == 2
+                assert saturation(eight, MODEL)[0] == 2
                 assert saturation_gram_matches(eight, MODEL)
 
     def test_non_even_rejected(self):
@@ -152,12 +151,11 @@ class TestSaturation:
             ["E0", "E12", "E13", "E14", "E15", "E16", "E23", "E24"]
         )
         with pytest.raises(ValueError, match="not an even set"):
-            saturation_index(bad, MODEL)
+            saturation(bad, MODEL)
 
     def test_one_pass_matches_both_functions(self):
         for eight in MODEL.even_eights():
-            both = (saturation_index(eight, MODEL), saturation_gram_matches(eight, MODEL))
-            assert saturation(eight, MODEL) == both == (2, True)
+            assert saturation(eight, MODEL) == (2, saturation_gram_matches(eight, MODEL)) == (2, True)
 
     def test_index_two_decides_the_span(self):
         # differential: a lattice that holds the nodes and their half-sum is
@@ -188,7 +186,7 @@ class TestSaturationCount:
         eights = MODEL.even_eights()
         assert len(eights) == 30
         for eight in eights:
-            assert saturation_index(eight, MODEL) == even_subsets(eight) == hnf_index(eight) == 2
+            assert saturation(eight, MODEL)[0] == even_subsets(eight) == hnf_index(eight) == 2
 
     def test_even_sets_match_hnf(self):
         assert len(MODEL.even_sets) == 32

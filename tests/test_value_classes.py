@@ -37,7 +37,7 @@ def _instances() -> list[tuple[object, str]]:
     return [
         (space, "labels"),
         (v, "nums"),
-        (DiscriminantGroup((2,), (v,)), "invariant_factors"),
+        (DiscriminantGroup((2,)), "invariant_factors"),
         (SublatticeModel(space, (v,)), "generators"),
         (NodeSet(5), "bits"),
         (BinaryCode(frozenset({EMPTY})), "codewords"),
@@ -161,7 +161,8 @@ class TestConstruction:
         d = plane.pic.basis_vector("H")
         branch = BranchData(d, 0)
         assert branch.divisor_class is d and branch.euler_of_branch == 0
-        assert branch.components == ()
+        # a branch is its class and Euler number; it lists no components
+        assert BranchData.__slots__ == ("divisor_class", "euler_of_branch")
 
     def test_node_set_defaults_to_empty(self):
         assert NodeSet().bits == 0 and NodeSet() == EMPTY
@@ -170,10 +171,10 @@ class TestConstruction:
         space = _space()
         v = space.basis_vector("a")
         assert SublatticeModel(space=space, generators=[v]).generators == (v,)
-        group = DiscriminantGroup(invariant_factors=[2], generator_lifts=(v,))
+        group = DiscriminantGroup(invariant_factors=[2])
         assert group.invariant_factors == (2,) and group.order == 2
         comp = FiberComponent(divisor=v, multiplicity=2)
-        fiber = Fiber(components=(comp,), kodaira_type="I1")
+        fiber = Fiber(components=(comp,), kodaira_type="I2")
         fib = Fibration(pair=(1, 2), fiber_class=v, fibers=(fiber,), sections=())
         assert fib.fibers[0].components[0].multiplicity == 2
         report = Report(version="0", checks=(), summary={"pass": 0}, elapsed_ms=3)
