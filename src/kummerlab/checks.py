@@ -145,9 +145,9 @@ def _labels(sets) -> list[list[str]]:
     return [list(s.labels()) for s in sets]
 
 
-def _four_sections(f: fib_mod.Fibration) -> bool:
+def _four_sections(f: fib_mod.Fibration, model: JacobianKummerNS) -> bool:
     """The pencil has four sections, each meeting the fiber class once."""
-    return len(f.sections) == 4 and all(s.dot(f.fiber_class) == 1 for s in f.sections)
+    return len(f.sections) == 4 and all(f.pairings[s] == model.curve_table.scale for s in f.sections)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +269,11 @@ def _tropes_contained(ctx: CheckContext):
     "tropes have norm -2, meet L twice, and are mutually orthogonal",
 )
 def _trope_pairings(ctx: CheckContext):
-    labels, _, table, scale = ctx.model.curve_table
-    tropes = range(labels.index("C0"), len(labels))  # row and column 0 hold L
-    norms = all(table[a][a] == -2 * scale for a in tropes)
-    degrees = all(table[0][a] == 2 * scale for a in tropes)
-    orthogonal = all(table[a][b] == 0 for a in tropes for b in tropes if a < b)
+    t = ctx.model.curve_table
+    tropes = range(t.labels.index("C0"), len(t.labels))  # row and column 0 hold L
+    norms = all(t.table[a][a] == -2 * t.scale for a in tropes)
+    degrees = all(t.table[0][a] == 2 * t.scale for a in tropes)
+    orthogonal = all(t.table[a][b] == 0 for a in tropes for b in tropes if a < b)
     ok = norms and degrees and orthogonal
     return ok, "trope norms -2, degree 2 against L, mutually orthogonal", {
         "norms_ok": norms,
@@ -491,7 +491,7 @@ def _fib_f2(ctx: CheckContext):
     "four sections each meeting a fiber once",
 )
 def _fib_sections(ctx: CheckContext):
-    ok = _four_sections(ctx.fibration)
+    ok = _four_sections(ctx.fibration, ctx.model)
     return ok, "four trope sections each meet the fiber class once", {
         "count": len(ctx.fibration.sections)
     }
@@ -559,7 +559,7 @@ def _fib_sweep(ctx: CheckContext, i: int, j: int):
     failed = [name for name, ok in (
         (f"Euler sum {f.euler}", f.euler == 24),
         ("even eight", fib_mod.even_eight_from_fibers(f, ctx.model)),
-        ("sections", _four_sections(f)),
+        ("sections", _four_sections(f, ctx.model)),
         (f"{i2} I2 fibers and Euler sum {out.euler} on the cover", i2 == 12 and out.euler == 24),
     ) if not ok]
     verdict = "fails on the " + ", the ".join(failed) if failed else "passes all fibration checks"
@@ -709,7 +709,8 @@ def _cross_euler(ctx: CheckContext):
     fib_total = ctx.transformed.euler
     surf_total = covers.build_final_cover().euler
     ok = fib_total == surf_total == 24
-    return ok, f"fiber Euler sum {fib_total} agrees with the surface Euler number {surf_total}", {
+    verb = "agrees with" if fib_total == surf_total else "differs from"
+    return ok, f"fiber Euler sum {fib_total} {verb} the surface Euler number {surf_total}", {
         "fibration": fib_total,
         "surface": surf_total,
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
+from ._frozen import Frozen
 from .labels import (
     BASIS_LABELS,
     INDEX_PAIRS,
@@ -50,6 +51,28 @@ def trope_support(label: str) -> tuple[str, ...]:
         node_label(l, n),
         node_label(m, n),
     )
+
+
+class CurveTable(Frozen):
+    """L and the 32 curves, the sixteen nodes and then the sixteen tropes, from
+    one Gram: ``classes[a]`` and ``classes[b]`` pair to ``table[a][b] / scale``.
+    Each row a gets masks derived here, so no table is read with another's:
+    ``node_bits[a]``, the ``NodeSet`` bit of its label (0 off the nodes);
+    ``meets[a]``, the rows b it pairs with nonzero (a among them, of norm -2);
+    ``fractional[a]``, those it pairs with non-integrally."""
+
+    __slots__ = ("labels", "classes", "table", "scale", "node_bits", "meets", "fractional")
+
+    def __init__(self, labels: tuple[str, ...], classes: tuple, table: list[list[int]], scale: int) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "scale", scale)
+        bits = tuple(1 << NODE_INDEX[label] if label in NODE_INDEX else 0 for label in labels)
+        object.__setattr__(self, "node_bits", bits)
+        object.__setattr__(self, "meets", tuple(sum(1 << b for b, p in enumerate(row) if p) for row in table))
+        fractional = tuple(sum(1 << b for b, p in enumerate(row) if p % scale) for row in table)
+        object.__setattr__(self, "fractional", fractional)
 
 
 class JacobianKummerNS:
@@ -101,19 +124,17 @@ class JacobianKummerNS:
     # -- configuration -----------------------------------------------------
 
     @cached_property
-    def curve_table(self) -> tuple[tuple[str, ...], tuple[RationalVector, ...], list[list[int]], int]:
-        """``(labels, classes, table, scale)`` for L and the 32 curves, the
-        sixteen nodes and then the sixteen tropes, from one Gram: the pairing
-        of ``classes[a]`` and ``classes[b]`` is ``table[a][b] / scale``."""
+    def curve_table(self) -> CurveTable:
+        """The curve table of L, the nodes and the tropes, built on first use."""
         classes = self.space.basis + tuple(self._tropes.values())
-        return (BASIS_LABELS + TROPE_LABELS, classes, *self.space.gram(classes))
+        return CurveTable(BASIS_LABELS + TROPE_LABELS, classes, *self.space.gram(classes))
 
     def incidence_matrix(self) -> list[list[int]]:
         """16 x 16 table of trope-node intersection numbers, in canonical order,
         read off the curve table."""
-        labels, _, table, scale = self.curve_table
-        at = {label: k for k, label in enumerate(labels)}
-        rows = [[divmod(table[at[t]][at[n]], scale) for n in NODE_LABELS] for t in TROPE_LABELS]
+        t = self.curve_table
+        at = {label: k for k, label in enumerate(t.labels)}
+        rows = [[divmod(t.table[at[c]][at[n]], t.scale) for n in NODE_LABELS] for c in TROPE_LABELS]
         if any(r for row in rows for _, r in row):
             raise ValueError("non-integral intersection of a trope with a node")
         return [[q for q, _ in row] for row in rows]
@@ -242,6 +263,7 @@ def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int,
 
 
 __all__ = [
+    "CurveTable",
     "JacobianKummerNS",
     "even_eight",
     "isogeny_polarization_type",

@@ -158,7 +158,7 @@ def test_criterion_07_fibration():
     ok = (
         fib.fiber_class.norm() == 0
         and len(fib.sections) == 4
-        and all(s.dot(fib.fiber_class) == 1 for s in fib.sections)
+        and all(MODEL.curve_table.classes[s].dot(fib.fiber_class) == 1 for s in fib.sections)
         and types == ["I0*", "I0*"] + ["I2"] * 6
         and fib.euler == 2 * 6 + 6 * 2 == 24
         and even_eight_from_fibers(fib, MODEL)

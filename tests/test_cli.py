@@ -144,6 +144,22 @@ class TestRunChecks:
         run_checks()
         assert sorted(built) == sorted(transformed) == sorted(INDEX_PAIRS)
 
+    def test_sweeps_build_one_vector_per_pencil(self, monkeypatch):
+        sweeps = sorted(f"fibration.sweep.{i}{j}" for i, j in INDEX_PAIRS)
+        run_checks(sweeps)  # the model, its curve table and even sets exist
+        built = []
+        original = RationalVector.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalVector, "__init__", counted)
+        results = run_checks(sweeps)
+        # each pencil builds its fiber class and nothing else as a vector
+        assert [r.status for r in results] == [PASS] * 15
+        assert len(built) == 15
+
     def test_gram_budget_per_run(self, monkeypatch):
         run_checks()  # the model's curve table and the cached surfaces exist
         calls = []
@@ -261,6 +277,64 @@ class TestRunChecks:
 SWEEPS = {f"fibration.sweep.{i}{j}" for i, j in INDEX_PAIRS}
 
 
+def shift_incidence(monkeypatch):
+    """Read each branch node's incidence at the next row of the curve table."""
+    original = fibration._meets
+
+    def shifted(t, fib, x, rows):
+        return original(t, fib, x, [y + 1 for y in rows])
+
+    monkeypatch.setattr(fibration, "_meets", shifted)
+
+
+def branch_13_for_pencil_12(monkeypatch):
+    """Cover the (1,2) pencil branched along the (1,3) eight."""
+    original = fibration.transform_double_cover
+
+    def branch_13(fib, branch, model):
+        if fib.pair == (1, 2):
+            branch = even_eight(1, 3)
+        return original(fib, branch, model)
+
+    monkeypatch.setattr(fibration, "transform_double_cover", branch_13)
+
+
+def drop_e56_from_curve_table(monkeypatch):
+    """Serve the curve table without the row and column of E56."""
+    original = kummer_ns.JacobianKummerNS.curve_table.func
+
+    def without_e56(self):
+        t = original(self)
+        keep = [k for k, label in enumerate(t.labels) if label != "E56"]
+        return kummer_ns.CurveTable(
+            tuple(t.labels[k] for k in keep),
+            tuple(t.classes[k] for k in keep),
+            [[t.table[a][b] for b in keep] for a in keep],
+            t.scale,
+        )
+
+    monkeypatch.setattr(kummer_ns.JacobianKummerNS, "curve_table", property(without_e56))
+
+
+def centres_as_sections_of_pencil_12(monkeypatch):
+    """List the two star centres of the (1,2) pencil as its first two sections."""
+    original = fibration.build_fibration
+
+    def centres_as_sections(model, i, j):
+        fib = original(model, i, j)
+        if fib.pair != (1, 2):
+            return fib
+        centres = tuple(x for f in fib.fibers[:2] for x, m in f.components if m == 2)
+        sections = centres + fib.sections[2:]
+        return fibration.Fibration(fib.pair, fib.fiber_class, fib.fibers, sections, fib.pairings)
+
+    monkeypatch.setattr(fibration, "build_fibration", centres_as_sections)
+
+
+# the pinned faults that need no cached model or surface rebuilt
+SWEEP_FAULTS = (shift_incidence, branch_13_for_pencil_12, drop_e56_from_curve_table, centres_as_sections_of_pencil_12)
+
+
 class TestFaultInjection:
     """A fault in one kernel turns exactly the checks that depend on it to FAIL."""
 
@@ -280,35 +354,22 @@ class TestFaultInjection:
             return original(self, list(coeffs)[:-1], list(vectors)[:-1])
 
         monkeypatch.setattr(QuadraticSpace, "combination", drop_last)
-        # the fiber class loses E_ij, so every pencil fails to build; the
-        # even-eight identity loses E_ij; the isometry test loses a term of
-        # each image sum
-        pencil = SWEEPS | {
-            "cross.euler24",
-            "fibration.F2zero",
-            "fibration.classify",
-            "fibration.cover12I2",
-            "fibration.delta12_identity",
-            "fibration.eulersum24",
-            "fibration.sections4",
-        }
+        # the fiber class loses E_ij, so its square is (L - E0)^2 = 2; the
+        # pencils are read off the curve table and sum no vectors, so every
+        # other pencil check passes; the even-eight identity loses E_ij; the
+        # isometry test loses a term of each image sum
         assert self.failing() == (
-            pencil | {f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS} | {"alpha.isometry"},
-            pencil,
+            {"fibration.F2zero", "alpha.isometry"} | {f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS},
+            set(),
         )
 
     def test_incidence_reads_next_coordinate(self, monkeypatch):
-        def shifted(divisor, node_coords):
-            return any(divisor.nums[k + 1] for k in node_coords)
-
-        monkeypatch.setattr(fibration, "_meets", shifted)
-        # every transform keeps fibers unsplit, the pencils themselves stay
-        # intact; the (4,5) branch holds E56, the last coordinate, whose
-        # shifted read is out of range
-        assert self.failing() == (
-            SWEEPS | {"cross.euler24", "fibration.cover12I2"},
-            {"fibration.sweep.45"},
-        )
+        shift_incidence(monkeypatch)
+        # each branch node is read at the next row of the curve table, so
+        # every transform keeps one to six isolated fibers unsplit (6 to 11
+        # I2 fibers upstairs) and each cover check fails by its own
+        # comparison; the pencils themselves stay intact
+        assert self.failing() == (SWEEPS | {"cross.euler24", "fibration.cover12I2"}, set())
 
     @pytest.fixture
     def fresh_model(self):
@@ -392,14 +453,7 @@ class TestFaultInjection:
         assert self.failing() == ({"alpha.isometry"}, set())
 
     def test_wrong_branch_for_one_cover(self, monkeypatch):
-        original = fibration.transform_double_cover
-
-        def branch_13(fib, branch, model):
-            if fib.pair == (1, 2):
-                branch = even_eight(1, 3)
-            return original(fib, branch, model)
-
-        monkeypatch.setattr(fibration, "transform_double_cover", branch_13)
+        branch_13_for_pencil_12(monkeypatch)
         # the (1,3) eight meets both star fibers of the (1,2) pencil without
         # holding their multiplicity-one components, and meets all six
         # isolated fibers, so the transform keeps every fiber once: 6 I2
@@ -505,19 +559,7 @@ class TestFaultInjection:
         assert results["cover.X_sixteen"].detail.endswith("split-conic cross sum 6, expected 8")
 
     def test_node_dropped_from_curve_table(self, monkeypatch):
-        original = kummer_ns.JacobianKummerNS.curve_table.func
-
-        def without_e56(self):
-            labels, classes, table, scale = original(self)
-            keep = [k for k, label in enumerate(labels) if label != "E56"]
-            return (
-                tuple(labels[k] for k in keep),
-                tuple(classes[k] for k in keep),
-                [[table[a][b] for b in keep] for a in keep],
-                scale,
-            )
-
-        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "curve_table", property(without_e56))
+        drop_e56_from_curve_table(monkeypatch)
         results = self.results()
         # the six pencils in which E56 is an isolated node lose that fiber and
         # fail by their own comparisons; where E56 is a star leaf or E_ij the
@@ -534,6 +576,8 @@ class TestFaultInjection:
             SWEEPS - isolated | {"config.sixteen_six"},
         )
         assert results["fibration.eulersum24"].detail == "2*6 + 6*2 = 22"
+        # the cover of the (1,2) pencil has one fiber fewer to double
+        assert results["cross.euler24"].detail == "fiber Euler sum 20 differs from the surface Euler number 24"
 
     def test_star_leaf_moved(self, monkeypatch, fresh_model):
         original = kummer_ns.trope_support
@@ -579,20 +623,19 @@ class TestFaultInjection:
         for i in saturations:
             assert results[i].data["index"] == 4 and not results[i].detail.startswith("error:")
 
+    def test_each_sweep_fails_by_its_own_comparison(self, monkeypatch):
+        # every fibration.sweep.ij can fail on its own verdict, not only
+        # through a raise elsewhere, under one of the pinned faults
+        by_comparison = set()
+        for install in SWEEP_FAULTS:
+            with monkeypatch.context() as patch:
+                install(patch)
+                failed, raised = self.failing()
+            by_comparison |= failed - raised
+        assert SWEEPS <= by_comparison
+
     def test_star_centres_listed_as_sections(self, monkeypatch):
-        original = fibration.build_fibration
-
-        def centres_as_sections(model, i, j):
-            fib = original(model, i, j)
-            if fib.pair != (1, 2):
-                return fib
-            centres = tuple(
-                c.divisor for f in fib.fibers[:2] for c in f.components if c.multiplicity == 2
-            )
-            sections = centres + fib.sections[2:]
-            return fibration.Fibration(fib.pair, fib.fiber_class, fib.fibers, sections)
-
-        monkeypatch.setattr(fibration, "build_fibration", centres_as_sections)
+        centres_as_sections_of_pencil_12(monkeypatch)
         # C0 and C12 are fiber components and pair 0 with F; the pencil still
         # has four sections, so only the two section tests see the fault
         assert self.failing() == ({"fibration.sections4", "fibration.sweep.12"}, set())

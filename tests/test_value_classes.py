@@ -15,7 +15,8 @@ import pytest
 from kummerlab.checks import PASS, CheckDef, CheckResult
 from kummerlab.cli import Report
 from kummerlab.covers import BranchData, SurfaceModel, projective_plane
-from kummerlab.fibration import SMOOTH, Fiber, FiberComponent, Fibration
+from kummerlab.fibration import SMOOTH, Fiber, Fibration
+from kummerlab.kummer_ns import CurveTable
 from kummerlab.lattice import (
     DiscriminantGroup,
     QuadraticSpace,
@@ -41,9 +42,9 @@ def _instances() -> list[tuple[object, str]]:
         (SublatticeModel(space, (v,)), "generators"),
         (NodeSet(5), "bits"),
         (BinaryCode(frozenset({EMPTY})), "codewords"),
-        (FiberComponent(v, 1), "multiplicity"),
         (Fiber((), SMOOTH), "kodaira_type"),
-        (Fibration((1, 2), v, (), ()), "pair"),
+        (Fibration((1, 2), v, (), (), ()), "pair"),
+        (CurveTable(("a",), (v,), [[2]], 1), "meets"),
         (plane, "euler"),
         (BranchData(v, 0), "euler_of_branch"),
         (CheckResult("x.y", PASS, "d"), "status"),
@@ -173,10 +174,9 @@ class TestConstruction:
         assert SublatticeModel(space=space, generators=[v]).generators == (v,)
         group = DiscriminantGroup(invariant_factors=[2])
         assert group.invariant_factors == (2,) and group.order == 2
-        comp = FiberComponent(divisor=v, multiplicity=2)
-        fiber = Fiber(components=(comp,), kodaira_type="I2")
-        fib = Fibration(pair=(1, 2), fiber_class=v, fibers=(fiber,), sections=())
-        assert fib.fibers[0].components[0].multiplicity == 2
+        fiber = Fiber(components=((3, 2),), kodaira_type="I2")
+        fib = Fibration(pair=(1, 2), fiber_class=v, fibers=(fiber,), sections=(), pairings=(0,))
+        assert fib.fibers[0].components[0] == (3, 2) and fib.pairings == (0,)
         report = Report(version="0", checks=(), summary={"pass": 0}, elapsed_ms=3)
         assert report.elapsed_ms == 3
         pic = QuadraticSpace(labels=("H",), diag=(1,))
