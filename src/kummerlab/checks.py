@@ -319,22 +319,29 @@ def _alpha(ctx: CheckContext):
     m = ctx.model
     images = m.covering_involution_images()
     isometry = m.ns.is_isometry(images)
+    rows = [images[lab] for lab in m.space.labels]
+    # summed by the numerators of a vector v, the images give den * v.den *
+    # alpha(v), den their denominator: alpha(alpha(e_k)) must be e_k, the six
+    # ramification tropes stay fixed and the ten others move by L - 2E0
+    twice, den = m.space.map_rows(rows, [v.nums for v in rows])
     involution = all(
-        m.covering_involution(images[lab]) == m.space.basis_vector(lab)
-        for lab in m.space.labels
+        row == [den * v.den * x for x in e.nums] for row, v, e in zip(twice, rows, m.space.basis)
     )
     fixes_nodes = all(images[n] == m.node_class(n) for n in NODE_LABELS[1:])
     fixed_tropes = ["C0"] + [f"C1{j}" for j in range(2, 7)]
-    fixes_tropes = all(
-        m.covering_involution(m.trope_class(t)) == m.trope_class(t)
-        for t in fixed_tropes
-    )
-    moved = m.space.basis_vector("L") - 2 * m.space.basis_vector("E0")
-    moves_tropes = all(
-        m.covering_involution(m.trope_class(t)) == m.trope_class(t) + moved
-        for t in TROPE_LABELS
-        if t not in fixed_tropes
-    )
+    tropes = [m.trope_class(t) for t in TROPE_LABELS]
+    mapped, den = m.space.map_rows(rows, [t.nums for t in tropes])
+    l, e0 = m.space.index("L"), m.space.index("E0")
+    fixed, moved = [], []
+    for label, t, row in zip(TROPE_LABELS, tropes, mapped):
+        target = [den * x for x in t.nums]
+        if label in fixed_tropes:
+            fixed.append(row == target)
+        else:
+            target[l] += den * t.den
+            target[e0] -= 2 * den * t.den
+            moved.append(row == target)
+    fixes_tropes, moves_tropes = all(fixed), all(moved)
     ok = isometry and involution and fixes_nodes and fixes_tropes and moves_tropes
     return ok, "covering involution is an involutive isometry with the stated action", {
         "isometry": isometry,

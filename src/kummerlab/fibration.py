@@ -74,11 +74,6 @@ class Fibration(Frozen):
         object.__setattr__(self, "euler", sum(f.euler_number for f in fibers))
 
 
-def _pairings(table: list[list[int]], comps) -> tuple[int, ...]:
-    """Pairings of the sum of m * (class of row x) with every column, times the scale."""
-    return tuple(map(sum, zip(*[table[x] for x, m in comps for _ in range(m)])))
-
-
 def _kodaira_type(pairing: list[list[int]], mults: list[int]) -> str:
     """The fiber type of components with these integer pairings and
     multiplicities; raises unless every component has norm -2."""
@@ -134,7 +129,7 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
             comps = ((x, 2), *[(y, 1) for y in zero if leaves >> y & 1])
             pairing = [[table[p][q] // scale for q, _ in comps] for p, _ in comps]
             fiber = Fiber(comps, _kodaira_type(pairing, [2, 1, 1, 1, 1]))
-            if _pairings(table, comps) != row:
+            if t.pairings(comps) != row:
                 raise FibrationError(f"star fiber at {labels[x]} does not sum to the fiber class")
             stars.append(fiber)
         elif leaves.bit_count() != 1 or nbrs[leaves.bit_length() - 1].bit_count() != 4:
@@ -155,16 +150,16 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     bits = [t.node_bits[x] for x, m in comps if m == 1]
     nodes_ok = len(bits) == len(set(bits)) == 8 and sum(bits) == even_eight(*fib.pair).bits
     centres_ok = sum(m == 2 for _, m in comps) == 2
-    return nodes_ok and centres_ok and _pairings(t.table, comps) == tuple(2 * f for f in fib.pairings)
+    return nodes_ok and centres_ok and t.pairings(comps) == tuple(2 * f for f in fib.pairings)
 
 
-def _meets(t: CurveTable, fib: Fibration, x: int, rows: list[int]) -> bool:
-    """True iff component x pairs nonzero with a curve at one of the rows: a
+def _meets(t: CurveTable, fib: Fibration, x: int, mask: int) -> bool:
+    """True iff component x pairs nonzero with a curve at a row of the mask: a
     curve reads its meet mask, and F - E, written ~e, meets row y if F.y != E.y."""
     if x >= 0:
-        return any(t.meets[x] >> y & 1 for y in rows)
+        return bool(t.meets[x] & mask)
     e_row = t.table[~x]
-    return any(fib.pairings[y] != e_row[y] for y in rows)
+    return any(fib.pairings[y] != e_row[y] for y in range(mask.bit_length()) if mask >> y & 1)
 
 
 def transform_double_cover(fib: Fibration, branch: NodeSet, model: JacobianKummerNS) -> Fibration:
@@ -179,14 +174,15 @@ def transform_double_cover(fib: Fibration, branch: NodeSet, model: JacobianKumme
     if branch.weight != 8 or branch not in model.even_sets:
         raise FibrationError("branch must be an even eight")
     t = model.curve_table
-    rows = [y for y, bit in enumerate(t.node_bits) if bit & branch.bits]
+    bits = branch.bits
+    mask = sum(1 << y for y, bit in enumerate(t.node_bits) if bit & bits)
     new_fibers: list[Fiber] = []
     for fiber in fib.fibers:
         comps = fiber.components
-        if fiber.kodaira_type == I0_STAR and all(t.node_bits[x] & branch.bits for x, m in comps if m == 1):
+        if fiber.kodaira_type == I0_STAR and all(t.node_bits[x] & bits for x, m in comps if m == 1):
             new_fibers.append(Fiber((), SMOOTH))
         # a component equal to a branch node pairs -2 with it, so it is caught
-        elif any(_meets(t, fib, x, rows) for x, _ in comps):
+        elif any(_meets(t, fib, x, mask) for x, _ in comps):
             new_fibers.append(fiber)
         else:
             new_fibers += [fiber, fiber]

@@ -74,6 +74,11 @@ class CurveTable(Frozen):
         fractional = tuple(sum(1 << b for b, p in enumerate(row) if p % scale) for row in table)
         object.__setattr__(self, "fractional", fractional)
 
+    def pairings(self, comps) -> tuple[int, ...]:
+        """Pairings of the sum of m * (class of row x) over the (x, m) pairs
+        with every column, times the scale."""
+        return tuple(map(sum, zip(*[self.table[x] for x, m in comps for _ in range(m)])))
+
 
 class JacobianKummerNS:
     """The divisor-class lattice together with its node/trope bookkeeping.

@@ -11,9 +11,14 @@ A sublattice is stored as a generator matrix over a fixed ambient space.
 Normal forms (Hermite, Smith) run on integer matrices obtained by clearing
 denominators with a single scalar; the matrices involved are tiny (at most
 33 x 17), so the routines use plain fraction-free pivoting with no
-modular-arithmetic shortcuts.  Both share one two-row step, and no kernel
-tracks a transform: a coordinate section is what the same step leaves of a
-lattice's HNF rows once it has cleared the other coordinates one by one.
+modular-arithmetic shortcuts.  A two-row step clears one column: the Hermite
+form applies it row by row, and the Smith form clears each leading column
+with it, transposes when a pivot's row is left, and ends with one gcd/lcm
+pass over its diagonal.  Definiteness reads the pivots of one Bareiss pass.
+No kernel tracks a transform: a coordinate section is what the two-row step
+leaves of a lattice's HNF rows once it has cleared the other coordinates one
+by one, and a map sends integer rows through its images, each held once as
+sparse numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class LatticeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer matrix kernels: xgcd, HNF, SNF, determinants
+# integer matrix kernels: xgcd, HNF, SNF, leading minors
 # ---------------------------------------------------------------------------
 
 
@@ -117,68 +122,38 @@ def _hnf_rows(
 
 def _smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     """The Smith diagonal d of mat, U * mat * V = diag(d) with d_i | d_{i+1}
-    for unimodular U and V, which are not built.  The entries are
-    non-negative."""
-    m = len(mat)
-    n = len(mat[0]) if mat else 0
-    a = [[int(x) for x in row] for row in mat]
+    for unimodular U and V, which are not built: min(m, n) non-negative
+    entries, zeros last.
 
-    def col_combine(j1: int, j2: int, row: int) -> None:
-        p, q = a[row][j1], a[row][j2]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            f = q // p
-            for r in a:
-                r[j2] -= f * r[j1]
-            return
-        g, s, t = _xgcd(p, q)
-        w, z = -(q // g), p // g
-        for r in a:
-            r[j1], r[j2] = s * r[j1] + t * r[j2], w * r[j1] + z * r[j2]
-
-    t = 0
-    while t < min(m, n):
-        # bring a nonzero entry of the trailing submatrix to position (t, t)
-        pivot = next(
-            ((i, j) for i in range(t, m) for j in range(t, n) if a[i][j]), None
-        )
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for r in a:
-                r[t], r[pj] = r[pj], r[t]
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    a[t], a[i] = _combine(a[t], a[i], t)
-            for j in range(t + 1, n):
-                col_combine(t, j, t)
-            if all(a[i][t] == 0 for i in range(t + 1, m)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-        # enforce divisibility of the remaining submatrix by the pivot
-        d = a[t][t]
-        offender = next(
-            (
-                (i, j)
-                for i in range(t + 1, m)
-                for j in range(t + 1, n)
-                if a[i][j] % d != 0
-            ),
-            None,
-        )
-        if offender is not None:
-            i, _ = offender
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
+    The entry of least absolute value in the leading column clears that
+    column by row steps.  If it then divides the rest of its row, column
+    steps would clear that row and touch no other row, so the pivot's row
+    and column are dropped; otherwise the matrix is transposed and cleared
+    again, on a pivot of smaller absolute value.  The diagonal so found is
+    made a divisibility chain, as diag(a, b) is equivalent to diag(gcd, lcm).
+    """
+    a = [list(row) for row in mat]
+    diag = [0] * (min(len(a), len(a[0])) if a else 0)
+    found = 0
+    while a and a[0]:
+        nonzero = [i for i, row in enumerate(a) if row[0]]
+        if not nonzero:
+            a = [row[1:] for row in a]
             continue
-        t += 1
-
-    return [abs(a[i][i]) for i in range(min(m, n))]
+        pivot = a.pop(min(nonzero, key=lambda i: abs(a[i][0])))
+        for i, row in enumerate(a):
+            if row[0]:
+                pivot, a[i] = _combine(pivot, row, 0)
+        if any(x % pivot[0] for x in pivot[1:]):
+            a = [list(col) for col in zip(pivot, *a)]
+        else:
+            diag[found] = abs(pivot[0])
+            found += 1
+            a = [row[1:] for row in a]
+    for i in range(found):
+        for j in range(i + 1, found):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag
 
 
 def _gram_table(weights: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -199,27 +174,20 @@ def _integral_table(table: list[list[int]], scale: int) -> list[list[int]] | Non
     return [[x // scale for x in row] for row in table]
 
 
-def _det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
-    sign = 1
+def _leading_minors_positive(mat: Sequence[Sequence[int]]) -> bool:
+    """True iff every leading principal minor of a square integer matrix is
+    positive.  Bareiss elimination without pivoting leaves the k-th leading
+    minor as its k-th pivot, so one pass stops at the first that is not."""
+    a = [list(row) for row in mat]
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for k, top in enumerate(a):
+        if top[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            for j in range(k + 1, len(a)):
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // prev
+        prev = top[k]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +300,26 @@ class QuadraticSpace(Frozen):
                 if x:
                     total[k] += f * x
         return RationalVector(self, tuple(total), den)
+
+    def map_rows(
+        self, images: Sequence["RationalVector"], rows: Sequence[Sequence[int]]
+    ) -> tuple[list[list[int]], int]:
+        """``(mapped, den)`` with mapped[r] / den == sum_i rows[r][i] * images[i]:
+        each image is held once as its nonzero numerators over the images'
+        common denominator, and every integer row is summed through them."""
+        for v in images:
+            self._check_member(v)
+        den = lcm(*(v.den for v in images))
+        sparse = [[(k, x * (den // v.den)) for k, x in enumerate(v.nums) if x] for v in images]
+        mapped = []
+        for row in rows:
+            total = [0] * self.dim
+            for c, terms in zip(row, sparse):
+                if c:
+                    for k, x in terms:
+                        total[k] += c * x
+            mapped.append(total)
+        return mapped, den
 
     def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
         """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
@@ -636,10 +624,7 @@ class SublatticeModel(Frozen):
         The minors are taken of the integer matrix M = s * Gram; scaling by
         s > 0 does not change their signs.
         """
-        neg = [[-x for x in row] for row in self._zgram[0]]
-        return all(
-            _det_int([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(neg) + 1)
-        )
+        return _leading_minors_positive([[-x for x in row] for row in self._zgram[0]])
 
     # -- maps and sublattices --------------------------------------------------
 
@@ -657,8 +642,8 @@ class SublatticeModel(Frozen):
         # the images of a Z-basis must span this same lattice; an HNF row is
         # den times a Z-basis vector, so its image is divided by den once
         den, hnf, _ = self._scaled
-        scaled_images = [self.space.combination(row, rows) for row in hnf]
-        image_of_zbasis = [RationalVector(self.space, v.nums, v.den * den) for v in scaled_images]
+        mapped, image_den = self.space.map_rows(rows, hnf)
+        image_of_zbasis = [RationalVector(self.space, row, den * image_den) for row in mapped]
         return self.same_lattice(SublatticeModel(self.space, image_of_zbasis))
 
     def coordinate_section(self, labels: Iterable[str]) -> "SublatticeModel":

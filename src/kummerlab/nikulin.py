@@ -91,9 +91,14 @@ def saturation(eight: NodeSet, model: JacobianKummerNS) -> tuple[int, bool]:
 
 
 def saturation_gram_matches(eight: NodeSet, model: JacobianKummerNS) -> bool:
-    """Gram of the saturated even eight, in the basis of seven nodes (read off
-    its mask bits; node k is basis vector k + 1) plus the half-sum, equals the
-    canonical Gram of the abstract rank-8 lattice."""
-    nodes = tuple(v for k, v in enumerate(model.space.basis[1:]) if eight.bits >> k & 1)
-    gram = _integral_table(*model.space.gram(nodes[:7] + (model.half_sum(eight),)))
-    return gram == nikulin_lattice().canonical_gram
+    """Gram of the saturated even eight, in the basis of seven of its nodes
+    plus their half-sum, equals the canonical Gram of the abstract rank-8
+    lattice.  It is read off the curve table: the nodes are the rows whose
+    node bit lies in the eight, the half-sum pairs with every column as half
+    the sum of their rows, and the Gram scaled by 4 is divided once."""
+    t = model.curve_table
+    rows = [x for x, bit in enumerate(t.node_bits) if bit & eight.bits]
+    half = t.pairings([(x, 1) for x in rows])
+    gram4 = [[4 * t.table[a][b] for b in rows[:7]] + [2 * half[a]] for a in rows[:7]]
+    gram4.append([2 * half[b] for b in rows[:7]] + [sum(half[x] for x in rows)])
+    return _integral_table(gram4, 4 * t.scale) == nikulin_lattice().canonical_gram

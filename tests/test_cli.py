@@ -171,8 +171,41 @@ class TestRunChecks:
 
         monkeypatch.setattr(QuadraticSpace, "gram", counted)
         run_checks()
-        # the pencils read the curve table; no fiber takes its own Gram
-        assert len(calls) <= 20
+        # the pencils and the saturations read the curve table; the Grams left
+        # are the isometry's form check on the 17 images and two cover counts
+        assert sorted(calls) == [4, 7, 17]
+
+    def test_vectors_per_run(self, monkeypatch):
+        run_checks()  # the model, its curve table and the cached surfaces exist
+        built = []
+        original = RationalVector.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalVector, "__init__", counted)
+        run_checks()
+        assert len(built) == 111
+        built.clear()
+        run_checks(["alpha.isometry"])
+        # 17 basis images and the 17 image vectors of the Z-basis, whose
+        # lattice is compared; round trips and trope images are integer rows
+        assert len(built) == 34
+
+    def test_combinations_per_run(self, monkeypatch):
+        run_checks()
+        calls = []
+        original = QuadraticSpace.combination
+
+        def counted(self, coeffs, vectors):
+            calls.append(len(vectors))
+            return original(self, coeffs, vectors)
+
+        monkeypatch.setattr(QuadraticSpace, "combination", counted)
+        run_checks()
+        # the 15 fiber classes and the 15 even-eight identities
+        assert sorted(calls) == [3] * 15 + [5] * 15
 
     def test_euler_numbers_looked_up_once(self, monkeypatch):
         lookups, sums = [], []
@@ -195,23 +228,28 @@ class TestRunChecks:
         assert len(sums) == 2 * 15
 
     def test_saturation_builds_each_eight_once(self, monkeypatch):
-        lookups, halves = [], []
-        node_class, half_sum = kummer_ns.JacobianKummerNS.node_class, kummer_ns.JacobianKummerNS.half_sum
+        run_checks(select_ids(["nikulin.saturation.*"]))  # the curve table exists
+        calls = []
 
-        def counted_node_class(self, label):
-            lookups.append(label)
-            return node_class(self, label)
+        def record(cls, name):
+            original = getattr(cls, name)
 
-        def counted_half_sum(self, s):
-            halves.append(s)
-            return half_sum(self, s)
+            def counted(self, *args):
+                calls.append(name)
+                return original(self, *args)
 
-        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "node_class", counted_node_class)
-        monkeypatch.setattr(kummer_ns.JacobianKummerNS, "half_sum", counted_half_sum)
-        run_checks(select_ids(["nikulin.saturation.*"]))
-        # the nodes are read off the mask bits, the half-sum is built once
-        assert lookups == []
-        assert sorted(halves) == sorted(even_eight(i, j) for i, j in INDEX_PAIRS)
+            monkeypatch.setattr(cls, name, counted)
+
+        record(kummer_ns.JacobianKummerNS, "node_class")
+        record(kummer_ns.JacobianKummerNS, "half_sum")
+        record(QuadraticSpace, "gram")
+        record(RationalVector, "__init__")
+        record(kummer_ns.CurveTable, "pairings")
+        results = run_checks(select_ids(["nikulin.saturation.*"]))
+        # each Gram is read off the curve table by the eight's node bits: one
+        # sum of its eight rows, and no node class, half-sum, vector or Gram
+        assert [r.status for r in results] == [PASS] * 15
+        assert calls == ["pairings"] * 15
 
     def test_saturation_reduces_nothing(self, monkeypatch):
         run_checks(select_ids(["nikulin.saturation.*"]))  # warm: the scan is cached
@@ -281,8 +319,8 @@ def shift_incidence(monkeypatch):
     """Read each branch node's incidence at the next row of the curve table."""
     original = fibration._meets
 
-    def shifted(t, fib, x, rows):
-        return original(t, fib, x, [y + 1 for y in rows])
+    def shifted(t, fib, x, mask):
+        return original(t, fib, x, mask << 1)
 
     monkeypatch.setattr(fibration, "_meets", shifted)
 
@@ -357,9 +395,10 @@ class TestFaultInjection:
         # the fiber class loses E_ij, so its square is (L - E0)^2 = 2; the
         # pencils are read off the curve table and sum no vectors, so every
         # other pencil check passes; the even-eight identity loses E_ij; the
-        # isometry test loses a term of each image sum
+        # isometry maps integer rows through its images and calls no
+        # combination, so it passes
         assert self.failing() == (
-            {"fibration.F2zero", "alpha.isometry"} | {f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS},
+            {"fibration.F2zero"} | {f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS},
             set(),
         )
 
@@ -563,10 +602,14 @@ class TestFaultInjection:
         results = self.results()
         # the six pencils in which E56 is an isolated node lose that fiber and
         # fail by their own comparisons; where E56 is a star leaf or E_ij the
-        # build raises, and the configuration table cannot be read without it
+        # build raises, and the configuration table cannot be read without it;
+        # each even eight holding E56 finds seven node rows, whose Gram with
+        # their half-sum is not the abstract one
         isolated = {f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "23", "24", "34")}
+        with_e56 = ("15", "16", "25", "26", "35", "36", "45", "46")
+        saturations = {f"nikulin.saturation.{ij}" for ij in with_e56}
         assert self.failing(results) == (
-            SWEEPS | {
+            SWEEPS | saturations | {
                 "config.sixteen_six",
                 "cross.euler24",
                 "fibration.classify",
@@ -575,6 +618,10 @@ class TestFaultInjection:
             },
             SWEEPS - isolated | {"config.sixteen_six"},
         )
+        for i, j in with_e56:
+            assert results[f"nikulin.saturation.{i}{j}"].detail == (
+                f"({i},{j}) eight saturates with index 2; Gram differs from the abstract lattice"
+            )
         assert results["fibration.eulersum24"].detail == "2*6 + 6*2 = 22"
         # the cover of the (1,2) pencil has one fiber fewer to double
         assert results["cross.euler24"].detail == "fiber Euler sum 20 differs from the surface Euler number 24"

@@ -17,10 +17,12 @@ from kummerlab.lattice import (
     QuadraticSpace,
     RationalVector,
     SublatticeModel,
-    _det_int,
+    _combine,
     _hnf_rows,
     _integral_table,
+    _leading_minors_positive,
     _smith_normal_form,
+    _xgcd,
     vector_from_json,
     vector_to_json,
 )
@@ -238,6 +240,27 @@ class TestCombination:
         with pytest.raises(LatticeError, match="different quadratic space"):
             space.combination(coeffs + [0], vectors)
 
+    @given(combination_cases(), st.lists(st.integers(min_value=-4, max_value=4), max_size=25))
+    @settings(max_examples=100, deadline=None)
+    def test_map_rows_against_combination(self, case, flat):
+        space, rows, _ = case
+        images = [space.vector(r) for r in rows]
+        m = len(images)
+        int_rows = [flat[k:k + m] for k in range(0, len(flat) - m + 1, m)] if m else [[]]
+        mapped, den = space.map_rows(images, int_rows)
+        assert type(den) is int and den > 0 and len(mapped) == len(int_rows)
+        for row, out in zip(int_rows, mapped):
+            assert all(type(x) is int for x in out)
+            assert space.vector([Fraction(x, den) for x in out]) == space.combination(row, images)
+
+    @given(combination_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_map_rows_rejects_a_foreign_image(self, case):
+        space, rows, _ = case
+        foreign = QuadraticSpace([f"y{i}" for i in range(space.dim)], space.diag)
+        with pytest.raises(LatticeError, match="different quadratic space"):
+            space.map_rows([space.vector(r) for r in rows] + [foreign.zero()], [])
+
     @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 3), (True, 1), (0.5, 1)])
     def test_malformed_coefficients_rejected(self, coeffs):
         v = SPACE.basis_vector("L")
@@ -379,8 +402,106 @@ class TestHNFKernel:
             assert all(0 <= above[p] < row[p] for above in hnf[:r])
 
 
+def _det_int(mat):
+    """Determinant of a square integer matrix by Bareiss elimination with row
+    swaps, the oracle for the one-pass minors and for unimodularity."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _old_smith_normal_form(mat):
+    """The former Smith kernel, kept as a slow oracle: it clears the pivot's
+    row and column together by row and column steps over the whole matrix,
+    then adds a row to the pivot's while the pivot divides not every entry
+    of the trailing submatrix."""
+    m = len(mat)
+    n = len(mat[0]) if mat else 0
+    a = [[int(x) for x in row] for row in mat]
+
+    def col_combine(j1, j2, row):
+        p, q = a[row][j1], a[row][j2]
+        if q == 0:
+            return
+        if p != 0 and q % p == 0:
+            f = q // p
+            for r in a:
+                r[j2] -= f * r[j1]
+            return
+        g, s, t = _xgcd(p, q)
+        w, z = -(q // g), p // g
+        for r in a:
+            r[j1], r[j2] = s * r[j1] + t * r[j2], w * r[j1] + z * r[j2]
+
+    t = 0
+    while t < min(m, n):
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n) if a[i][j]), None)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+        while True:
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    a[t], a[i] = _combine(a[t], a[i], t)
+            for j in range(t + 1, n):
+                col_combine(t, j, t)
+            if all(a[i][t] == 0 for i in range(t + 1, m)) and all(a[t][j] == 0 for j in range(t + 1, n)):
+                break
+        d = a[t][t]
+        offender = next(
+            ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if a[i][j] % d != 0), None
+        )
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender[0]])]
+            continue
+        t += 1
+    return [abs(a[i][i]) for i in range(min(m, n))]
+
+
+@st.composite
+def smith_cases(draw):
+    """Rectangular integer matrices up to 6 x 6, some rank-deficient (a row
+    or a column a multiple of another) and some all zero."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return [[0] * n for _ in range(m)]
+    entry = st.integers(min_value=-12, max_value=12)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    k = draw(st.integers(min_value=-3, max_value=3))
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = [k * x for x in rows[0]]
+    if n > 1 and draw(st.booleans()):
+        for row in rows:
+            row[-1] = k * row[0]
+    return rows
+
+
 class TestSmithNormalForm:
     @given(small_int_matrices())
+    @example([[0]])
+    @example([[0, 0], [0, 0], [0, 0]])
     @settings(max_examples=200, deadline=None)
     def test_against_sympy(self, rows):
         diag = _smith_normal_form(rows)
@@ -388,6 +509,70 @@ class TestSmithNormalForm:
         assert diag == [abs(oracle[i, i]) for i in range(min(oracle.shape))]
         nonzero = [d for d in diag if d]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+    @given(smith_cases())
+    @example([[0]])
+    @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    @settings(max_examples=300, deadline=None)
+    def test_against_old_kernel_and_sympy(self, rows):
+        diag = _smith_normal_form(rows)
+        assert diag == _old_smith_normal_form(rows)
+        oracle = smith_normal_form(Matrix(rows), domain=ZZ)
+        assert diag == [abs(oracle[i, i]) for i in range(min(oracle.shape))]
+        assert len(diag) == min(len(rows), len(rows[0]))
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a)
+        assert rows == [list(r) for r in rows]  # the input is not modified
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[], []]])
+    def test_empty(self, rows):
+        assert _smith_normal_form(rows) == [] == _old_smith_normal_form(rows)
+
+    def test_model_grams(self):
+        # the 17 x 17 and 8 x 8 Z-basis Grams, and their transposes
+        for lat in MODEL_LATTICES:
+            gram = _integral_table(*lat._zgram)
+            assert _smith_normal_form(gram) == _old_smith_normal_form(gram)
+            flipped = [list(col) for col in zip(*gram[::-1])]
+            assert _smith_normal_form(flipped) == _old_smith_normal_form(gram)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric integer matrices up to 6 x 6; others are A^T A + I,
+    positive definite, or that with a zero or singular leading minor after
+    positive ones."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-5, max_value=5)
+    kind = draw(st.sampled_from(["random", "definite", "singular"]))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "random":
+        return [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    mat = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    if kind == "singular":
+        # the leading minor of size s + 1 repeats row and column s - 1
+        s = draw(st.integers(min_value=0, max_value=n - 1))
+        if s:
+            for row in mat:
+                row[s] = row[s - 1]
+            mat[s] = list(mat[s - 1])
+        else:
+            mat[0][0] = 0
+    return mat
+
+
+class TestLeadingMinors:
+    @given(symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_against_per_minor_determinants(self, mat):
+        oracle = all(_det_int([row[:k] for row in mat[:k]]) > 0 for k in range(1, len(mat) + 1))
+        assert _leading_minors_positive(mat) == oracle
+
+    def test_stops_at_the_first_minor_that_is_not_positive(self):
+        assert _leading_minors_positive([[1, 0], [0, 1]])
+        assert not _leading_minors_positive([[1, 1], [1, 1]])  # second minor 0
+        assert not _leading_minors_positive([[0, 0], [0, 1]])  # first minor 0
+        assert not _leading_minors_positive([[1, 2], [2, 1]])  # second minor -3
+        assert _leading_minors_positive([])
 
 
 class TestContains:
@@ -590,6 +775,21 @@ class TestIsometry:
         assert MODEL.ns.is_isometry(flipped) and _old_is_isometry(MODEL.ns, flipped)
         assert MODEL.ns.is_isometry(permuted) == _old_is_isometry(MODEL.ns, permuted)
 
+    @pytest.mark.parametrize(
+        "name, expected", [("identity", True), ("involution", True), ("flipped", False), ("swap_e0_e12", False)]
+    )
+    def test_against_combination_version(self, name, expected):
+        identity = {lab: basis(lab) for lab in SPACE.labels}
+        images = {
+            "identity": identity,
+            "involution": MODEL.covering_involution_images(),
+            # L -> 3L + 4E0, the sign-flipped involution, breaks the form
+            "flipped": dict(identity, L=3 * basis("L") + 4 * basis("E0"), E0=2 * basis("L") - 3 * basis("E0")),
+            # keeps the form, but C0 = (L - E0 - ...) / 2 goes outside the lattice
+            "swap_e0_e12": dict(identity, E0=basis("E12"), E12=basis("E0")),
+        }[name]
+        assert MODEL.ns.is_isometry(images) == _combination_is_isometry(MODEL.ns, images) == expected
+
     def test_accepted_map_preserves_all_pairings(self):
         images = MODEL.covering_involution_images()
         assert MODEL.ns.is_isometry(images)
@@ -671,6 +871,21 @@ def _old_is_isometry(lat, images):
         for row in hnf
     ]
     return None not in coords and abs(_det_int(coords)) == 1
+
+
+def _combination_is_isometry(lat, images):
+    """The former verdict: the form is kept on the basis, and the images of
+    the HNF rows, each one `combination` of the images, span the lattice."""
+    space = lat.space
+    rows = [images[label] for label in space.labels]
+    table, scale = space.gram(rows)
+    diag = [scale // space.scale * w for w in space.weights]
+    if table != [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]:
+        return False
+    den, hnf, _ = lat._scaled
+    scaled_images = [space.combination(row, rows) for row in hnf]
+    image_of_zbasis = [RationalVector(space, v.nums, v.den * den) for v in scaled_images]
+    return lat.same_lattice(SublatticeModel(space, image_of_zbasis))
 
 
 def _old_index_of_sublattice(big, sub):

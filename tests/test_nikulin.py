@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
-from kummerlab.lattice import SublatticeModel
+from kummerlab import kummer_ns
+from kummerlab.kummer_ns import JacobianKummerNS, even_eight, jacobian_kummer_ns
+from kummerlab.lattice import QuadraticSpace, SublatticeModel, _integral_table
 from kummerlab.nikulin import (
     _parity_tuples,
     nikulin_lattice,
@@ -177,6 +178,61 @@ class TestSaturation:
         assert saturation_gram_matches(bad, MODEL) is True
         with pytest.raises(ValueError, match="not an even set"):
             saturation(bad, MODEL)
+
+
+def vector_gram(s: NodeSet, model: JacobianKummerNS):
+    """The former saturation Gram: the first seven node classes of s in
+    mask-bit order (node k is basis vector k + 1) and the half-sum vector of
+    s, from one `gram` call; None if it is not integral."""
+    nodes = tuple(v for k, v in enumerate(model.space.basis[1:]) if s.bits >> k & 1)
+    return _integral_table(*model.space.gram(nodes[:7] + (model.half_sum(s),)))
+
+
+class TestSaturationGramAgainstVectors:
+    @pytest.fixture(scope="class")
+    def heavier_e56(self):
+        # a model whose E56 squares to -4, so eights holding E56 lose the Gram
+        def space(labels, diag):
+            labels, diag = tuple(labels), list(diag)
+            diag[labels.index("E56")] = -4
+            return QuadraticSpace(labels, diag)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kummer_ns, "QuadraticSpace", space)
+            return JacobianKummerNS()
+
+    def test_all_thirty_eights(self, heavier_e56):
+        eights = MODEL.even_eights()
+        assert len(eights) == 30
+        e56 = NodeSet.from_labels(["E56"]).bits
+        for model in (MODEL, heavier_e56):
+            for eight in eights:
+                outside = ~eight.bits & 0xFFFF
+                # the eight, the eight less its first node and the eight with
+                # the first node outside it
+                for s in (eight, NodeSet(eight.bits & (eight.bits - 1)), NodeSet(eight.bits | outside & -outside)):
+                    expected = vector_gram(s, model) == LATTICE.canonical_gram
+                    assert saturation_gram_matches(s, model) == expected
+                    assert expected == (s.weight == 8 and (model is MODEL or not s.bits & e56))
+
+
+    def test_nodes_read_by_bit_not_by_row(self, monkeypatch):
+        # the rows reordered to tropes, L, nodes: rows 1 to 16 are tropes and
+        # L, so only a read by node bit still finds the eight's nodes (the
+        # tropes are orthogonal (-2)-classes too, but L has square 4)
+        original = JacobianKummerNS.curve_table.func
+
+        def nodes_last(self):
+            t = original(self)
+            order = [*range(17, len(t.labels)), 0, *range(1, 17)]
+            return kummer_ns.CurveTable(
+                tuple(t.labels[a] for a in order), tuple(t.classes[a] for a in order),
+                [[t.table[a][b] for b in order] for a in order], t.scale,
+            )
+
+        monkeypatch.setattr(JacobianKummerNS, "curve_table", property(nodes_last))
+        assert MODEL.curve_table.labels[16] == "L"
+        assert all(saturation_gram_matches(eight, MODEL) for eight in MODEL.even_eights())
 
 
 class TestSaturationCount:
