@@ -7,11 +7,13 @@ classes.  Two operations evolve a surface: blowing up a point (new (-1)
 class, strict transforms drop one copy of it per local branch) and taking a
 double cover branched along a 2-divisible class (Euler number 2e - e(branch),
 canonical class K + B/2, intersection numbers doubled on pulled-back
-classes).  The six-line configuration and the sixteen curves on the final
-cover are counted from these models.  Curves whose classes live outside this
-partial model - the two genus-1 branch components and the split conic
-preimages - are carried as declared intersection data and checked for
-aggregate consistency only.
+classes).  Each surface keeps the curve table of its named curves.  The
+six-line configuration is counted from these models, the sixteen curves on
+the final cover from the fibers `fibration.discover_fibers` finds on the
+blown-up quartic cover, whose branch E1 + E2 is two fibers.  Curves whose
+classes live outside this partial model - the two genus-1 branch components
+and the split conic preimages - are carried as declared intersection data
+and checked for aggregate consistency only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from ._frozen import Frozen
+from .fibration import discover_fibers
+from .kummer_ns import CurveTable
 from .labels import INDEX_PAIRS
 from .lattice import QuadraticSpace, RationalVector
 
@@ -37,7 +41,9 @@ class CoverError(ValueError):
 
 
 class SurfaceModel(Frozen):
-    __slots__ = ("euler", "k_squared", "pic", "canonical", "curves")
+    """A surface's numbers, Picard model and named curves, with their `CurveTable`."""
+
+    __slots__ = ("euler", "k_squared", "pic", "canonical", "curves", "table")
 
     def __init__(
         self, euler: int, k_squared: int, pic: QuadraticSpace, canonical: RationalVector,
@@ -50,6 +56,8 @@ class SurfaceModel(Frozen):
         object.__setattr__(self, "pic", pic)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "curves", MappingProxyType(dict(curves)))
+        classes = tuple(self.curves.values())
+        object.__setattr__(self, "table", CurveTable(tuple(self.curves), classes, *pic.gram(classes)))
 
     def curve(self, name: str) -> RationalVector:
         try:
@@ -329,19 +337,17 @@ def curve_table_T() -> dict[str, int]:
 def sixteen_curves_on_X() -> dict[str, object]:
     """Inventory of the sixteen disjoint rational curves on the final cover.
 
-    Twelve split preimages of the six exceptional classes, the two
-    exceptional classes of the final blowups (each meets the branch twice, so
-    their preimages stay irreducible with self-intersection -2), and two of
-    the four split conic pieces.  Each G with G.B = 0 counts twice and each N
-    with N.B = 2 once.  The aggregates of the declared split-conic table are
-    reported, not judged: `cover.X_sixteen` compares the cross sum with 8.
+    On the blown-up cover the branch E1 + E2 is two fibers of |E1|, F the row
+    of l1: the G of each I2 fiber misses it and splits in two (twelve), the
+    sections N1 and N2 meet it twice and stay irreducible of square -2 (two),
+    and two of the four split conic pieces make sixteen.  The split-conic
+    aggregates are reported; `cover.X_sixteen` compares the cross sum with 8.
     """
-    t2 = build_blown_cover()
-    branch = elliptic_branch(t2).divisor_class
-    split_exceptional = 2 * sum(
-        1 for a, b in combinations(QUARTIC_LINES, 2) if t2.curve(f"G{a}{b}").dot(branch) == 0
-    )
-    exceptional_of_x = sum(1 for name in ("N1", "N2") if t2.curve(name).dot(branch) == 2)
+    t = build_blown_cover().table
+    l1 = t.labels.index("l1")
+    _, pairs, sections = discover_fibers(t, t.table[l1], t.table[l1][l1])
+    split_exceptional = 2 * len(pairs)
+    exceptional_of_x = sum(1 for x in sections if t.labels[x] in ("N1", "N2"))
 
     s = SPLIT_CONIC_TABLE
     aggregate_cross = s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"]

@@ -1,26 +1,25 @@
-"""Elliptic-fibration bookkeeping on the Kummer divisor lattice.
+"""Elliptic fibrations read off an integer curve table.
 
-The fibration through the intersection point of two of the six branch lines
-has fiber class F = L - E0 - E_ij.  Its fibers are read off the model's curve
-table (`kummer_ns.CurveTable`), never built as vectors: a component is a
-(row, multiplicity) pair, except the F - E completing an isolated curve E at
-row e, written (~e, 1).  A pencil keeps F as its pairings with the table, and
-once as the vector the checks square.  The table's masks (each curve's node
-bit, the curves it meets and those it pairs with non-integrally) give the
-dual graph, the integrality check and the branch incidences.  A class
-identity, such as a star fiber summing to F, is decided by pairing both sides
-with every column: the table's classes span the space and the form is
-nondegenerate, so equal pairings mean equal classes.
+`discover_fibers` is model-free: given a `kummer_ns.CurveTable` and F's row of
+pairings with it, it finds F's fibers from the table's masks, never as
+vectors.  A component is a (row, multiplicity) pair, except the F - E
+completing an isolated curve E at row e, written (~e, 1).  The dual graph
+types each fiber: I0* (a double centre meeting four leaves) or I2 (F - E and
+E).  Pairings cannot tell I2 from III (two tangent curves); I2 is the type
+whose Euler numbers total 24.  A class identity, such as a star summing to F,
+is decided by pairing both sides with every column of a table whose classes
+span a nondegenerate space, as the Kummer model's do.
 
-The curves orthogonal to F split by their dual graph into two stars, a double
-trope meeting four nodes, and six isolated nodes E.  The pairings cannot tell
-two curves meeting twice (I2) from two tangent curves (III); the fibers are
-recorded as I2, the type whose Euler numbers total 24.  The two-to-one cover
-branched along the matching even eight turns the star fibers into smooth
-fibers and splits the six others in two.
+`build_fibration` is the Kummer pencil through the point where branch lines i
+and j meet, F = L - E0 - E_ij, kept as its row and once as the vector the
+checks square: two stars, six isolated nodes, and the tropes meeting E0 as
+sections.  The double cover branched along the pair's even eight, whose node
+bits give the branch incidences, makes the stars smooth and splits the rest.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from ._frozen import Frozen
 from .kummer_ns import CurveTable, JacobianKummerNS, even_eight
@@ -74,71 +73,65 @@ class Fibration(Frozen):
         object.__setattr__(self, "euler", sum(f.euler_number for f in fibers))
 
 
-def _kodaira_type(pairing: list[list[int]], mults: list[int]) -> str:
-    """The fiber type of components with these integer pairings and
-    multiplicities; raises unless every component has norm -2."""
-    n = len(mults)
-    if any(pairing[k][k] != -2 for k in range(n)):
-        raise FibrationError(f"fiber components must have norm -2, got pairings {pairing}")
-
-    if n == 2 and mults == [1, 1] and pairing[0][1] == 2:
-        return "I2"
-
-    if n == 5 and sorted(mults) == [1, 1, 1, 1, 2]:
-        center = mults.index(2)
-        leaves = [k for k in range(5) if k != center]
-        star = all(pairing[center][k] == 1 for k in leaves) and all(
-            pairing[a][b] == 0 for a in leaves for b in leaves if a != b
-        )
-        if star:
-            return I0_STAR
-
-    raise FibrationError(f"unrecognized fiber configuration: multiplicities {mults}, pairings {pairing}")
+def discover_fibers(
+    table: CurveTable, f: Sequence[int], f2: int
+) -> tuple[tuple[Fiber, ...], tuple[Fiber, ...], tuple[int, ...]]:
+    """The I0* stars and the I2 fibers ((~e, 1), (e, 1)), each in table order,
+    and the rows C with F.C = 1, for F's pairings ``f`` and square ``f2``,
+    both times the table's scale.  A curve of square 0 orthogonal to F is a
+    fiber of class F and is skipped.  Raises on a non-integral pairing, on a
+    curve in neither a star nor an isolated fiber, on a star not summing to
+    F, and where the dual graph's shape fails: a norm other than -2, a leaf
+    met other than once, or F^2 != 0, the norm of every F - E."""
+    labels, rows, scale = table.labels, table.table, table.scale
+    zero = [x for x, p in enumerate(f) if p == 0 and rows[x][x]]
+    orthogonal = sum(1 << x for x in zero)
+    if f2 % scale or any(table.fractional[x] & orthogonal for x in zero):
+        raise FibrationError("non-integral pairing among F and the curves orthogonal to it")
+    if f2:
+        raise FibrationError(f"the fiber class has square {f2 // scale}, not 0")
+    heavy = [labels[x] for x in zero if rows[x][x] != -2 * scale]
+    if heavy:
+        raise FibrationError(f"fiber components must have norm -2, not {', '.join(heavy)}")
+    nbrs = {x: table.meets[x] & orthogonal & ~(1 << x) for x in zero}
+    stars, pairs = [], []
+    for x in zero:
+        leaves = nbrs[x]
+        if not leaves:
+            pairs.append(Fiber(((~x, 1), (x, 1)), "I2"))
+        elif leaves.bit_count() == 4 and all(nbrs[y] == 1 << x for y in zero if leaves >> y & 1):
+            comps = ((x, 2), *[(y, 1) for y in zero if leaves >> y & 1])
+            if any(rows[x][y] != scale for y, _ in comps[1:]):
+                raise FibrationError(f"the centre {labels[x]} meets a leaf other than once")
+            if table.pairings(comps) != tuple(f):
+                raise FibrationError(f"star fiber at {labels[x]} does not sum to the fiber class")
+            stars.append(Fiber(comps, I0_STAR))
+        elif leaves.bit_count() != 1 or nbrs[leaves.bit_length() - 1].bit_count() != 4:
+            raise FibrationError(f"{labels[x]} lies in neither a star nor an isolated fiber")
+    return tuple(stars), tuple(pairs), tuple(x for x, p in enumerate(f) if p == scale)
 
 
 def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibration:
     """The pencil of lines through the (i, j) double point, pulled to the surface.
 
-    Raises unless the curves with F.X = 0 are two stars, each summing to F, and
-    isolated curves.  Stars come first, each group in table order; the sections
-    are the tropes meeting E0 among the curves with F.X = 1."""
+    F = L - E0 - E_ij.  Raises unless `discover_fibers` finds two stars, one
+    for each branch line through the point; the six other curves orthogonal
+    to F are isolated nodes.  Stars come first; the sections are the tropes
+    meeting E0 among the curves with F.X = 1."""
     if not (1 <= i < j <= 6):
         raise FibrationError(f"need 1 <= i < j <= 6, got ({i}, {j})")
     t = model.curve_table
-    labels, table, scale = t.labels, t.table, t.scale
+    labels, table = t.labels, t.table
     try:
         e0, eij = [labels.index(label) for label in ("E0", node_label(i, j))]
     except ValueError:
         raise FibrationError(f"the curve table lacks E0 or {node_label(i, j)}") from None
     row = tuple(a - b - c for a, b, c in zip(table[0], table[e0], table[eij]))
-    zero = [x for x in range(1, len(row)) if row[x] == 0]
-    orthogonal = sum(1 << x for x in zero)
-    f2, rem = divmod(row[0] - row[e0] - row[eij], scale)
-    if rem or any(t.fractional[x] & orthogonal for x in zero):
-        raise FibrationError("non-integral pairing among F and the curves orthogonal to it")
-    nbrs = {x: t.meets[x] & orthogonal & ~(1 << x) for x in zero}
-    fiber_class = model.space.combination((1, -1, -1), (t.classes[0], t.classes[e0], t.classes[eij]))
-
-    stars, pairs = [], []
-    for x in zero:
-        leaves = nbrs[x]
-        if not leaves:
-            d = table[x][x] // scale
-            pairs.append(Fiber(((~x, 1), (x, 1)), _kodaira_type([[f2 + d, -d], [-d, d]], [1, 1])))
-        elif leaves.bit_count() == 4 and all(nbrs[y] == 1 << x for y in zero if leaves >> y & 1):
-            comps = ((x, 2), *[(y, 1) for y in zero if leaves >> y & 1])
-            pairing = [[table[p][q] // scale for q, _ in comps] for p, _ in comps]
-            fiber = Fiber(comps, _kodaira_type(pairing, [2, 1, 1, 1, 1]))
-            if t.pairings(comps) != row:
-                raise FibrationError(f"star fiber at {labels[x]} does not sum to the fiber class")
-            stars.append(fiber)
-        elif leaves.bit_count() != 1 or nbrs[leaves.bit_length() - 1].bit_count() != 4:
-            raise FibrationError(f"{labels[x]} lies in neither a star nor an isolated fiber")
+    stars, pairs, once = discover_fibers(t, row, row[0] - row[e0] - row[eij])
     if len(stars) != 2:
         raise FibrationError(f"{len(stars)} star fibers, not one for each branch line through the point")
-
-    sections = tuple(x for x in range(1, len(row)) if row[x] == scale and table[x][e0])
-    return Fibration((i, j), fiber_class, (*stars, *pairs), sections, row)
+    fiber_class = model.space.combination((1, -1, -1), (t.classes[0], t.classes[e0], t.classes[eij]))
+    return Fibration((i, j), fiber_class, (*stars, *pairs), tuple(x for x in once if table[x][e0]), row)
 
 
 def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:

@@ -54,11 +54,11 @@ def trope_support(label: str) -> tuple[str, ...]:
 
 
 class CurveTable(Frozen):
-    """L and the 32 curves, the sixteen nodes and then the sixteen tropes, from
-    one Gram: ``classes[a]`` and ``classes[b]`` pair to ``table[a][b] / scale``.
+    """Labelled classes from one Gram (on the model L, the sixteen nodes, then the
+    sixteen tropes): ``classes[a]`` and ``classes[b]`` pair to ``table[a][b] / scale``.
     Each row a gets masks derived here, so no table is read with another's:
     ``node_bits[a]``, the ``NodeSet`` bit of its label (0 off the nodes);
-    ``meets[a]``, the rows b it pairs with nonzero (a among them, of norm -2);
+    ``meets[a]``, the rows b it pairs with nonzero (a unless of square 0);
     ``fractional[a]``, those it pairs with non-integrally."""
 
     __slots__ = ("labels", "classes", "table", "scale", "node_bits", "meets", "fractional")

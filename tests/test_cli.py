@@ -186,7 +186,9 @@ class TestRunChecks:
 
         monkeypatch.setattr(RationalVector, "__init__", counted)
         run_checks()
-        assert len(built) == 111
+        # the sixteen curves are counted on the blown-up cover's curve table,
+        # so the branch E1 + E2 is no longer summed as a vector
+        assert len(built) == 110
         built.clear()
         run_checks(["alpha.isometry"])
         # 17 basis images and the 17 image vectors of the Z-basis, whose
@@ -223,8 +225,9 @@ class TestRunChecks:
         monkeypatch.setattr(fibration.Fibration, "__init__", counted_init)
         run_checks()
         # one lookup per fiber built (eight per pencil, two smooth ones per
-        # cover) and one sum per pencil and per cover
-        assert len(lookups) == 15 * (8 + 2)
+        # cover, the six I2 fibers of the pencil |E1| that count the sixteen
+        # curves) and one sum per pencil and per cover
+        assert len(lookups) == 15 * (8 + 2) + 6
         assert len(sums) == 2 * 15
 
     def test_saturation_builds_each_eight_once(self, monkeypatch):
@@ -589,6 +592,24 @@ class TestFaultInjection:
         assert self.failing(results) == (raised | {"cover.incidence_sextic"}, raised)
         detail = results["cover.incidence_sextic"].detail
         assert detail == "15 double points, 5 per line, 5 blown for the quartic, degrees 6 = 4 + 2"
+
+    def test_exceptional_curve_dropped_from_blown_cover(self, monkeypatch, fresh_tower):
+        original = covers.build_blown_cover
+
+        def without_g56():
+            t = original()
+            curves = {name: v for name, v in t.curves.items() if name != "G56"}
+            return covers.SurfaceModel(t.euler, t.k_squared, t.pic, t.canonical, curves)
+
+        monkeypatch.setattr(covers, "build_blown_cover", without_g56)
+        # the pencil |E1| finds five I2 fibers, not six, so the inventory
+        # counts ten split curves and its own comparison fails; the surfaces'
+        # numbers do not read the curve
+        results = self.results()
+        assert self.failing(results) == ({"cover.X_sixteen"}, set())
+        assert results["cover.X_sixteen"].detail == (
+            "14 disjoint rational curves: 10 split + 2 exceptional + 2 conic pieces"
+        )
 
     def test_split_conic_cross_sum_changed(self, monkeypatch):
         monkeypatch.setitem(covers.SPLIT_CONIC_TABLE, "W'1.W'2", 2)

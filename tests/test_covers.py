@@ -21,8 +21,10 @@ from kummerlab.covers import (
     sixteen_curves_on_X,
     verify_weak_del_pezzo,
 )
+from kummerlab.fibration import build_fibration, discover_fibers
+from kummerlab.kummer_ns import CurveTable, jacobian_kummer_ns
 from kummerlab.labels import INDEX_PAIRS
-from kummerlab.lattice import QuadraticSpace
+from kummerlab.lattice import QuadraticSpace, RationalVector
 
 
 class TestPlaneConfig:
@@ -213,3 +215,75 @@ class TestFinalCover:
         assert cross == 8 == inv["aggregate_cross"]
         assert inv["split_self_sum"] == 0
         assert inv["blowup_correction"] == 0
+
+
+def pencil_of_e1(table):
+    """The fibers of the pencil |E1| on a curve table: F is the row of l1."""
+    f = table.table[table.labels.index("l1")]
+    return discover_fibers(table, f, f[table.labels.index("l1")])
+
+
+def without(table, label):
+    """The curve table with the row and column of one label dropped."""
+    keep = [k for k, name in enumerate(table.labels) if name != label]
+    return CurveTable(
+        tuple(table.labels[k] for k in keep), tuple(table.classes[k] for k in keep),
+        [[table.table[a][b] for b in keep] for a in keep], table.scale,
+    )
+
+
+class TestBlownCoverPencil:
+    """The pencil |E1| on the blown-up quartic cover, whose fibers count the
+    sixteen curves: the A1^6 configuration of six I2 fibers."""
+
+    def test_fibers_and_sections(self):
+        t = build_blown_cover().table
+        stars, pairs, sections = pencil_of_e1(t)
+        assert stars == ()
+        assert [t.labels[fiber.components[1][0]] for fiber in pairs] == [f"G{a}{b}" for a, b in INDEX_PAIRS if a >= 3]
+        assert all(fiber.components[0] == (~fiber.components[1][0], 1) for fiber in pairs)
+        assert [t.labels[x] for x in sections] == ["N1", "N2"]
+        # l1 and l2 are orthogonal to F of square 0: fibers of class F, skipped
+        row = t.table[t.labels.index("l1")]
+        skipped = [t.labels[x] for x, p in enumerate(row) if p == 0 and not t.table[x][x]]
+        assert skipped == ["l1", "l2"]
+        components = {t.labels[x if x >= 0 else ~x] for fiber in pairs for x, _ in fiber.components}
+        assert not components & set(skipped)
+        assert sum(fiber.euler_number for fiber in pairs) == 12 == build_blown_cover().euler
+
+    def test_labelled_bridge_to_the_kummer_pencil(self):
+        # the I2 curves of |E1| and the isolated nodes of the Kummer (1,2)
+        # pencil carry the same index pairs: those disjoint from {1, 2}
+        t = build_blown_cover().table
+        blown = {t.labels[fiber.components[1][0]][1:] for fiber in pencil_of_e1(t)[1]}
+        model = jacobian_kummer_ns()
+        kummer = {
+            model.curve_table.labels[fiber.components[1][0]][1:]
+            for fiber in build_fibration(model, 1, 2).fibers if fiber.kodaira_type == "I2"
+        }
+        assert blown == kummer == {f"{a}{b}" for a, b in INDEX_PAIRS if not {a, b} & {1, 2}}
+
+    def test_dropped_exceptional_curve_leaves_one_fiber_fewer(self):
+        t = build_blown_cover().table
+        assert len(pencil_of_e1(t)[1]) == 6
+        stars, pairs, sections = pencil_of_e1(without(t, "G56"))
+        assert (len(stars), len(pairs), len(sections)) == (0, 5, 2)
+
+    def test_warm_count_builds_nothing(self, monkeypatch):
+        sixteen_curves_on_X()  # the blown-up cover and its table exist
+        calls = []
+
+        def record(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args):
+                calls.append(name)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        record(QuadraticSpace, "inner")
+        record(QuadraticSpace, "gram")
+        record(RationalVector, "__init__")
+        assert sixteen_curves_on_X()["total"] == 16
+        assert calls == []

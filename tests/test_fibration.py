@@ -6,15 +6,14 @@ from kummerlab.fibration import (
     Fiber,
     Fibration,
     FibrationError,
-    _kodaira_type,
     build_fibration,
+    discover_fibers,
     even_eight_from_fibers,
     kodaira_euler,
     transform_double_cover,
 )
 from kummerlab.kummer_ns import CurveTable, JacobianKummerNS, even_eight, jacobian_kummer_ns, trope_support
 from kummerlab.labels import INDEX_PAIRS, NODE_LABELS, TROPE_LABELS, node_label
-from kummerlab.lattice import _integral_table
 from kummerlab.nodecode import EMPTY
 
 MODEL = jacobian_kummer_ns()
@@ -28,12 +27,12 @@ def ramification_trope(k):
     return "C0" if k == 1 else f"C1{k}"
 
 
-def kodaira_type(comps):
-    """The type of (class, multiplicity) components with integral pairings,
-    typed from their Gram by `_kodaira_type`, as `build_fibration` types its
-    sub-tables."""
-    pairing = _integral_table(*MODEL.space.gram([v for v, _ in comps]))
-    return _kodaira_type(pairing, [m for _, m in comps])
+def sub_table(labels, fiber_class):
+    """The curve table of the labelled curves, and the fiber class's pairings
+    with them times the table's scale."""
+    classes = tuple(TABLE.classes[ROW[label]] for label in labels)
+    t = CurveTable(tuple(labels), classes, *MODEL.space.gram(classes))
+    return t, tuple(int(t.scale * fiber_class.dot(c)) for c in classes)
 
 
 def component_classes(fib, fiber):
@@ -63,10 +62,23 @@ def patched_table(monkeypatch, edit):
     monkeypatch.setattr(JacobianKummerNS, "curve_table", property(patched))
 
 
+def keeping(keep):
+    """A table edit keeping the rows and columns whose labels pass `keep`."""
+
+    def edit(labels, classes, table, scale):
+        rows = [a for a, label in enumerate(labels) if keep(label)]
+        return [labels[a] for a in rows], [classes[a] for a in rows], [[table[a][b] for b in rows] for a in rows], scale
+
+    return edit
+
+
 class TestClassification:
     def test_star_fiber(self):
-        comps = [(MODEL.trope_class("C0"), 2)] + [(MODEL.node_class(f"E1{k}"), 1) for k in (3, 4, 5, 6)]
-        assert kodaira_type(comps) == "I0*"
+        # a trope meeting four nodes orthogonal to F is a star around it
+        t, f = sub_table(["C0", "E13", "E14", "E15", "E16"], FIB.fiber_class)
+        stars, pairs, sections = discover_fibers(t, f, 0)
+        assert stars == (Fiber(((0, 2), (1, 1), (2, 1), (3, 1), (4, 1)), I0_STAR),)
+        assert pairs == sections == ()
 
     def test_two_component_fiber(self):
         fiber_class = FIB.fiber_class
@@ -74,15 +86,18 @@ class TestClassification:
         first = fiber_class - node
         assert first.norm() == -2
         assert first.dot(node) == 2
-        assert kodaira_type([(first, 1), (node, 1)]) == "I2"
-
-    def test_single_component_rejected(self):
-        with pytest.raises(FibrationError, match="unrecognized"):
-            kodaira_type([(MODEL.node_class("E12"), 1)])
+        # an isolated curve is completed by F minus it; C13 meets F once
+        t, f = sub_table(["E45", "C13"], fiber_class)
+        assert discover_fibers(t, f, 0) == ((), (Fiber(((~0, 1), (0, 1)), "I2"),), (1,))
 
     def test_empty_and_non_integral_rejected(self, monkeypatch):
-        with pytest.raises(FibrationError, match="unrecognized"):
-            _kodaira_type([], [])
+        # an empty table has no fibers, so a pencil on L, E0 and E12 alone has
+        # no star
+        assert discover_fibers(CurveTable((), (), [], 1), (), 0) == ((), (), ())
+        with monkeypatch.context() as patch:
+            patched_table(patch, keeping(lambda label: label in ("L", "E0", "E12")))
+            with pytest.raises(FibrationError, match="0 star fibers"):
+                build_fibration(MODEL)
         # a table over three times its scale: the curves orthogonal to F pair
         # in thirds
         patched_table(monkeypatch, lambda labels, classes, table, scale: (labels, classes, table, 3 * scale))
@@ -90,9 +105,16 @@ class TestClassification:
             build_fibration(MODEL)
 
     def test_norm_enforced(self, monkeypatch):
-        wrong = [(MODEL.space.basis_vector("L"), 1), (MODEL.node_class("E12"), 1)]
-        with pytest.raises(FibrationError, match="norm -2"):
-            kodaira_type(wrong)
+        # an isolated node of norm -4: F - E34 and E34 would not be a fiber
+        def heavy_e34(labels, classes, table, scale):
+            k = labels.index("E34")
+            table[k][k] = -4 * scale
+            return labels, classes, table, scale
+
+        with monkeypatch.context() as patch:
+            patched_table(patch, heavy_e34)
+            with pytest.raises(FibrationError, match="norm -2, not E34"):
+                build_fibration(MODEL)
 
         # every star fiber is then centred on a trope of norm 4
         def heavy_tropes(labels, classes, table, scale):
@@ -103,6 +125,31 @@ class TestClassification:
         patched_table(monkeypatch, heavy_tropes)
         with pytest.raises(FibrationError, match="norm -2"):
             build_fibration(MODEL)
+
+    def test_isotropic_fiber_class_enforced(self):
+        # F^2 = 0 is the norm -2 of every F - E: a class of square 1 is refused
+        with pytest.raises(FibrationError, match="square 1, not 0"):
+            discover_fibers(TABLE, FIB.pairings, TABLE.scale)
+
+    def test_centre_meets_each_leaf_once(self, monkeypatch):
+        # C0 meets E13 twice: the dual graph is still a star, its shape is not
+        def doubled(labels, classes, table, scale):
+            a, b = labels.index("C0"), labels.index("E13")
+            table[a][b] = table[b][a] = 2 * scale
+            return labels, classes, table, scale
+
+        patched_table(monkeypatch, doubled)
+        with pytest.raises(FibrationError, match="centre C0 meets a leaf other than once"):
+            build_fibration(MODEL)
+
+    def test_square_zero_curve_is_skipped(self):
+        # a curve of square 0 orthogonal to F is a fiber of class F, here F
+        # itself: it is neither a component nor isolated
+        labels = ("F", "E34", "C13")
+        classes = (FIB.fiber_class, MODEL.node_class("E34"), MODEL.trope_class("C13"))
+        t = CurveTable(labels, classes, *MODEL.space.gram(classes))
+        stars, pairs, sections = discover_fibers(t, t.table[0], t.table[0][0])
+        assert stars == () and pairs == (Fiber(((~1, 1), (1, 1)), "I2"),) and sections == (2,)
 
     def test_euler_table(self):
         assert kodaira_euler("smooth") == 0
@@ -383,8 +430,9 @@ def hand_sorted_fibration(model, i, j):
     fibers were discovered from the curve table: the stars around C1i and C1j
     (C0 for i = 1) with the nodes E_ik resp. E_jk, k outside {i, j}, in pair
     order; one (F - E_ab, E_ab) fiber per pair disjoint from {i, j}, in pair
-    order; the trope sections C1k, k outside {i, j}.  Each fiber is typed and
-    summed from its classes; the components are then written as the rows of
+    order; the trope sections C1k, k outside {i, j}.  Each fiber's type is
+    declared, and its norms, centre-leaf pairings, (F - E).E = 2 and sum are
+    checked from its classes; the components are then written as the rows of
     their labels, and F.X is paired from vectors."""
     space = model.space
     row = {label: x for x, label in enumerate(model.curve_table.labels)}
@@ -405,10 +453,13 @@ def hand_sorted_fibration(model, i, j):
         centre = ramification_trope(center_index)
         comps = [(model.trope_class(centre), 2)] + [(model.node_class(label), 1) for label in nodes]
         assert space.combination([m for _, m in comps], [v for v, _ in comps]) == fiber_class
-        fibers.append(Fiber(((row[centre], 2), *[(row[label], 1) for label in nodes]), kodaira_type(comps)))
+        assert all(v.norm() == -2 for v, _ in comps)
+        assert all(comps[0][0].dot(v) == 1 for v, _ in comps[1:])
+        fibers.append(Fiber(((row[centre], 2), *[(row[label], 1) for label in nodes]), I0_STAR))
     for label in i2_nodes:
         node = model.node_class(label)
-        fibers.append(Fiber(((~row[label], 1), (row[label], 1)), kodaira_type([(fiber_class - node, 1), (node, 1)])))
+        assert node.norm() == (fiber_class - node).norm() == -2 and (fiber_class - node).dot(node) == 2
+        fibers.append(Fiber(((~row[label], 1), (row[label], 1)), "I2"))
     sections = tuple(row[ramification_trope(k)] for k in range(1, 7) if k not in stars)
     pairings = tuple(model.curve_table.scale * fiber_class.dot(c) for c in model.curve_table.classes)
     return Fibration((i, j), fiber_class, tuple(fibers), sections, pairings)
@@ -476,6 +527,20 @@ class TestDiscovery:
         trivial = sum(len(f.components) - 1 for f in fib.fibers)
         assert trivial == 14
         assert MODEL.ns.rank - 2 - trivial == 1
+
+    def test_dropped_isolated_node_leaves_one_fiber_fewer(self, monkeypatch):
+        # the engine reads whatever curves the table holds: without E56 the
+        # (1,2) pencil has five isolated fibers, not six, and nothing raises
+        def found():
+            t = MODEL.curve_table
+            e0, e12 = t.labels.index("E0"), t.labels.index("E12")
+            f = [a - b - c for a, b, c in zip(t.table[0], t.table[e0], t.table[e12])]
+            stars, pairs, sections = discover_fibers(t, f, f[0] - f[e0] - f[e12])
+            return len(stars), [t.labels[fiber.components[1][0]] for fiber in pairs], len(sections)
+
+        assert found() == (2, ["E34", "E35", "E36", "E45", "E46", "E56"], 8)
+        patched_table(monkeypatch, keeping(lambda label: label != "E56"))
+        assert found() == (2, ["E34", "E35", "E36", "E45", "E46"], 8)
 
     def test_configuration_outside_star_or_isolated_rejected(self, monkeypatch):
         # E34 also meets E35: the two isolated nodes of the (1,2) pencil become
@@ -556,14 +621,7 @@ class TestCurveTableMasks:
 
     def test_node_bits_follow_labels(self, monkeypatch):
         # E56 dropped: the tropes after it move up a row, and its bit is gone
-        def without_e56(labels, classes, table, scale):
-            k = labels.index("E56")
-            return (
-                labels[:k] + labels[k + 1:], classes[:k] + classes[k + 1:],
-                [row[:k] + row[k + 1:] for a, row in enumerate(table) if a != k], scale,
-            )
-
-        patched_table(monkeypatch, without_e56)
+        patched_table(monkeypatch, keeping(lambda label: label != "E56"))
         t = MODEL.curve_table
         assert sum(t.node_bits) == (1 << 16) - 1 - (1 << NODE_LABELS.index("E56"))
         assert t.node_bits[t.labels.index("E46")] == 1 << NODE_LABELS.index("E46")
