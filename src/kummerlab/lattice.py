@@ -158,12 +158,15 @@ def _smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
 
 def _gram_table(weights: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The integer table sum_k weights[k] * a[k] * b[k] over all pairs of rows
-    a, b, vectors' numerators or HNF rows; each unordered pair is summed once."""
+    a, b, vectors' numerators or HNF rows, summed per column over the rows
+    nonzero there, so no product with a zero factor is formed."""
     table = [[0] * len(rows) for _ in rows]
-    for i, a in enumerate(rows):
-        terms = [(k, weights[k] * x) for k, x in enumerate(a) if x]
-        for j, b in enumerate(rows[i:], i):
-            table[i][j] = table[j][i] = sum([wx * b[k] for k, wx in terms])
+    for k, w in enumerate(weights):
+        col = [(i, a[k]) for i, a in enumerate(rows) if a[k]]
+        for i, x in col:
+            wx, row = w * x, table[i]
+            for j, y in col:
+                row[j] += wx * y
     return table
 
 
@@ -194,6 +197,8 @@ def _leading_minors_positive(mat: Sequence[Sequence[int]]) -> bool:
 # quadratic space and vectors
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)  # the one Fraction that every zero coordinate reads as
+
 
 def _is_exact(x: object) -> bool:
     """True for an int (not a bool) or a Fraction, the package's exact rationals."""
@@ -213,14 +218,18 @@ def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, 
     """``(nums, den)`` with ``values[i] == nums[i] / den``, den the least common
     denominator; any value but an int (not a bool) or a Fraction raises.
 
-    Exact ints and Fractions pass on one look at their types; any other type
-    goes through `_exact`, which accepts subclasses such as an IntEnum member
-    and rejects bools and floats."""
+    Exact ints and Fractions pass on one look at their types, all ints at once
+    over 1; any other type goes through `_exact`, which accepts subclasses
+    such as an IntEnum member and rejects bools and floats."""
     values = tuple(values)
-    if not set(map(type, values)) <= {int, Fraction}:
+    types = set(map(type, values))
+    if types == {int}:
+        return values, 1
+    if not types <= {int, Fraction}:
         _exact(values)
-    den = lcm(*{x.denominator for x in values})
-    return tuple([x.numerator * (den // x.denominator) for x in values]), den
+    pairs = [x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _, d in pairs])
+    return tuple([n * (den // d) for n, d in pairs]), den
 
 
 class QuadraticSpace(Frozen):
@@ -369,10 +378,11 @@ class RationalVector(Frozen):
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
+        den = self.den
+        return tuple([Fraction(x, den) if x else _ZERO for x in self.nums])
 
     def coeff(self, label: str) -> Fraction:
-        return Fraction(self.nums[self.space.index(label)], self.den)
+        return Fraction(x, self.den) if (x := self.nums[self.space.index(label)]) else _ZERO
 
     def dot(self, other: "RationalVector") -> Fraction:
         return self.space.inner(self, other)
@@ -429,7 +439,7 @@ def vector_to_json(v: RationalVector) -> dict:
     den = v.den
     return {
         "basis": list(v.space.labels),
-        "coords": [[str(x // (g := gcd(x, den))), str(den // g)] for x in v.nums],
+        "coords": [[str(x // (g := gcd(x, den))), str(den // g)] if x else ["0", "1"] for x in v.nums],
     }
 
 
@@ -455,7 +465,9 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
         # unpacking checks the length but would take any iterable, such as "12"
         if not set(map(type, coords)) <= {list}:
             raise ValueError("each coordinate must be a [numerator, denominator] list")
-        pairs = [(_json_int(num), _json_int(den)) for num, den in coords]
+        # the strings "0" over "1" of a zero entry, and a denominator "1", need no parse
+        pairs = [(0, 1) if n == "0" and d == "1" and type(n) is type(d) is str
+                 else (_json_int(n), 1 if d == "1" and type(d) is str else _json_int(d)) for n, d in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"malformed vector payload: {exc!r}") from exc
     dens = {d for _, d in pairs}
@@ -544,19 +556,26 @@ class SublatticeModel(Frozen):
 
     # -- membership ----------------------------------------------------------
 
+    @cached_property
+    def _hermite_steps(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Each HNF row as (pivot, leading entry, its nonzero (column, entry) after the pivot)."""
+        _, hnf, pivots = self._scaled
+        return tuple((p, row[p], tuple((k, x) for k, x in enumerate(row) if x and k > p))
+                     for row, p in zip(hnf, pivots))
+
     def _reduce(self, scaled: Sequence[int]) -> tuple[int, ...] | None:
         """HNF coordinates of the vector whose scaled form is given, or None."""
-        _, hnf, pivots = self._scaled
         x = list(scaled)
         coeffs = []
-        for row, p in zip(hnf, pivots):
+        for p, lead, tail in self._hermite_steps:
             q = 0
             if x[p]:
-                q, r = divmod(x[p], row[p])
+                q, r = divmod(x[p], lead)
                 if r:
                     return None
-                for k in range(p, len(x)):
-                    x[k] -= q * row[k]
+                x[p] = 0
+                for k, y in tail:
+                    x[k] -= q * y
             coeffs.append(q)
         return None if any(x) else tuple(coeffs)
 

@@ -27,6 +27,7 @@ from kummerlab.lattice import (
     vector_to_json,
 )
 from kummerlab.nikulin import nikulin_lattice
+from kummerlab.nodecode import NodeSet
 
 MODEL = jacobian_kummer_ns()
 SPACE = MODEL.space
@@ -1234,3 +1235,198 @@ class TestJsonEntryShape:
     def test_list_entries_still_parse(self):
         v = vector_from_json(SPACE, {"basis": list(SPACE.labels), "coords": [["1", "2"]] * 17})
         assert v == SPACE.vector([Fraction(1, 2)] * 17)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against their dense references
+# ---------------------------------------------------------------------------
+
+
+def _dense_reduce(lat, scaled):
+    """The former membership loop: every column from each pivot on."""
+    _, hnf, pivots = lat._scaled
+    x = list(scaled)
+    coeffs = []
+    for row, p in zip(hnf, pivots):
+        q = 0
+        if x[p]:
+            q, r = divmod(x[p], row[p])
+            if r:
+                return None
+            for k in range(p, len(x)):
+                x[k] -= q * row[k]
+        coeffs.append(q)
+    return None if any(x) else tuple(coeffs)
+
+
+def _dense_gram_table(weights, rows):
+    """The former Gram kernel: each unordered pair of rows summed once."""
+    table = [[0] * len(rows) for _ in rows]
+    for i, a in enumerate(rows):
+        terms = [(k, weights[k] * x) for k, x in enumerate(a) if x]
+        for j, b in enumerate(rows[i:], i):
+            table[i][j] = table[j][i] = sum([wx * b[k] for k, wx in terms])
+    return table
+
+
+_SPARSE_SPACES = (SPACE, nikulin_lattice().space)
+
+
+@st.composite
+def six_generator_lattices(draw):
+    """Six sparse generators, entries in {+-1/2, +-1, +-2}, in the rank-17 or
+    the rank-8 space, half of the time replaced by a coordinate section of
+    their lattice on a random label subset."""
+    space = draw(st.sampled_from(_SPARSE_SPACES))
+    entry = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2])
+    gens = []
+    for _ in range(6):
+        support = draw(st.lists(st.integers(0, space.dim - 1), min_size=1, max_size=3, unique=True))
+        gens.append(space.vector({space.labels[k]: draw(entry) for k in support}))
+    lat = SublatticeModel(space, tuple(gens))
+    if draw(st.booleans()):
+        lat = lat.coordinate_section(draw(st.lists(st.sampled_from(space.labels), unique=True)))
+    return lat
+
+
+class TestSparseReduce:
+    @given(
+        st.one_of(six_generator_lattices(), st.sampled_from(MODEL_LATTICES)),
+        st.lists(st.integers(-3, 3), min_size=17, max_size=17),
+        st.integers(0, 16),
+        st.sampled_from([0, 1, Fraction(1, 2), Fraction(-1, 3)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_members_and_non_members_against_dense_loop(self, lat, combo, k, q):
+        space = lat.space
+        member = space.combination(combo[:lat.rank], lat.zbasis())
+        shifted = member + q * space.basis[k % space.dim]
+        for v in (member, shifted):
+            scaled = lat._scale(v)
+            if scaled is not None:
+                assert lat._reduce(scaled) == _dense_reduce(lat, scaled)
+            assert lat.coordinates_of(v) == (None if scaled is None else _dense_reduce(lat, scaled))
+        assert lat.coordinates_of(member) == tuple(combo[:lat.rank])
+        # member lies in the lattice, so shifted does iff the shift does
+        assert lat.contains(shifted) == lat.contains(q * space.basis[k % space.dim])
+
+    @given(
+        st.one_of(six_generator_lattices(), st.sampled_from(MODEL_LATTICES)),
+        st.lists(st.integers(-4, 4), min_size=17, max_size=17),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_scaled_vectors_against_dense_loop(self, lat, nums):
+        # mostly non-members: None must come exactly where the dense loop gives it
+        scaled = nums[:lat.space.dim]
+        assert lat._reduce(scaled) == _dense_reduce(lat, scaled)
+
+    @given(st.integers(0, (1 << 16) - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_node_set_half_sums_against_dense_loop(self, bits):
+        s = NodeSet(bits)
+        scaled = MODEL.ns._scale(MODEL.half_sum(s))
+        assert MODEL.ns._reduce(scaled) == _dense_reduce(MODEL.ns, scaled)
+        assert MODEL.is_even_set(s) == (_dense_reduce(MODEL.ns, scaled) is not None)
+
+
+class TestSparseCoords:
+    @given(integer_vectors())
+    @example(RationalVector(SPACE, (0,) * 17))
+    @example(RationalVector(SPACE, (0, 3, 0, -1) + (0,) * 13))
+    @example(RationalVector(SPACE, (0, 3, 0, -1) + (0,) * 13, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_coords_against_fraction_per_entry(self, v):
+        assert v.coords == tuple(Fraction(x, v.den) for x in v.nums)
+        assert all(type(c) is Fraction for c in v.coords)
+        assert tuple(v.coeff(label) for label in v.space.labels) == v.coords
+        assert all(type(v.coeff(label)) is Fraction for label in v.space.labels)
+
+
+class _EqualToAll:
+    """Not a string, though it compares equal to "0" and "1"."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = None
+
+
+# each is rejected by `_json_int`, so must be wherever a shortcut could take it
+_BAD_JSON_INTS = ["+1", " 1", "1_0", "\u0661", "-", "", 1, True, _EqualToAll()]
+
+
+class TestJsonShortcutBoundary:
+    """The zero entry ["0", "1"] and the denominator "1" skip their parse;
+    every other entry, and those values in any other type, still go
+    through the strict one."""
+
+    @pytest.mark.parametrize("bad", _BAD_JSON_INTS)
+    @pytest.mark.parametrize("position", ["numerator over 1", "numerator over 2", "denominator of 0", "denominator of 3"])
+    def test_bad_entry_rejected_in_either_position(self, bad, position):
+        entry = {
+            "numerator over 1": [bad, "1"],
+            "numerator over 2": [bad, "2"],
+            "denominator of 0": ["0", bad],
+            "denominator of 3": ["3", bad],
+        }[position]
+        payload = {"basis": list(SPACE.labels), "coords": [entry] + [["0", "1"]] * 16}
+        with pytest.raises(LatticeError):
+            vector_from_json(SPACE, payload)
+
+    @pytest.mark.parametrize("entry", [["0", "1", "1"], ["3", "1", "1"], ["0"], [0, 1], [0, "1"], ["0", 1]])
+    def test_shortcut_values_of_the_wrong_shape_or_type_rejected(self, entry):
+        payload = {"basis": list(SPACE.labels), "coords": [["0", "1"]] * 16 + [entry]}
+        with pytest.raises(LatticeError):
+            vector_from_json(SPACE, payload)
+
+    def test_unreduced_and_negative_denominators_normalised(self):
+        coords = [["0", "-1"], ["4", "2"], ["-0", "1"], ["3", "-1"], ["0", "5"], ["-6", "-4"], ["1", "1"]]
+        payload = {"basis": list(SPACE.labels), "coords": coords + [["0", "1"]] * 10}
+        v = vector_from_json(SPACE, payload)
+        assert v == SPACE.vector([0, 2, 0, -3, 0, Fraction(3, 2), 1] + [0] * 10)
+        assert vector_to_json(v)["coords"][:7] == [["0", "1"], ["2", "1"], ["0", "1"], ["-3", "1"],
+                                                   ["0", "1"], ["3", "2"], ["1", "1"]]
+
+    def test_zero_entries_are_fresh_lists(self):
+        coords = vector_to_json(SPACE.zero())["coords"]
+        coords[0][0] = "7"
+        assert coords[1] == ["0", "1"] and vector_to_json(SPACE.zero())["coords"][0] == ["0", "1"]
+
+
+def _dense_gram_is_isometry(lat, images):
+    """The former verdict, its form check on the dense Gram kernel."""
+    space = lat.space
+    rows = [images[label] for label in space.labels]
+    den = lcm(*(v.den for v in rows))
+    table = _dense_gram_table(space.weights, [[x * (den // v.den) for x in v.nums] for v in rows])
+    scale = den * den * space.scale
+    if table != [[scale // space.scale * w if i == j else 0 for j in range(space.dim)]
+                 for i, w in enumerate(space.weights)]:
+        return False
+    return _combination_is_isometry(lat, images)
+
+
+class TestSparseGram:
+    @pytest.mark.parametrize("name, expected", [("involution", True), ("flipped", False)])
+    def test_isometry_form_check_against_dense_gram(self, name, expected):
+        identity = {lab: basis(lab) for lab in SPACE.labels}
+        images = {
+            "involution": MODEL.covering_involution_images(),
+            "flipped": dict(identity, L=3 * basis("L") + 4 * basis("E0"), E0=2 * basis("L") - 3 * basis("E0")),
+        }[name]
+        rows = [images[lab] for lab in SPACE.labels]
+        table, scale = SPACE.gram(rows)
+        den = lcm(*(v.den for v in rows))
+        assert scale == den * den * SPACE.scale
+        assert table == _dense_gram_table(SPACE.weights, [[x * (den // v.den) for x in v.nums] for v in rows])
+        assert MODEL.ns.is_isometry(images) == _dense_gram_is_isometry(MODEL.ns, images) == expected
+
+    @pytest.mark.parametrize("lat", MODEL_LATTICES)
+    def test_zbasis_grams_against_dense_kernel(self, lat):
+        assert lat._zgram[0] == _dense_gram_table(lat.space.weights, lat._scaled[1])
+
+    def test_image_from_another_space_rejected(self):
+        other = QuadraticSpace([f"y{i}" for i in range(SPACE.dim)], SPACE.diag)
+        images = dict(MODEL.covering_involution_images(), E12=other.basis[3])
+        with pytest.raises(LatticeError):
+            MODEL.ns.is_isometry(images)
