@@ -218,18 +218,14 @@ def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, 
     """``(nums, den)`` with ``values[i] == nums[i] / den``, den the least common
     denominator; any value but an int (not a bool) or a Fraction raises.
 
-    Exact ints and Fractions pass on one look at their types, all ints at once
-    over 1; any other type goes through `_exact`, which accepts subclasses
-    such as an IntEnum member and rejects bools and floats."""
+    Exact ints and Fractions pass on one look at their types; any other type
+    goes through `_exact`, which accepts subclasses such as an IntEnum member
+    and rejects bools and floats."""
     values = tuple(values)
-    types = set(map(type, values))
-    if types == {int}:
-        return values, 1
-    if not types <= {int, Fraction}:
+    if not set(map(type, values)) <= {int, Fraction}:
         _exact(values)
-    pairs = [x.as_integer_ratio() for x in values]
-    den = lcm(*[d for _, d in pairs])
-    return tuple([n * (den // d) for n, d in pairs]), den
+    den = lcm(*{x.denominator for x in values})
+    return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
 
 class QuadraticSpace(Frozen):
@@ -465,9 +461,9 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
         # unpacking checks the length but would take any iterable, such as "12"
         if not set(map(type, coords)) <= {list}:
             raise ValueError("each coordinate must be a [numerator, denominator] list")
-        # the strings "0" over "1" of a zero entry, and a denominator "1", need no parse
-        pairs = [(0, 1) if n == "0" and d == "1" and type(n) is type(d) is str
-                 else (_json_int(n), 1 if d == "1" and type(d) is str else _json_int(d)) for n, d in coords]
+        # a denominator "1" needs no parse; the type test comes first, so no
+        # other object's __eq__ runs
+        pairs = [(_json_int(n), 1 if type(d) is str and d == "1" else _json_int(d)) for n, d in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"malformed vector payload: {exc!r}") from exc
     dens = {d for _, d in pairs}

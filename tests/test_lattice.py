@@ -1351,14 +1351,23 @@ class _EqualToAll:
     __hash__ = None
 
 
+class _RaisingEq:
+    """Not a string; comparing it with anything raises an error that is
+    neither a KeyError, a TypeError nor a ValueError."""
+
+    def __eq__(self, other):
+        raise RuntimeError("compared")
+
+    __hash__ = None
+
+
 # each is rejected by `_json_int`, so must be wherever a shortcut could take it
-_BAD_JSON_INTS = ["+1", " 1", "1_0", "\u0661", "-", "", 1, True, _EqualToAll()]
+_BAD_JSON_INTS = ["+1", " 1", "1_0", "\u0661", "-", "", 1, True, _EqualToAll(), _RaisingEq()]
 
 
 class TestJsonShortcutBoundary:
-    """The zero entry ["0", "1"] and the denominator "1" skip their parse;
-    every other entry, and those values in any other type, still go
-    through the strict one."""
+    """The denominator "1" skips its parse; every other entry, and that
+    value in any other type, still goes through the strict one."""
 
     @pytest.mark.parametrize("bad", _BAD_JSON_INTS)
     @pytest.mark.parametrize("position", ["numerator over 1", "numerator over 2", "denominator of 0", "denominator of 3"])
