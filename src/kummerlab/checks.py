@@ -320,13 +320,6 @@ def _alpha(ctx: CheckContext):
     images = m.covering_involution_images()
     isometry = m.ns.is_isometry(images)
     rows = [images[lab] for lab in m.space.labels]
-    # summed by the numerators of a vector v, the images give den * v.den *
-    # alpha(v), den their denominator: alpha(alpha(e_k)) must be e_k, the six
-    # ramification tropes stay fixed and the ten others move by L - 2E0
-    twice, den = m.space.map_rows(rows, [v.nums for v in rows])
-    involution = all(
-        row == [den * v.den * x for x in e.nums] for row, v, e in zip(twice, rows, m.space.basis)
-    )
     fixes_nodes = all(images[n] == m.node_class(n) for n in NODE_LABELS[1:])
     fixed_tropes = ["C0"] + [f"C1{j}" for j in range(2, 7)]
     tropes = [m.trope_class(t) for t in TROPE_LABELS]
@@ -342,6 +335,13 @@ def _alpha(ctx: CheckContext):
             target[e0] -= 2 * den * t.den
             moved.append(row == target)
     fixes_tropes, moves_tropes = all(fixed), all(moved)
+    # alpha is linear and fixes E12..E56.  Fixing C0 = (L - E0 - E12 - ... - E16)/2
+    # gives alpha(L - E0) = L - E0; moving the conic trope C23 = (L - six E_jk)/2
+    # by L - 2E0 gives alpha(L) = 3L - 4E0, so alpha(E0) = 2L - 3E0.  Then
+    # alpha^2(L) = 3(3L - 4E0) - 4(2L - 3E0) = L and
+    # alpha^2(E0) = 2(3L - 4E0) - 3(2L - 3E0) = E0, so those premises are the
+    # involution: fixed[0] is C0 and moved[0] is C23
+    involution = fixes_nodes and fixed[0] and moved[0]
     ok = isometry and involution and fixes_nodes and fixes_tropes and moves_tropes
     return ok, "covering involution is an involutive isometry with the stated action", {
         "isometry": isometry,

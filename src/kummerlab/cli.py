@@ -9,10 +9,10 @@ contains only schema fields, so two runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fnmatch import fnmatchcase
+from json.encoder import encode_basestring
 
 from . import __version__
 from ._frozen import Frozen
@@ -60,16 +60,49 @@ def build_report(patterns: list[str] | None = None) -> Report:
     return Report(__version__, results, summary, elapsed_ms)
 
 
+def _render(value: object, pad: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at indent ``pad``:
+    each container's items are rendered into a list and joined once.  Only
+    the exact types a check's data holds are accepted: str, int, bool, None,
+    list, tuple and dict with str keys; anything else, a float included,
+    raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_render(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # encode_basestring raises TypeError, naming the type, on a key that is not a str
+        items = [encode_basestring(key) + ": " + _render(x, inner) for key, x in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"report data cannot hold a {kind.__name__}")
+
+
 def render_json(report: Report) -> str:
-    payload = {
-        "version": report.version,
-        "checks": [
-            {"id": r.id, "status": r.status, "detail": r.detail, "data": r.data}
-            for r in report.checks
-        ],
-        "summary": report.summary,
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """The report byte for byte as ``json.dumps(payload, indent=2,
+    ensure_ascii=False) + "\\n"`` writes it, with the fixed schema as text."""
+    checks = ",\n    ".join(
+        f'{{\n      "id": {encode_basestring(r.id)},\n      "status": {encode_basestring(r.status)},'
+        f'\n      "detail": {encode_basestring(r.detail)},\n      "data": {_render(r.data, "      ")}\n    }}'
+        for r in report.checks
+    )
+    checks = f"[\n    {checks}\n  ]" if report.checks else "[]"
+    return (
+        f'{{\n  "version": {encode_basestring(report.version)},\n  "checks": {checks},'
+        f'\n  "summary": {_render(report.summary, "  ")}\n}}\n'
+    )
 
 
 def render_text(report: Report) -> str:

@@ -220,12 +220,14 @@ def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, 
 
     Exact ints and Fractions pass on one look at their types; any other type
     goes through `_exact`, which accepts subclasses such as an IntEnum member
-    and rejects bools and floats."""
+    and rejects bools and floats.  Each value is read once, as its
+    ``as_integer_ratio()``."""
     values = tuple(values)
     if not set(map(type, values)) <= {int, Fraction}:
         _exact(values)
-    den = lcm(*{x.denominator for x in values})
-    return tuple([x.numerator * (den // x.denominator) for x in values]), den
+    pairs = [x.as_integer_ratio() for x in values]
+    den = lcm(*{d for _, d in pairs})
+    return tuple([n * (den // d) for n, d in pairs]), den
 
 
 class QuadraticSpace(Frozen):

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerlab import __version__, checks, covers, fibration, kummer_ns, lattice
 from kummerlab.checks import (
@@ -10,18 +13,32 @@ from kummerlab.checks import (
     REGISTRY,
     CheckContext,
     CheckDef,
+    CheckResult,
     check,
     list_checks,
     run_check,
     run_checks,
 )
-from kummerlab.cli import build_report, main, render_check_list, render_json, select_ids
+from kummerlab.cli import Report, build_report, main, render_check_list, render_json, select_ids
 from kummerlab.labels import INDEX_PAIRS
 from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
 from kummerlab.lattice import QuadraticSpace, RationalVector
 
 # outputs captured before any change to the package; the stdout fixed points
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def dumped(report: Report) -> str:
+    """The report as the standard library writes it: the oracle of render_json."""
+    payload = {
+        "version": report.version,
+        "checks": [
+            {"id": r.id, "status": r.status, "detail": r.detail, "data": r.data}
+            for r in report.checks
+        ],
+        "summary": report.summary,
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 class TestRegistry:
@@ -380,7 +397,11 @@ class TestFaultInjection:
     """A fault in one kernel turns exactly the checks that depend on it to FAIL."""
 
     def results(self):
-        return {r.id: r for r in run_checks()}
+        report = build_report()
+        # a faulty run's report, `error:` details and None data included,
+        # renders as the standard library writes it
+        assert render_json(report) == dumped(report)
+        return {r.id: r for r in report.checks}
 
     def failing(self, results=None):
         """The failing ids, and the subset of them whose detail starts with
@@ -732,13 +753,99 @@ class TestReport:
             assert set(entry) == {"id", "status", "detail", "data"}
 
     def test_json_byte_stable(self):
-        first = render_json(build_report())
+        report = build_report()
+        first = render_json(report)
         second = render_json(build_report())
-        assert first == second
+        assert first == second == dumped(report)
         assert first == (GOLDEN / "report.json").read_text(encoding="utf-8")
 
     def test_check_list_matches_golden(self):
         assert render_check_list() == (GOLDEN / "list.txt").read_text(encoding="utf-8")
+
+
+def one_check(data) -> Report:
+    return Report("0.1", (CheckResult("a.b", PASS, "detail", data),), {"pass": 1, "fail": 0, "flagged": 0}, 0)
+
+
+# strings json escapes: quotes, backslashes, control characters, DEL, U+2028
+# and U+2029, and text outside ASCII, which ensure_ascii=False keeps
+AWKWARD = ('say "yes"', "back\\slash", "\x00\x01\x1f\t\n\r\b\f", "\x7f", "\u2028\u2029", "Kummer–Néron 𝔽₂ ∑")
+
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestRenderJson:
+    """render_json writes exactly what json.dumps(indent=2, ensure_ascii=False) does."""
+
+    # the full report is compared in TestReport.test_json_byte_stable, and
+    # the reports of the pinned faults, with their `error:` details and None
+    # data, in TestFaultInjection.results
+
+    def test_selection(self):
+        report = build_report(["nikulin.*"])
+        assert render_json(report) == dumped(report)
+
+    def test_no_checks(self):
+        report = Report("0.1", (), {"pass": 0, "fail": 0, "flagged": 0}, 0)
+        assert render_json(report) == dumped(report)
+        assert '"checks": [],' in render_json(report)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            None,
+            True,
+            False,
+            [],
+            {},
+            (),
+            [[], {}, (), [[]], {"x": {}}],
+            {"a": [], "b": {}, "c": (), "d": [{}]},
+            [{"x": 1, "y": [2, 3]}, {"x": -4}],
+            {"rows": [[1, 0], [0, 1]], "labels": ["E0", "L"], "empty": []},
+            (1, "two", (3, None)),
+            [0, -1, -(2**70), 2**64, 2**64 + 1, 10**40],
+            {"t": True, "f": False, "n": None},
+            list(AWKWARD),
+            {s: s for s in AWKWARD},
+        ],
+    )
+    def test_hand_built_data(self, data):
+        report = one_check(data)
+        assert render_json(report) == dumped(report)
+
+    def test_awkward_schema_strings(self):
+        for s in AWKWARD:
+            report = Report(s, (CheckResult(s, PASS, s, s),), {"pass": 1, "fail": 0, "flagged": 0}, 0)
+            assert render_json(report) == dumped(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_DATA)
+    def test_any_data(self, data):
+        report = one_check(data)
+        assert render_json(report) == dumped(report)
+
+    @pytest.mark.parametrize(
+        "data, name",
+        [
+            (0.5, "float"),
+            (Fraction(1, 2), "Fraction"),
+            ({1, 2}, "set"),
+            ({1: 2}, "int"),
+            ({"rows": [[1, 2.0]]}, "float"),
+            ({(1, 2): 3}, "tuple"),
+            ({True: 1}, "bool"),
+        ],
+    )
+    def test_inexact_or_unknown_values_raise(self, data, name):
+        with pytest.raises(TypeError, match=name):
+            render_json(one_check(data))
 
 
 class TestMain:
