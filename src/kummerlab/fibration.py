@@ -146,13 +146,13 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     return nodes_ok and centres_ok and t.pairings(comps) == tuple(2 * f for f in fib.pairings)
 
 
-def _meets(t: CurveTable, fib: Fibration, x: int, mask: int) -> bool:
-    """True iff component x pairs nonzero with a curve at a row of the mask: a
-    curve reads its meet mask, and F - E, written ~e, meets row y if F.y != E.y."""
+def _meets(t: CurveTable, fib: Fibration, x: int, rows: list[int], mask: int) -> bool:
+    """True iff component x pairs nonzero with a curve at one of the rows, the bits
+    of the mask: a curve reads its meet mask; F - E, written ~e, tests F.y != E.y."""
     if x >= 0:
         return bool(t.meets[x] & mask)
     e_row = t.table[~x]
-    return any(fib.pairings[y] != e_row[y] for y in range(mask.bit_length()) if mask >> y & 1)
+    return any(fib.pairings[y] != e_row[y] for y in rows)
 
 
 def transform_double_cover(fib: Fibration, branch: NodeSet, model: JacobianKummerNS) -> Fibration:
@@ -164,18 +164,19 @@ def transform_double_cover(fib: Fibration, branch: NodeSet, model: JacobianKumme
     fibers or an Euler sum other than 24, which the checks compare.  Sections
     pull back to sections.
     """
-    if branch.weight != 8 or branch not in model.even_sets:
+    if branch.weight != 8 or branch.bits not in model.even_masks:
         raise FibrationError("branch must be an even eight")
     t = model.curve_table
     bits = branch.bits
-    mask = sum(1 << y for y, bit in enumerate(t.node_bits) if bit & bits)
+    rows = [y for bit, y in t.node_rows.items() if bit & bits]
+    mask = sum(1 << y for y in rows)
     new_fibers: list[Fiber] = []
     for fiber in fib.fibers:
         comps = fiber.components
         if fiber.kodaira_type == I0_STAR and all(t.node_bits[x] & bits for x, m in comps if m == 1):
             new_fibers.append(Fiber((), SMOOTH))
         # a component equal to a branch node pairs -2 with it, so it is caught
-        elif any(_meets(t, fib, x, mask) for x, _ in comps):
+        elif any(_meets(t, fib, x, rows, mask) for x, _ in comps):
             new_fibers.append(fiber)
         else:
             new_fibers += [fiber, fiber]

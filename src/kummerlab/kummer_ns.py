@@ -57,11 +57,11 @@ class CurveTable(Frozen):
     """Labelled classes from one Gram (on the model L, the sixteen nodes, then the
     sixteen tropes): ``classes[a]`` and ``classes[b]`` pair to ``table[a][b] / scale``.
     Each row a gets masks derived here, so no table is read with another's:
-    ``node_bits[a]``, the ``NodeSet`` bit of its label (0 off the nodes);
-    ``meets[a]``, the rows b it pairs with nonzero (a unless of square 0);
-    ``fractional[a]``, those it pairs with non-integrally."""
+    ``node_bits[a]``, the ``NodeSet`` bit of its label (0 off the nodes), and
+    ``node_rows`` back; ``meets[a]``, the rows b it pairs with nonzero (a unless
+    of square 0); ``fractional[a]``, those it pairs with non-integrally."""
 
-    __slots__ = ("labels", "classes", "table", "scale", "node_bits", "meets", "fractional")
+    __slots__ = ("labels", "classes", "table", "scale", "node_bits", "node_rows", "meets", "fractional")
 
     def __init__(self, labels: tuple[str, ...], classes: tuple, table: list[list[int]], scale: int) -> None:
         object.__setattr__(self, "labels", labels)
@@ -70,6 +70,7 @@ class CurveTable(Frozen):
         object.__setattr__(self, "scale", scale)
         bits = tuple(1 << NODE_INDEX[label] if label in NODE_INDEX else 0 for label in labels)
         object.__setattr__(self, "node_bits", bits)
+        object.__setattr__(self, "node_rows", {bit: a for a, bit in enumerate(bits) if bit})
         object.__setattr__(self, "meets", tuple(sum(1 << b for b, p in enumerate(row) if p) for row in table))
         fractional = tuple(sum(1 << b for b, p in enumerate(row) if p % scale) for row in table)
         object.__setattr__(self, "fractional", fractional)
@@ -190,8 +191,14 @@ class JacobianKummerNS:
         kernel = [m for m in tagged if not m >> n]
         return tuple(sorted(NodeSet(m) for m in f2_span(kernel)))
 
+    @cached_property
+    def even_masks(self) -> frozenset[int]:
+        """The bit masks of `even_sets`.  `is_even_set` reads them, so where the
+        scan's guard fails it raises that ValueError instead of answering."""
+        return frozenset(s.bits for s in self.even_sets)
+
     def is_even_set(self, s: NodeSet) -> bool:
-        return self.ns.contains(self.half_sum(s))
+        return s.bits in self.even_masks
 
     def even_eights(self) -> tuple[NodeSet, ...]:
         return tuple(s for s in self.even_sets if s.weight == 8)

@@ -215,13 +215,9 @@ def _exact(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
 
 
 def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
-    """``(nums, den)`` with ``values[i] == nums[i] / den``, den the least common
-    denominator; any value but an int (not a bool) or a Fraction raises.
-
-    Exact ints and Fractions pass on one look at their types; any other type
-    goes through `_exact`, which accepts subclasses such as an IntEnum member
-    and rejects bools and floats.  Each value is read once, as its
-    ``as_integer_ratio()``."""
+    """``(nums, den)`` with ``values[i] == nums[i] / den``, den the lcm of the reduced
+    denominators, each value read once by ``as_integer_ratio()``.  A value that is not
+    an int (not a bool) or a Fraction raises, through `_exact` (an IntEnum passes)."""
     values = tuple(values)
     if not set(map(type, values)) <= {int, Fraction}:
         _exact(values)
@@ -276,13 +272,17 @@ class QuadraticSpace(Frozen):
 
     def vector(self, values: Sequence[int | Fraction] | Mapping[str, int | Fraction]) -> "RationalVector":
         """Build a vector from a coordinate sequence or a label -> value mapping
-        of ints and Fractions: the one entry point for rational coordinates."""
-        if isinstance(values, Mapping):
+        of ints and Fractions: the one entry point for rational coordinates.
+        den is the lcm of reduced denominators, so den > 0 and gcd(den, *nums) == 1."""
+        if type(values) is not list and type(values) is not tuple and isinstance(values, Mapping):
             coords: list[int | Fraction] = [0] * self.dim
             for label, value in values.items():
                 coords[self.index(label)] = value
             values = coords
-        return RationalVector(self, *_over_one_denominator(tuple(values)))
+        nums, den = _over_one_denominator(values)
+        if len(nums) != self.dim:
+            raise LatticeError(f"expected {self.dim} coordinates, got {len(nums)}")
+        return _normal_vector(self, nums, den)
 
     def _check_member(self, v: "RationalVector") -> None:
         if v.space is not self and v.space != self:
@@ -429,6 +429,18 @@ class RationalVector(Frozen):
     __rmul__ = __mul__
 
 
+_set_space, _set_nums, _set_den = (RationalVector.__dict__[name].__set__ for name in RationalVector.__slots__)
+
+
+def _normal_vector(space: QuadraticSpace, nums: tuple[int, ...], den: int) -> RationalVector:
+    """nums / den unchecked: nums is a tuple of space.dim ints, den > 0 and gcd(den, *nums) == 1."""
+    v = object.__new__(RationalVector)
+    _set_space(v, space)
+    _set_nums(v, nums)
+    _set_den(v, den)
+    return v
+
+
 def vector_to_json(v: RationalVector) -> dict:
     """Interchange form: decimal-string numerators/denominators, exact round trip.
 
@@ -471,10 +483,12 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
     dens = {d for _, d in pairs}
     if 0 in dens:
         raise LatticeError("malformed vector payload: zero denominator")
-    if basis != space.labels:
-        raise LatticeError("serialized basis labels do not match the target space")
+    if basis != space.labels or len(pairs) != space.dim:
+        raise LatticeError("serialized basis labels or coordinate count do not match the target space")
     den = lcm(*dens)
-    return RationalVector(space, tuple([n * (den // d) for n, d in pairs]), den)
+    nums = [n * (den // d) for n, d in pairs]
+    g = gcd(den, *nums)
+    return _normal_vector(space, tuple([x // g for x in nums]) if g != 1 else tuple(nums), den // g)
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,9 @@ def saturation(eight: NodeSet, model: JacobianKummerNS) -> tuple[int, bool]:
     lattice iff T is even.  So the nodes and their half-sum span the
     saturation iff the index is 2.
     """
-    if eight.weight != 8 or eight not in model.even_sets:
+    if eight.weight != 8 or eight.bits not in model.even_masks:
         raise ValueError("not an even set of eight nodes")
-    index = sum(1 for t in model.even_sets if not t.bits & ~eight.bits)
+    index = sum(1 for t in model.even_masks if not t & ~eight.bits)
     return index, saturation_gram_matches(eight, model)
 
 

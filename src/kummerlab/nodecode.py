@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import total_ordering
+from itertools import combinations
 
 from ._frozen import Frozen
 from .labels import NODE_INDEX, NODE_LABELS
@@ -167,18 +168,10 @@ def weight_enumerator(code: BinaryCode) -> dict[int, int]:
 def check_affine_hyperplane_family(eights: Iterable[NodeSet]) -> bool:
     """True iff the weight-8 sets pairwise meet in 0 or 4 points and are
     closed under complement, as the hyperplane family of AG(4, 2) must be."""
-    members = list(eights)
-    for s in members:
-        if s.weight != 8:
-            raise CodeError(f"expected weight-8 sets, got weight {s.weight}")
-    mask_set = {s.bits for s in members}
-    for s in members:
-        if s.bits ^ _FULL_MASK not in mask_set:
-            return False
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if a == b:
-                continue
-            if (a.bits & b.bits).bit_count() not in (0, 4):
-                return False
-    return True
+    masks = {s.bits for s in eights}
+    for m in masks:
+        if m.bit_count() != 8:
+            raise CodeError(f"expected weight-8 sets, got weight {m.bit_count()}")
+    if any(m ^ _FULL_MASK not in masks for m in masks):
+        return False
+    return all((a & b).bit_count() in (0, 4) for a, b in combinations(masks, 2))

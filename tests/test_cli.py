@@ -339,8 +339,8 @@ def shift_incidence(monkeypatch):
     """Read each branch node's incidence at the next row of the curve table."""
     original = fibration._meets
 
-    def shifted(t, fib, x, mask):
-        return original(t, fib, x, mask << 1)
+    def shifted(t, fib, x, rows, mask):
+        return original(t, fib, x, [y + 1 for y in rows], mask << 1)
 
     monkeypatch.setattr(fibration, "_meets", shifted)
 
@@ -441,35 +441,48 @@ class TestFaultInjection:
         yield
         jacobian_kummer_ns.cache_clear()
 
-    def test_node_weight_changed(self, monkeypatch, fresh_model):
+    # every pencil holds E56, and each saturation whose eight contains E56
+    # loses its Gram, whenever E56 is not a (-2)-class
+    E56_PENCIL = SWEEPS | {
+        "cross.euler24",
+        "fibration.F2zero",
+        "fibration.classify",
+        "fibration.cover12I2",
+        "fibration.delta12_identity",
+        "fibration.eulersum24",
+        "fibration.sections4",
+    }
+    E56_FAILING = E56_PENCIL | {
+        f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")
+    } | {"config.sixteen_six", "ns.discriminant", "ns.trope_pairings"}
+
+    @staticmethod
+    def square_e56(monkeypatch, square):
         def heavier_e56(labels, diag):
             labels, diag = tuple(labels), list(diag)
-            diag[labels.index("E56")] = -4
+            diag[labels.index("E56")] = square
             return QuadraticSpace(labels, diag)
 
         monkeypatch.setattr(kummer_ns, "QuadraticSpace", heavier_e56)
-        # the (16,6) table and trope norms see the -4, the lattice's
-        # discriminant changes, every pencil holds a component of norm -4,
-        # and each saturation whose eight contains E56 loses its Gram
-        pencil = SWEEPS | {
-            "cross.euler24",
-            "fibration.F2zero",
-            "fibration.classify",
-            "fibration.cover12I2",
-            "fibration.delta12_identity",
-            "fibration.eulersum24",
-            "fibration.sections4",
-        }
+
+    def test_node_weight_changed(self, monkeypatch, fresh_model):
+        self.square_e56(monkeypatch, -4)
+        # the (16,6) table and trope norms see the -4, the Z-basis Gram is
+        # not integral, so ns.discriminant fails through its raise
         results = self.results()
-        assert self.failing(results) == (
-            pencil | {
-                f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")
-            } | {"config.sixteen_six", "ns.discriminant", "ns.trope_pairings"},
-            pencil | {"ns.discriminant"},
-        )
+        assert self.failing(results) == (self.E56_FAILING, self.E56_PENCIL | {"ns.discriminant"})
         assert results["nikulin.saturation.15"].detail == (
             "(1,5) eight saturates with index 2; Gram differs from the abstract lattice"
         )
+
+    def test_node_weight_changed_integral(self, monkeypatch, fresh_model):
+        self.square_e56(monkeypatch, -6)
+        # with -6 the Z-basis Gram stays integral, so ns.discriminant
+        # reaches its own comparison: invariant factors (2,2,2,2,12)
+        results = self.results()
+        assert self.failing(results) == (self.E56_FAILING, self.E56_PENCIL)
+        assert results["ns.discriminant"].detail == "invariant factors [2, 2, 2, 2, 12], order 192"
+        assert results["ns.discriminant"].data["invariant_factors"] == [2, 2, 2, 2, 12]
 
     def test_trope_support_altered(self, monkeypatch, fresh_model):
         original = kummer_ns.trope_support

@@ -243,6 +243,23 @@ class TestGrayCodeScan:
         with pytest.raises(ValueError, match="lacks the basis vector"):
             model.even_sets
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            (lambda: unit_vectors(MODEL), "denominator 1"),
+            (lambda: unit_vectors(MODEL, 2) + [MODEL.trope_class(t) for t in TROPE_LABELS],
+             "lacks the basis vector"),
+        ],
+        ids=["denominator", "integer_lattice"],
+    )
+    def test_is_even_set_raises_the_guard_error(self, gens, message):
+        # is_even_set reads the even-set code, so where the scan's guard
+        # fails it raises that ValueError instead of answering
+        model = model_with_lattice(gens())
+        for s in (EMPTY, even_eight(1, 2), FULL):
+            with pytest.raises(ValueError, match=message):
+                model.is_even_set(s)
+
     def test_code_dimension_from_syndrome_rank(self):
         _, hnf, _ = MODEL.ns._scaled
         basis = f2_basis(sum(x % 2 << k for k, x in enumerate(row)) for row in hnf)

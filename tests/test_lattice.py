@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
-from kummerlab.labels import INDEX_PAIRS, NODE_LABELS
+from kummerlab.kummer_ns import JacobianKummerNS, even_eight, jacobian_kummer_ns
+from kummerlab.labels import BASIS_LABELS, INDEX_PAIRS, NODE_LABELS
 from kummerlab.lattice import (
     DiscriminantGroup,
     LatticeError,
@@ -21,6 +22,7 @@ from kummerlab.lattice import (
     _hnf_rows,
     _integral_table,
     _leading_minors_positive,
+    _over_one_denominator,
     _smith_normal_form,
     _xgcd,
     vector_from_json,
@@ -1328,6 +1330,20 @@ class TestSparseReduce:
         assert MODEL.ns._reduce(scaled) == _dense_reduce(MODEL.ns, scaled)
         assert MODEL.is_even_set(s) == (_dense_reduce(MODEL.ns, scaled) is not None)
 
+    @pytest.mark.parametrize("tropes", [None, ("C0", "C12")], ids=["model", "z17_c0_c12"])
+    def test_is_even_set_against_membership_on_every_mask(self, tropes):
+        # is_even_set reads the even-set code; the half-sum membership test
+        # decides the same question on each of the 2^16 node sets, on the
+        # model and on Z^17 plus two tropes (even sets: empty and one eight)
+        model = MODEL
+        if tropes:
+            model = JacobianKummerNS()
+            units = [model.space.basis_vector(label) for label in BASIS_LABELS]
+            model.ns = SublatticeModel(model.space, tuple(units + [model.trope_class(t) for t in tropes]))
+        evens = [bits for bits in range(1 << 16) if model.ns.contains(model.half_sum(NodeSet(bits)))]
+        assert [bits for bits in range(1 << 16) if model.is_even_set(NodeSet(bits))] == evens
+        assert len(evens) == (32 if tropes is None else 2)
+
 
 class TestSparseCoords:
     @given(integer_vectors())
@@ -1439,3 +1455,113 @@ class TestSparseGram:
         images = dict(MODEL.covering_involution_images(), E12=other.basis[3])
         with pytest.raises(LatticeError):
             MODEL.ns.is_isometry(images)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass vector build against the checked constructor
+# ---------------------------------------------------------------------------
+
+
+class Weight(IntEnum):
+    MINUS = -2
+    ONE = 1
+    THREE = 3
+
+
+def _checked_vector(space, values):
+    """The former build: a mapping laid out by label, `_over_one_denominator`,
+    then the public constructor, which checks and normalises again."""
+    if isinstance(values, Mapping):
+        coords = [0] * space.dim
+        for label, value in values.items():
+            coords[space.index(label)] = value
+        values = coords
+    return RationalVector(space, *_over_one_denominator(tuple(values)))
+
+
+_EXACT_VALUES = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.sampled_from(list(Weight)),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+
+
+class _ReadOnly(Mapping):
+    """A Mapping that is not a dict."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+@st.composite
+def vector_inputs(draw):
+    """A space of the package and coordinates for `vector`: a list, a tuple or
+    a label -> value mapping (a dict or a read-only Mapping) of ints,
+    Fractions and IntEnum members."""
+    space = draw(st.sampled_from(JSON_SPACES))
+    values = draw(st.lists(_EXACT_VALUES, min_size=space.dim, max_size=space.dim))
+    shape = draw(st.sampled_from(["list", "tuple", "dict", "mapping"]))
+    if shape == "tuple":
+        return space, tuple(values)
+    if shape in ("dict", "mapping"):
+        labels = draw(st.lists(st.sampled_from(space.labels), unique=True))
+        entries = {label: values[space.index(label)] for label in labels}
+        return space, entries if shape == "dict" else _ReadOnly(entries)
+    return space, values
+
+
+class TestOnePassVector:
+    @given(vector_inputs())
+    @example((SPACE, [0] * 17))
+    @example((SPACE, [Fraction(0)] * 17))
+    @example((SPACE, [Weight.THREE] + [Fraction(1, 6), Fraction(-5, 4)] * 8))
+    @example((SPACE, {}))
+    @settings(max_examples=300, deadline=None)
+    def test_against_checked_constructor(self, case):
+        space, values = case
+        v, ref = space.vector(values), _checked_vector(space, values)
+        assert (v.nums, v.den) == (ref.nums, ref.den)
+        assert v == ref and hash(v) == hash(ref)
+        assert v.space is space
+        assert type(v.nums) is tuple and {type(v.den), *map(type, v.nums)} == {int}
+        assert v.den > 0 and gcd(v.den, *v.nums) == 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [True] + [0] * 16,
+            [0] * 16 + [0.5],
+            ["1"] + [0] * 16,
+            [0] * 16,
+            [0] * 18,
+            [],
+            {"L": 1, "E78": 2},
+            {"L": False},
+            {"E0": 1.0},
+        ],
+        ids=["bool", "float", "str", "short", "long", "empty", "unknown_label", "bool_value", "float_value"],
+    )
+    def test_same_error_as_checked_constructor(self, values):
+        with pytest.raises(LatticeError) as ref:
+            _checked_vector(SPACE, values)
+        with pytest.raises(LatticeError) as got:
+            SPACE.vector(values)
+        assert str(got.value) == str(ref.value)
+
+    def test_json_read_against_checked_constructor(self):
+        coords = [["2", "4"], ["-0", "3"], ["1", "-2"], ["-3", "-6"], ["6", "9"]] + [["0", "1"]] * 12
+        v = vector_from_json(SPACE, {"basis": list(SPACE.labels), "coords": coords})
+        ref = RationalVector(SPACE, (6, 0, -6, 6, 8) + (0,) * 12, 12)
+        assert (v.nums, v.den) == (ref.nums, ref.den) == ((3, 0, -3, 3, 4) + (0,) * 12, 6)
+        assert hash(v) == hash(ref)
