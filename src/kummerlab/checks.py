@@ -596,7 +596,7 @@ def _cover_k2(ctx: CheckContext):
     ok = t.k_squared == 2 and h_sq == 2
     return ok, f"K^2 = {t.k_squared} and pulled-back hyperplane square {h_sq}", {
         "k_squared": t.k_squared,
-        "h_squared": int(h_sq),
+        "h_squared": h_sq,
     }
 
 
@@ -627,9 +627,13 @@ def _cover_dp2(ctx: CheckContext):
 )
 def _cover_table(ctx: CheckContext):
     table = covers.curve_table_T()
-    return True, "declared curve table satisfies all three pullback aggregates (= 8)", {
-        "table": table
-    }
+    paper = {"E1.E1": 2, "E2.E2": 2, "E1.E2": 2, "W1.W1": 0, "W2.W2": 0, "W1.W2": 4, "W1.E2": 2, "W2.E1": 2,
+             "W1.E1+W2.E2": 4, "branch_points_on_l1": 4, "E1.euler": 0}
+    detail = "declared curve table satisfies all three pullback aggregates (= 8)"
+    if table != paper:
+        wrong = ", ".join(f"{k} = {v}" for k, v in table.items() if paper.get(k) != v)
+        detail = f"curve table on the quartic cover differs from the paper at {wrong}"
+    return table == paper, detail, {"table": table}
 
 
 @check(
@@ -674,15 +678,15 @@ def _cover_sixteen(ctx: CheckContext):
     inv = covers.sixteen_curves_on_X()
     total, split = inv["total"], inv["split_preimages_of_exceptional"]
     exceptional, conic = inv["exceptional_of_cover"], inv["split_conic_pieces_used"]
-    cross = inv["aggregate_cross"]
-    ok = total == 16 and split == 12 and exceptional == 2 and cross == 8
+    defects = covers.sixteen_defects()
+    ok = total == 16 and split == 12 and exceptional == 2 and not defects
     count = "sixteen" if total == 16 else total
     detail = (
         f"{count} disjoint rational curves: {split} split + {exceptional} exceptional"
         f" + {conic} conic pieces"
     )
-    if cross != 8:
-        detail += f"; split-conic cross sum {cross}, expected 8"
+    if defects:
+        detail += f"; Gram not -2 I at {', '.join(defects)}"
     return ok, detail, inv
 
 
@@ -713,14 +717,16 @@ def _cover_incidence(ctx: CheckContext):
     "two independent computations of the Euler number 24 agree",
 )
 def _cross_euler(ctx: CheckContext):
-    fib_total = ctx.transformed.euler
-    surf_total = covers.build_final_cover().euler
-    ok = fib_total == surf_total == 24
+    fib_total, surf_total = ctx.transformed.euler, covers.build_final_cover().euler
+    # the I2 fibers double the six I2 pairs of the blown-up quartic cover
+    i2 = sum(1 for f in ctx.transformed.fibers if f.kodaira_type == "I2")
+    split = covers.sixteen_curves_on_X()["split_preimages_of_exceptional"]
+    ok = fib_total == surf_total == 24 and i2 == split
     verb = "agrees with" if fib_total == surf_total else "differs from"
-    return ok, f"fiber Euler sum {fib_total} {verb} the surface Euler number {surf_total}", {
-        "fibration": fib_total,
-        "surface": surf_total,
-    }
+    detail = f"fiber Euler sum {fib_total} {verb} the surface Euler number {surf_total}"
+    if i2 != split:
+        detail += f"; {i2} I2 fibers against {split} split exceptional curves"
+    return ok, detail, {"fibration": fib_total, "surface": surf_total}
 
 
 @check(

@@ -2,25 +2,25 @@
 
 Surfaces are tracked by Euler number, canonical self-intersection and a
 partial Picard model: a labelled quadratic space holding the hyperplane
-class, exceptional classes, and pullbacks thereof, together with named curve
-classes.  Two operations evolve a surface: blowing up a point (new (-1)
-class, strict transforms drop one copy of it per local branch) and taking a
-double cover branched along a 2-divisible class (Euler number 2e - e(branch),
-canonical class K + B/2, intersection numbers doubled on pulled-back
-classes).  Each surface keeps the curve table of its named curves.  The
-six-line configuration is counted from these models, the sixteen curves on
-the final cover from the fibers `fibration.discover_fibers` finds on the
-blown-up quartic cover, whose branch E1 + E2 is two fibers.  Curves whose
-classes live outside this partial model - the two genus-1 branch components
-and the split conic preimages - are carried as declared intersection data
-and checked for aggregate consistency only.
+class, exceptional classes, pullbacks thereof and the anti-invariant classes
+of split curves, together with named curve classes.  Two operations evolve a
+surface: blowing up a point (new (-1) class, strict transforms drop one copy
+of it per local branch) and taking a double cover branched along a
+2-divisible class (Euler number 2e - e(branch), canonical class K + B/2,
+intersection numbers doubled on pulled-back classes, and each curve named as
+split replaced by its two pieces).  Each surface keeps the curve table of its
+named curves, and every intersection number below is read from it: the
+six-line configuration on the six-point blowup, the curve table of the
+quartic cover, and the sixteen curves on the final cover, counted from the
+fibers `fibration.discover_fibers` finds on the blown-up quartic cover, whose
+branch E1 + E2 is two fibers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -65,8 +65,16 @@ class SurfaceModel(Frozen):
         except KeyError:
             raise CoverError(f"no tracked curve named {name!r}") from None
 
-    def pairing(self, a: str, b: str) -> Fraction:
-        return self.pic.inner(self.curve(a), self.curve(b))
+    def pairing(self, a: str, b: str) -> int:
+        """An intersection number read off the curve table; a fraction raises."""
+        t = self.table
+        try:
+            n = t.table[t.labels.index(a)][t.labels.index(b)]
+        except ValueError:
+            raise CoverError(f"no tracked curve named {a!r} or {b!r}") from None
+        if n % t.scale:
+            raise CoverError(f"{a}.{b} = {Fraction(n, t.scale)} is not an integer")
+        return n // t.scale
 
 
 class BranchData(Frozen):
@@ -93,10 +101,7 @@ class BranchData(Frozen):
                 raise CoverError("components must be (-2)-classes")
             if any(row[i + 1 :]):
                 raise CoverError("components must be pairwise disjoint")
-        total = comps[0]
-        for c in comps[1:]:
-            total = total + c
-        return cls(total, 2 * len(comps))
+        return cls(sum(comps[1:], comps[0]), 2 * len(comps))
 
 
 def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
@@ -120,53 +125,57 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
     def extend(v: RationalVector, exc_coeff: int) -> RationalVector:
         return RationalVector(pic, v.nums + (exc_coeff * v.den,), v.den)
 
-    multiplicity: dict[str, int] = {}
     for name in through:
-        if name not in s.curves:
-            raise CoverError(f"no tracked curve named {name!r}")
-        multiplicity[name] = multiplicity.get(name, 0) + 1
-
-    curves = {
-        name: extend(v, -multiplicity.get(name, 0)) for name, v in s.curves.items()
-    }
+        s.curve(name)
+    curves = {name: extend(v, -through.count(name)) for name, v in s.curves.items()}
     curves[exceptional] = pic.basis_vector(exceptional)
-    return SurfaceModel(
-        s.euler + 1,
-        s.k_squared - 1,
-        pic,
-        extend(s.canonical, 1),
-        curves,
-    )
+    return SurfaceModel(s.euler + 1, s.k_squared - 1, pic, extend(s.canonical, 1), curves)
 
 
-def double_cover(s: SurfaceModel, branch: BranchData) -> SurfaceModel:
+def double_cover(
+    s: SurfaceModel, branch: BranchData, split: Mapping[str, tuple[str, str, str, int]]
+) -> SurfaceModel:
     """Double cover branched along a 2-divisible class.
 
-    The pulled-back Picard model keeps the same labels with the form doubled,
-    so pullback pairings obey <p*D1, p*D2> = 2<D1, D2>; the canonical class
+    The pulled-back Picard model keeps the labels with the form doubled, so
+    pullback pairings obey <p*D1, p*D2> = 2<D1, D2>; the canonical class
     becomes the pullback of K + B/2 and the Euler number 2e - e(branch).
+
+    ``split`` maps each tracked curve C whose preimage splits to ``(plus,
+    minus, label, square)``: the space gains the anti-invariant class d of
+    ``label`` and ``square`` once per label, and C gives way to its pieces
+    ``plus = (p*C + d)/2`` and ``minus = (p*C - d)/2``.
     """
     b = branch.divisor_class
     s.pic._check_member(b)
     half = RationalVector(s.pic, b.nums, 2 * b.den)
     if not half.is_integral:
         raise CoverError("branch not 2-divisible in the modeled Picard group")
-    pic = QuadraticSpace(s.pic.labels, tuple(2 * d for d in s.pic.diag))
+    squares: dict[str, int] = {}
+    for name, (_, _, label, square) in split.items():
+        s.curve(name)
+        if squares.setdefault(label, square) != square:
+            raise CoverError(f"anti-invariant class {label!r} given squares {squares[label]} and {square}")
+    diag = tuple(2 * d for d in s.pic.diag) + tuple(squares.values())
+    pic = QuadraticSpace(s.pic.labels + tuple(squares), diag)
+    pad = (0,) * len(squares)
 
     def pull(v: RationalVector) -> RationalVector:
-        return RationalVector(pic, v.nums, v.den)
+        return RationalVector(pic, v.nums + pad, v.den)
 
+    curves = {}
+    for name, v in s.curves.items():
+        if name in split:
+            plus, minus, label, _ = split[name]
+            p, d = pull(v), pic.basis_vector(label)
+            curves[plus], curves[minus] = Fraction(1, 2) * (p + d), Fraction(1, 2) * (p - d)
+        else:
+            curves[name] = pull(v)
     canonical = pull(s.canonical + half)
     k_squared = canonical.norm()
     if k_squared.denominator != 1:
         raise CoverError("canonical self-intersection is not an integer")
-    return SurfaceModel(
-        2 * s.euler - branch.euler_of_branch,
-        k_squared.numerator,
-        pic,
-        canonical,
-        {name: pull(v) for name, v in s.curves.items()},
-    )
+    return SurfaceModel(2 * s.euler - branch.euler_of_branch, k_squared.numerator, pic, canonical, curves)
 
 
 def noether_chi(s: SurfaceModel) -> Fraction:
@@ -225,13 +234,12 @@ def quartic_branch(s: SurfaceModel) -> BranchData:
 def build_quartic_cover() -> SurfaceModel:
     """The double cover of the blown-up plane branched along the quartic lines."""
     base = blowup_quartic_points()
-    return double_cover(base, quartic_branch(base))
+    return double_cover(base, quartic_branch(base), {"W": ("W1", "W2", "dW", -8)})
 
 
 def verify_weak_del_pezzo(t: SurfaceModel) -> bool:
     """Degree-two weak del Pezzo numerology: seven blowdowns to the plane."""
-    chi = noether_chi(t)
-    return t.k_squared == 9 - 7 and t.euler == 3 + 7 and chi == 1
+    return t.k_squared == 9 - 7 and t.euler == 3 + 7 and noether_chi(t) == 1
 
 
 @cache
@@ -245,92 +253,48 @@ def build_blown_cover() -> SurfaceModel:
 
 def elliptic_branch(t: SurfaceModel) -> BranchData:
     """The two disjoint genus-1 strict transforms; their Euler number is 0."""
-    e1, e2 = t.curve("l1"), t.curve("l2")
-    if t.pic.inner(e1, e2) != 0:
+    if t.pairing("l1", "l2") != 0:
         raise CoverError("genus-1 branch components must be disjoint after blowup")
-    return BranchData(e1 + e2, 0)
+    return BranchData(t.curve("l1") + t.curve("l2"), 0)
 
 
 @cache
 def build_final_cover() -> SurfaceModel:
+    """The double cover of the blown-up quartic cover branched along E1 + E2."""
     t = build_blown_cover()
-    return double_cover(t, elliptic_branch(t))
+    # each tracked G_ab misses the branch and splits; W'1.W'2 = 4 and
+    # W'1.W''2 = 0 force D1.D2 = 8 = |D1||D2|, the Cauchy-Schwarz equality,
+    # so D2 = -D1 and W2's plus piece is W''2
+    split = {g: (f"G'{g[1:]}", f"G''{g[1:]}", f"d{g[1:]}", -4) for g in t.curves if g[0] == "G"}
+    split |= {"W1": ("W'1", "W''1", "D", -8), "W2": ("W''2", "W'2", "D", -8)}
+    return double_cover(t, elliptic_branch(t), split)
 
 
 # ---------------------------------------------------------------------------
 # curve tables
 # ---------------------------------------------------------------------------
 
-# declared intersection numbers among the genus-1 curves E1, E2 (preimages of
-# the first two lines) and the split conic preimages W1, W2 on the quartic
-# cover; the Ei.Wi diagonal is not declared and only its sum is forced
-CURVE_TABLE = {
-    "E1.E1": 2,
-    "E2.E2": 2,
-    "E1.E2": 2,
-    "W1.W1": 0,
-    "W2.W2": 0,
-    "W1.W2": 4,
-    "W1.E2": 2,
-    "W2.E1": 2,
-}
 
-# declared intersection numbers of the four split conic-preimage pieces on the
-# final cover
-SPLIT_CONIC_TABLE = {
-    "W'1.W'1": -2,
-    "W''1.W''1": -2,
-    "W'2.W'2": -2,
-    "W''2.W''2": -2,
-    "W'1.W''1": 2,
-    "W'2.W''2": 2,
-    "W'1.W'2": 4,
-    "W''1.W''2": 4,
-    "W'1.W''2": 0,
-    "W''1.W'2": 0,
-}
+def _pairings(s: SurfaceModel, names: Mapping[str, str], keys: str) -> dict[str, int]:
+    """The pairings on s of the keys "a.b", with a and b renamed through ``names``."""
+    return {key: s.pairing(*(names.get(c, c) for c in key.split("."))) for key in keys.split()}
 
 
 def curve_table_T() -> dict[str, int]:
-    """The declared intersection table on the quartic cover, after checking
-    every aggregate identity the pullback rules force.
+    """The curve table on the quartic cover, read off its Picard model.
 
-    Identities checked (all equal to 8): (E1+E2)^2 against 2(l1+l2)^2,
-    (W1+W2)^2 against 2W^2, and (E1+E2).(W1+W2) against 2(l1+l2).W, the last
-    forcing the undeclared diagonal sum W1.E1 + W2.E2 = 4.  Also records the
+    E1 and E2 are the preimages of the first two lines and W1, W2 the split
+    conic preimages.  Also records the diagonal sum W1.E1 + W2.E2 and the
     branch count on each of the first two lines (four, so the preimages have
     Euler number 0 and genus one).
     """
-    base = blowup_quartic_points()
-    cc = base.curve("l1") + base.curve("l2")
-    w = base.curve("W")
-    pull_cc = 2 * base.pic.inner(cc, cc)
-    pull_ww = 2 * base.pic.inner(w, w)
-    pull_cw = 2 * base.pic.inner(cc, w)
-
-    t = dict(CURVE_TABLE)
-    e_sum = t["E1.E1"] + t["E2.E2"] + 2 * t["E1.E2"]
-    if e_sum != pull_cc:
-        raise CoverError(
-            f"(E1+E2)^2 = {e_sum} does not match 2*(l1+l2)^2 = {pull_cc}"
-        )
-    w_sum = t["W1.W1"] + t["W2.W2"] + 2 * t["W1.W2"]
-    if w_sum != pull_ww:
-        raise CoverError(f"(W1+W2)^2 = {w_sum} does not match 2*W^2 = {pull_ww}")
-    off_diag = t["W1.E2"] + t["W2.E1"]
-    diagonal_sum = pull_cw - off_diag
-    if diagonal_sum < 0:
-        raise CoverError(
-            f"(E1+E2).(W1+W2) = {pull_cw} is below the declared off-diagonal {off_diag}"
-        )
-    t["W1.E1+W2.E2"] = int(diagonal_sum)
-
-    branch = quartic_branch(base).divisor_class
-    branch_points = base.pic.inner(base.curve("l1"), branch)
-    t["branch_points_on_l1"] = int(branch_points)
-    t["E1.euler"] = int(2 * 2 - branch_points)
-    if t["E1.euler"] != 0:
-        raise CoverError("line preimage is not a genus-1 curve")
+    t = _pairings(
+        build_quartic_cover(), {"E1": "l1", "E2": "l2"},
+        "E1.E1 E2.E2 E1.E2 W1.W1 W2.W2 W1.W2 W1.E2 W2.E1 W1.E1 W2.E2",
+    )
+    t["W1.E1+W2.E2"] = t.pop("W1.E1") + t.pop("W2.E2")
+    t["branch_points_on_l1"] = sum(blowup_quartic_points().pairing("l1", f"l{i}") for i in QUARTIC_LINES)
+    t["E1.euler"] = 2 * 2 - t["branch_points_on_l1"]
     return t
 
 
@@ -340,30 +304,45 @@ def sixteen_curves_on_X() -> dict[str, object]:
     On the blown-up cover the branch E1 + E2 is two fibers of |E1|, F the row
     of l1: the G of each I2 fiber misses it and splits in two (twelve), the
     sections N1 and N2 meet it twice and stay irreducible of square -2 (two),
-    and two of the four split conic pieces make sixteen.  The split-conic
-    aggregates are reported; `cover.X_sixteen` compares the cross sum with 8.
+    and two of the four split conic pieces, paired on the final cover, make
+    sixteen.
     """
     t = build_blown_cover().table
     l1 = t.labels.index("l1")
     _, pairs, sections = discover_fibers(t, t.table[l1], t.table[l1][l1])
     split_exceptional = 2 * len(pairs)
     exceptional_of_x = sum(1 for x in sections if t.labels[x] in ("N1", "N2"))
-
-    s = SPLIT_CONIC_TABLE
-    aggregate_cross = s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"]
+    s = _pairings(
+        build_final_cover(), {},
+        "W'1.W'1 W''1.W''1 W'2.W'2 W''2.W''2 W'1.W''1 W'2.W''2 W'1.W'2 W''1.W''2 W'1.W''2 W''1.W'2",
+    )
     w_self = s["W'1.W'1"] + s["W''1.W''1"] + 2 * s["W'1.W''1"]
     # the conic misses both blown points, so its class is unchanged upstairs
     # and the pullback square is 2 * W1^2 with zero blowup correction
-    pullback_self = 2 * CURVE_TABLE["W1.W1"]
-    correction = pullback_self - w_self
-
+    pullback_self = 2 * build_quartic_cover().pairing("W1", "W1")
     return {
         "split_preimages_of_exceptional": split_exceptional,
         "exceptional_of_cover": exceptional_of_x,
         "split_conic_pieces_used": 2,
         "total": split_exceptional + exceptional_of_x + 2,
-        "split_conic_table": dict(s),
-        "aggregate_cross": aggregate_cross,
+        "split_conic_table": s,
+        "aggregate_cross": s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"],
         "split_self_sum": w_self,
-        "blowup_correction": int(correction),
+        "blowup_correction": pullback_self - w_self,
     }
+
+
+def sixteen_on_X() -> list[str]:
+    """The sixteen on the final cover: the split pieces of the G_ab, N1, N2, W'1 and W''2."""
+    return [name for name in build_final_cover().curves if name[0] == "G"] + ["N1", "N2", "W'1", "W''2"]
+
+
+def sixteen_defects() -> list[str]:
+    """The pairings "a.b = value" among `sixteen_on_X` that are not those of -2 I."""
+    x = build_final_cover()
+    t, sixteen = x.table, sixteen_on_X()
+    rows = zip([t.labels.index(name) for name in sixteen], sixteen)
+    return [
+        f"{a}.{b} = {x.pairing(a, b)}" for (i, a), (j, b) in combinations_with_replacement(rows, 2)
+        if t.table[i][j] != (-2 * t.scale if i == j else 0)
+    ]

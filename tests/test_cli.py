@@ -188,9 +188,10 @@ class TestRunChecks:
 
         monkeypatch.setattr(QuadraticSpace, "gram", counted)
         run_checks()
-        # the pencils and the saturations read the curve table; the Grams left
-        # are the isometry's form check on the 17 images and two cover counts
-        assert sorted(calls) == [4, 7, 17]
+        # the pencils, the saturations and the cover tables read curve tables;
+        # the Grams left are the isometry's form check on the 17 images and
+        # the six-line incidence count
+        assert sorted(calls) == [7, 17]
 
     def test_vectors_per_run(self, monkeypatch):
         run_checks()  # the model, its curve table and the cached surfaces exist
@@ -204,8 +205,10 @@ class TestRunChecks:
         monkeypatch.setattr(RationalVector, "__init__", counted)
         run_checks()
         # the sixteen curves are counted on the blown-up cover's curve table,
-        # so the branch E1 + E2 is no longer summed as a vector
-        assert len(built) == 110
+        # so the branch E1 + E2 is no longer summed as a vector, and the cover
+        # tables read the surfaces' curve tables, so the quartic branch is not
+        # rebuilt
+        assert len(built) == 106
         built.clear()
         run_checks(["alpha.isometry"])
         # 17 basis images and the 17 image vectors of the Z-basis, whose
@@ -243,8 +246,9 @@ class TestRunChecks:
         run_checks()
         # one lookup per fiber built (eight per pencil, two smooth ones per
         # cover, the six I2 fibers of the pencil |E1| that count the sixteen
-        # curves) and one sum per pencil and per cover
-        assert len(lookups) == 15 * (8 + 2) + 6
+        # curves, once for cover.X_sixteen and once for cross.euler24's I2
+        # comparison) and one sum per pencil and per cover
+        assert len(lookups) == 15 * (8 + 2) + 2 * 6
         assert len(sums) == 2 * 15
 
     def test_saturation_builds_each_eight_once(self, monkeypatch):
@@ -535,8 +539,16 @@ class TestFaultInjection:
         # isolated fibers, so the transform keeps every fiber once: 6 I2
         # fibers, not 12, fail both checks by their own comparisons; the two
         # stars kept (+12) and the six fibers not doubled (-12) cancel, so
-        # the Euler sum is 24 and cross.euler24 passes
-        assert self.failing() == ({"fibration.cover12I2", "fibration.sweep.12"}, set())
+        # the Euler sum is 24, and cross.euler24 fails on its I2 comparison:
+        # 6 fibers against the 12 split exceptional curves of the tower
+        results = self.results()
+        assert self.failing(results) == (
+            {"cross.euler24", "fibration.cover12I2", "fibration.sweep.12"}, set()
+        )
+        assert results["cross.euler24"].detail == (
+            "fiber Euler sum 24 agrees with the surface Euler number 24;"
+            " 6 I2 fibers against 12 split exceptional curves"
+        )
 
     def test_c0_support_altered(self, monkeypatch, fresh_model):
         original = kummer_ns.trope_support
@@ -637,20 +649,56 @@ class TestFaultInjection:
 
         monkeypatch.setattr(covers, "build_blown_cover", without_g56)
         # the pencil |E1| finds five I2 fibers, not six, so the inventory
-        # counts ten split curves and its own comparison fails; the surfaces'
-        # numbers do not read the curve
+        # counts ten split curves and its own comparison fails, as does
+        # cross.euler24's against the 12 I2 fibers of the Kummer cover; the
+        # final cover splits the five G it tracks, and the surfaces' numbers
+        # do not read the curve
         results = self.results()
-        assert self.failing(results) == ({"cover.X_sixteen"}, set())
+        assert self.failing(results) == ({"cover.X_sixteen", "cross.euler24"}, set())
         assert results["cover.X_sixteen"].detail == (
             "14 disjoint rational curves: 10 split + 2 exceptional + 2 conic pieces"
         )
 
-    def test_split_conic_cross_sum_changed(self, monkeypatch):
-        monkeypatch.setitem(covers.SPLIT_CONIC_TABLE, "W'1.W'2", 2)
-        # the inventory reports the cross sum 6 and its own check compares it
+    def test_w2_pieces_swapped(self, monkeypatch, fresh_tower):
+        original = covers.double_cover
+
+        def swapped(s, branch, split):
+            if "W2" in split:
+                plus, minus, label, square = split["W2"]
+                split = {**split, "W2": (minus, plus, label, square)}
+            return original(s, branch, split)
+
+        monkeypatch.setattr(covers, "double_cover", swapped)
+        # taking D2 = +D1 names (p*W2 - D)/2 W''2, which meets W'1 with
+        # (8 + 8)/4 = 4, so the sixteen's Gram is not -2 I; the cross sum
+        # over all four pieces is still 8
         results = self.results()
         assert self.failing(results) == ({"cover.X_sixteen"}, set())
-        assert results["cover.X_sixteen"].detail.endswith("split-conic cross sum 6, expected 8")
+        assert results["cover.X_sixteen"].data["split_conic_table"]["W'1.W''2"] == 4
+        assert results["cover.X_sixteen"].detail == (
+            "sixteen disjoint rational curves: 12 split + 2 exceptional + 2 conic pieces"
+            "; Gram not -2 I at W'1.W''2 = 4"
+        )
+
+    def test_conic_anti_invariant_square_changed(self, monkeypatch, fresh_tower):
+        original = covers.double_cover
+
+        def square_4(s, branch, split):
+            if "W" in split:
+                split = {"W": split["W"][:3] + (-4,)}
+            return original(s, branch, split)
+
+        monkeypatch.setattr(covers, "double_cover", square_4)
+        # dW^2 = -4 gives W1 = H + dW/2 the square 2 - 1 = 1 and W1.W2 = 3,
+        # so the derived curve table differs from the paper's by its own
+        # comparison; upstairs W'1 = (p*W1 + D)/2 has the square (2 - 8)/4,
+        # not an integer, so the final cover's inventory raises
+        results = self.results()
+        inventory = {"cover.X_sixteen", "cross.euler24"}
+        assert self.failing(results) == (inventory | {"cover.curve_table"}, inventory)
+        assert results["cover.curve_table"].detail == (
+            "curve table on the quartic cover differs from the paper at W1.W1 = 1, W2.W2 = 1, W1.W2 = 3"
+        )
 
     def test_node_dropped_from_curve_table(self, monkeypatch):
         drop_e56_from_curve_table(monkeypatch)
@@ -679,7 +727,10 @@ class TestFaultInjection:
             )
         assert results["fibration.eulersum24"].detail == "2*6 + 6*2 = 22"
         # the cover of the (1,2) pencil has one fiber fewer to double
-        assert results["cross.euler24"].detail == "fiber Euler sum 20 differs from the surface Euler number 24"
+        assert results["cross.euler24"].detail == (
+            "fiber Euler sum 20 differs from the surface Euler number 24;"
+            " 10 I2 fibers against 12 split exceptional curves"
+        )
 
     def test_star_leaf_moved(self, monkeypatch, fresh_model):
         original = kummer_ns.trope_support

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from kummerlab.covers import (
+    QUARTIC_LINES,
     BranchData,
     CoverError,
     SurfaceModel,
@@ -19,12 +21,15 @@ from kummerlab.covers import (
     quartic_branch,
     sextic_incidence,
     sixteen_curves_on_X,
+    sixteen_defects,
+    sixteen_on_X,
     verify_weak_del_pezzo,
 )
 from kummerlab.fibration import build_fibration, discover_fibers
 from kummerlab.kummer_ns import CurveTable, jacobian_kummer_ns
 from kummerlab.labels import INDEX_PAIRS
-from kummerlab.lattice import QuadraticSpace, RationalVector
+from kummerlab.lattice import QuadraticSpace, RationalVector, SublatticeModel
+from kummerlab.nodecode import NodeSet, code_from_even_sets, f2_basis, f2_span, weight_enumerator
 
 
 class TestPlaneConfig:
@@ -98,12 +103,48 @@ class TestDoubleCover:
     def test_pullback_doubles_pairings(self):
         base = blowup_quartic_points()
         t = build_quartic_cover()
-        for a, b in (("l1", "l2"), ("W", "W"), ("l1", "W")):
+        for a, b in (("l1", "l2"), ("l1", "l1"), ("l3", "l4")):
             assert t.pairing(a, b) == 2 * base.pairing(a, b)
+        # the conic's pieces sum to its pullback, which doubles its pairings
+        w, l1 = t.curve("W1") + t.curve("W2"), t.curve("l1")
+        assert t.pic.inner(w, w) == 2 * base.pairing("W", "W")
+        assert t.pic.inner(l1, w) == 2 * base.pairing("l1", "W")
+        assert t.curve("W1") - t.curve("W2") == t.pic.basis_vector("dW")
+
+    def test_negating_the_anti_invariant_swaps_the_pieces(self):
+        t = build_quartic_cover()
+
+        def negate_dw(v):
+            return RationalVector(t.pic, v.nums[:-1] + (-v.nums[-1],), v.den)
+
+        assert t.pic.labels[-1] == "dW" and t.pic.diag[-1] == -8
+        assert negate_dw(t.curve("W1")) == t.curve("W2")
+        assert negate_dw(t.curve("W2")) == t.curve("W1")
+        assert all(negate_dw(t.curve(name)) == t.curve(name) for name in t.curves if name[0] != "W")
+
+    def test_shared_label_added_once(self):
+        s = projective_plane({"a": 1, "b": 1})
+        split = {"a": ("a+", "a-", "d", -2), "b": ("b+", "b-", "d", -2)}
+        cover = double_cover(s, BranchData(s.pic.zero(), 0), split)
+        assert cover.pic.labels == ("H", "d") and cover.pic.diag == (2, -2)
+        assert list(cover.curves) == ["a+", "a-", "b+", "b-"]
+        # (2 -/+ 2) / 4: the pullbacks pair to 2, d with itself to -2
+        assert cover.pairing("a+", "b+") == 0 and cover.pairing("a+", "b-") == 1
+
+    def test_split_label_with_two_squares_rejected(self):
+        s = projective_plane({"a": 1, "b": 1})
+        split = {"a": ("a+", "a-", "d", -2), "b": ("b+", "b-", "d", -4)}
+        with pytest.raises(CoverError, match="squares -2 and -4"):
+            double_cover(s, BranchData(s.pic.zero(), 0), split)
+
+    def test_split_of_untracked_curve_rejected(self):
+        s = projective_plane({"a": 1})
+        with pytest.raises(CoverError, match="no tracked curve named 'b'"):
+            double_cover(s, BranchData(s.pic.zero(), 0), {"b": ("b+", "b-", "d", -2)})
 
     def test_empty_branch_doubles(self):
         s = projective_plane({"c": 2})
-        doubled = double_cover(s, BranchData(s.pic.zero(), 0))
+        doubled = double_cover(s, BranchData(s.pic.zero(), 0), {})
         assert doubled.euler == 2 * s.euler
         assert doubled.k_squared == 2 * s.k_squared
 
@@ -111,7 +152,7 @@ class TestDoubleCover:
         s = projective_plane({"c": 2})
         odd = s.curve("c") + s.pic.basis_vector("H")
         with pytest.raises(CoverError, match="2-divisible"):
-            double_cover(s, BranchData(odd, 2))
+            double_cover(s, BranchData(odd, 2), {})
 
     def test_disjoint_rational_validation(self):
         s = blowup_quartic_points()
@@ -216,6 +257,20 @@ class TestFinalCover:
         assert inv["split_self_sum"] == 0
         assert inv["blowup_correction"] == 0
 
+    def test_conic_anti_invariants_are_opposite(self):
+        # W'1.W'2 = 4 and W'1.W''2 = 0 force D1.D2 = 8 = |D1||D2|: D2 = -D1
+        x = build_final_cover()
+        d1 = x.curve("W'1") - x.curve("W''1")
+        d2 = x.curve("W'2") - x.curve("W''2")
+        assert x.pic.inner(d1, d1) == x.pic.inner(d2, d2) == -8
+        assert x.pic.inner(d1, d2) == 8 and d2 == -d1 == -x.pic.basis_vector("D")
+
+    def test_sixteen_pair_to_minus_two_identity(self):
+        sixteen = sixteen_on_X()
+        assert len(sixteen) == len(set(sixteen)) == 16 and sixteen_defects() == []
+        pieces = [f"G{prime}{a}{b}" for a, b in combinations(QUARTIC_LINES, 2) for prime in ("'", "''")]
+        assert sixteen == pieces + ["N1", "N2", "W'1", "W''2"]
+
 
 def pencil_of_e1(table):
     """The fibers of the pencil |E1| on a curve table: F is the row of l1."""
@@ -287,3 +342,177 @@ class TestBlownCoverPencil:
         record(RationalVector, "__init__")
         assert sixteen_curves_on_X()["total"] == 16
         assert calls == []
+
+
+HALF = Fraction(1, 2)
+G_LABELS = tuple(f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2))
+
+
+def pic_generators(s, glue=True):
+    """Generators of the Picard lattice of the quartic cover, or of its blowup
+    (then with N1 and N2): H, the G_ab, A' = dW/2, the half-branch classes
+    R_a = (H - sum_b G_ab)/2 and the glue v = (-H + G34 - G56 - A')/2."""
+    b = s.pic.basis_vector
+    gens = [b("H"), *map(b, G_LABELS), HALF * b("dW")]
+    for a in QUARTIC_LINES:
+        gens.append(HALF * (b("H") - s.pic.combination([1] * 3, [b(g) for g in G_LABELS if str(a) in g])))
+    gens += [HALF * (-b("H") + b("G34") - b("G56") - HALF * b("dW"))] if glue else []
+    return gens + [b(n) for n in ("N1", "N2") if n in s.pic.labels]
+
+
+def classes(lattice, h, square):
+    """The lattice vectors with H-coordinate h and the given square.  H is the
+    first label, of positive square, and the form is negative definite on the
+    rest, whose coordinates lie in Z / denominator, so the search is finite."""
+    space, den = lattice.space, lattice.denominator
+    found = []
+
+    def extend(coords, budget):
+        if len(coords) == space.dim:
+            if budget == 0 and lattice.contains(x := space.vector(coords)):
+                found.append(x)
+            return
+        weight, n = -space.diag[len(coords)], 0
+        while weight * Fraction(n + 1, den) ** 2 <= budget:
+            n += 1
+        for k in range(-n, n + 1):
+            extend(coords + [Fraction(k, den)], budget - weight * Fraction(k, den) ** 2)
+
+    extend([h], space.diag[0] * h * h - square)
+    return found
+
+
+class TestQuarticCoverLattice:
+    """Pic(T) from the quartic cover's own Picard model: I_{1,7}, whose
+    exceptional classes and roots settle the seven blowdowns."""
+
+    def test_glue_makes_it_odd_unimodular(self):
+        t = build_quartic_cover()
+        pic = SublatticeModel(t.pic, pic_generators(t))
+        assert pic.rank == 8 and not pic.is_even()
+        assert pic.discriminant_group().invariant_factors == ()
+        unglued = SublatticeModel(t.pic, pic_generators(t, glue=False))
+        assert unglued.discriminant_group().invariant_factors == (2, 2)
+
+    def test_exceptional_classes_and_roots(self):
+        t = build_quartic_cover()
+        pic = SublatticeModel(t.pic, pic_generators(t))
+        # K = -H, so K.x = -2h: h = 1/2 for K.x = -1, h = 0 for K.x = 0
+        assert t.canonical == -1 * t.pic.basis_vector("H")
+        exceptional = classes(pic, HALF, -1)
+        assert len(exceptional) == 56
+        assert all(t.canonical.dot(x) == -1 for x in exceptional)
+        assert len(classes(pic, 0, -2)) == 126  # the roots of E7
+        # the exceptional classes meeting every G_ab non-negatively, and the
+        # sets of seven disjoint ones among them, candidate blowdowns to the plane
+        g = [t.pic.basis_vector(label) for label in G_LABELS]
+        ten = [x for x in exceptional if all(x.dot(c) >= 0 for c in g)]
+        assert len(ten) == 10
+        sevens = [s for s in combinations(ten, 7) if all(x.dot(y) == 0 for x, y in combinations(s, 2))]
+        assert len(sevens) == 2
+
+    def test_curve_table_entries_are_its_classes(self):
+        # E1 = E2 = H, W1 = H + A', W2 = H - A' with A' = dW/2
+        t = build_quartic_cover()
+        h, a = t.pic.basis_vector("H"), HALF * t.pic.basis_vector("dW")
+        assert t.curve("l1") == t.curve("l2") == h
+        assert (t.curve("W1"), t.curve("W2")) == (h + a, h - a)
+        assert curve_table_T()["W1.E1+W2.E2"] == t.pairing("W1", "l1") + t.pairing("W2", "l2") == 2 + 2
+
+
+class TestBlownCoverLattice:
+    """Pic(T~) = I_{1,9} and the Mordell-Weil group of the pencil |E1|."""
+
+    def test_odd_unimodular(self):
+        t = build_blown_cover()
+        pic = SublatticeModel(t.pic, pic_generators(t))
+        assert pic.rank == 10 and not pic.is_even()
+        assert pic.discriminant_group().invariant_factors == ()
+
+    def test_saturation_of_the_trivial_fibers(self):
+        t = build_blown_cover()
+        pic = SublatticeModel(t.pic, pic_generators(t))
+        f, g = t.curve("l1"), [t.pic.basis_vector(label) for label in G_LABELS]
+        spanned = SublatticeModel(t.pic, [f, *g])
+        # every class of the saturation is a combination of F and the G_ab
+        # with coefficients in Z / denominator; its fractional parts name it
+        den = pic.denominator
+        glue = []
+        for cs in product(range(den), repeat=7):
+            x = t.pic.combination([Fraction(c, den) for c in cs], [f, *g])
+            if any(cs) and pic.contains(x):
+                glue.append(x)
+        assert set(glue) == {
+            HALF * t.pic.combination([1] * 4, [t.pic.basis_vector(f"G{ab}") for ab in four])
+            for four in (("35", "36", "45", "46"), ("34", "36", "45", "56"), ("34", "35", "46", "56"))
+        }
+        saturation = SublatticeModel(t.pic, [f, *g, *glue])
+        assert saturation.index_of_sublattice(spanned) == 4
+
+    def test_shioda_tate_rank(self):
+        t = build_blown_cover()
+        pic = SublatticeModel(t.pic, pic_generators(t))
+        _, pairs, _ = pencil_of_e1(t.table)
+        # the trivial lattice: F, the zero section N1 and one non-identity
+        # component of each of the six I2 fibers
+        components = [t.table.classes[fiber.components[1][0]] for fiber in pairs]
+        trivial = SublatticeModel(t.pic, [t.curve("l1"), t.curve("N1"), *components])
+        assert len(pairs) == 6 and trivial.rank == 2 + 6
+        assert pic.rank - trivial.rank == 10 - 2 - 6 == 2
+
+
+class TestFinalCoverLattice:
+    """M on X: pullbacks of Pic(T~), the half fiber, and the split pieces."""
+
+    def pull(self, v):
+        """The pullback of a class of the blown-up quartic cover."""
+        x = build_final_cover()
+        return RationalVector(x.pic, v.nums + (0,) * (x.pic.dim - v.space.dim), v.den)
+
+    def lattice(self):
+        t, x = build_blown_cover(), build_final_cover()
+        pieces = [x.curve(name) for name in x.curves if name[0] in "GW"]
+        pulled = [*map(self.pull, pic_generators(t)), HALF * self.pull(t.curve("l1"))]
+        return SublatticeModel(x.pic, pulled + pieces)
+
+    def sixteen(self):
+        return [build_final_cover().curve(name) for name in sixteen_on_X()]
+
+    def test_rank_parity_and_discriminant(self):
+        m = self.lattice()
+        assert m.rank == 17 and m.is_even()
+        assert m.discriminant_group().invariant_factors == (2, 2, 2, 2, 2, 2, 8)
+
+    def test_half_sum_of_the_sixteen(self):
+        m, sixteen = self.lattice(), self.sixteen()
+        total = build_final_cover().pic.combination([1] * 16, sixteen)
+        assert m.contains(HALF * total)
+        # dropping any one of the sixteen breaks the 2-divisibility
+        assert not any(m.contains(HALF * (total - c)) for c in sixteen)
+
+    def test_code_of_the_sixteen(self):
+        # a set of the sixteen is even iff its half-sum lies in M, i.e. iff
+        # the sum of their M-coordinates is even: the kernel over F2 of the
+        # coordinates mod 2, read from an echelon basis tagged by position
+        m = self.lattice()
+        tagged = []
+        for k, c in enumerate(self.sixteen()):
+            parity = sum((x & 1) << i for i, x in enumerate(m.coordinates_of(c)))
+            tagged.append(parity << 16 | 1 << k)
+        kernel = [mask for mask in f2_basis(tagged) if mask < 1 << 16]
+        code = code_from_even_sets(NodeSet(w) for w in f2_span(kernel))
+        assert code.dimension == 4
+        assert weight_enumerator(code) == {0: 1, 8: 14, 16: 1}
+
+    def test_shioda_tate_rank(self):
+        # the fiber class R = p*F / 2 (F is a branch fiber), the zero section
+        # N1 and the twelve split G pieces, one non-identity component of
+        # each of the twelve I2 fibers
+        x = build_final_cover()
+        fiber = HALF * self.pull(build_blown_cover().curve("l1"))
+        assert x.pic.inner(fiber, fiber) == 0 and x.pic.inner(fiber, x.curve("N1")) == 1
+        pieces = [x.curve(name) for name in sixteen_on_X()[:12]]
+        assert all(x.pic.inner(fiber, c) == 0 for c in pieces)
+        trivial = SublatticeModel(x.pic, [fiber, x.curve("N1"), *pieces])
+        assert trivial.rank == 2 + 12
+        assert self.lattice().rank - trivial.rank == 17 - 14 == 3
