@@ -140,6 +140,10 @@ class CheckContext:
         # the pencil comes through `fibration`, so its build is timed there
         return self._cover(self.fibration)
 
+    @cached_property
+    def sixteen(self) -> dict[str, object]:
+        return covers.sixteen_curves_on_X()
+
 
 def _labels(sets) -> list[list[str]]:
     return [list(s.labels()) for s in sets]
@@ -675,7 +679,7 @@ def _cover_x_chi(ctx: CheckContext):
     "sixteen disjoint rational curves: 12 + 2 + 2",
 )
 def _cover_sixteen(ctx: CheckContext):
-    inv = covers.sixteen_curves_on_X()
+    inv = ctx.sixteen
     total, split = inv["total"], inv["split_preimages_of_exceptional"]
     exceptional, conic = inv["exceptional_of_cover"], inv["split_conic_pieces_used"]
     defects = covers.sixteen_defects()
@@ -720,7 +724,7 @@ def _cross_euler(ctx: CheckContext):
     fib_total, surf_total = ctx.transformed.euler, covers.build_final_cover().euler
     # the I2 fibers double the six I2 pairs of the blown-up quartic cover
     i2 = sum(1 for f in ctx.transformed.fibers if f.kodaira_type == "I2")
-    split = covers.sixteen_curves_on_X()["split_preimages_of_exceptional"]
+    split = ctx.sixteen["split_preimages_of_exceptional"]
     ok = fib_total == surf_total == 24 and i2 == split
     verb = "agrees with" if fib_total == surf_total else "differs from"
     detail = f"fiber Euler sum {fib_total} {verb} the surface Euler number {surf_total}"

@@ -5,15 +5,15 @@ partial Picard model: a labelled quadratic space holding the hyperplane
 class, exceptional classes, pullbacks thereof and the anti-invariant classes
 of split curves, together with named curve classes.  Two operations evolve a
 surface: blowing up a point (new (-1) class, strict transforms drop one copy
-of it per local branch) and taking a double cover branched along a
-2-divisible class (Euler number 2e - e(branch), canonical class K + B/2,
-intersection numbers doubled on pulled-back classes, and each curve named as
-split replaced by its two pieces).  Each surface keeps the curve table of its
-named curves, and every intersection number below is read from it: the
-six-line configuration on the six-point blowup, the curve table of the
-quartic cover, and the sixteen curves on the final cover, counted from the
-fibers `fibration.discover_fibers` finds on the blown-up quartic cover, whose
-branch E1 + E2 is two fibers.
+of it per local branch) and taking a double cover branched along disjoint
+tracked curves of 2-divisible sum B (e(B) by adjunction, the sum of
+-(C^2 + K.C) over the components; Euler number 2e - e(B), canonical class
+K + B/2, pairings doubled on pullbacks, split curves replaced by their two
+pieces).  Each surface keeps the curve table of its named curves, and every
+intersection number below is read from it: the six-line configuration on
+the six-point blowup, the curve table of the quartic cover, and the sixteen
+curves on the final cover, counted from the fibers `discover_fibers` finds
+on the blown-up quartic cover, whose branch E1 + E2 is two fibers.
 """
 
 from __future__ import annotations
@@ -77,33 +77,6 @@ class SurfaceModel(Frozen):
         return n // t.scale
 
 
-class BranchData(Frozen):
-    """A branch divisor with its topological Euler number.
-
-    For disjoint smooth rational components the Euler number is 2 per
-    component; the genus-1 branch used for the final cover carries 0.
-    """
-
-    __slots__ = ("divisor_class", "euler_of_branch")
-
-    def __init__(self, divisor_class: RationalVector, euler_of_branch: int) -> None:
-        object.__setattr__(self, "divisor_class", divisor_class)
-        object.__setattr__(self, "euler_of_branch", euler_of_branch)
-
-    @classmethod
-    def disjoint_rational(cls, components: tuple[RationalVector, ...]) -> "BranchData":
-        comps = tuple(components)
-        if not comps:
-            raise CoverError("need at least one component")
-        table, scale = comps[0].space.gram(comps)
-        for i, row in enumerate(table):
-            if row[i] != -2 * scale:
-                raise CoverError("components must be (-2)-classes")
-            if any(row[i + 1 :]):
-                raise CoverError("components must be pairwise disjoint")
-        return cls(sum(comps[1:], comps[0]), 2 * len(comps))
-
-
 def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
     """The plane: e = 3, K^2 = 9, Pic = ZH, canonical -3H; curves by degree."""
     pic = QuadraticSpace(("H",), [1])
@@ -133,24 +106,32 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
 
 
 def double_cover(
-    s: SurfaceModel, branch: BranchData, split: Mapping[str, tuple[str, str, str, int]]
+    s: SurfaceModel, branch: tuple[str, ...], split: Mapping[str, tuple[str, str, str, int]]
 ) -> SurfaceModel:
-    """Double cover branched along a 2-divisible class.
+    """Double cover branched along B, the sum of the tracked curves ``branch``.
 
-    The pulled-back Picard model keeps the labels with the form doubled, so
-    pullback pairings obey <p*D1, p*D2> = 2<D1, D2>; the canonical class
-    becomes the pullback of K + B/2 and the Euler number 2e - e(branch).
+    They must be pairwise disjoint with B/2 in the modeled Picard group; each
+    is a smooth curve C, of Euler number -(C^2 + K.C) by adjunction, read off
+    one Gram of the components and K.  The pullback doubles the form on the
+    same labels, <p*D1, p*D2> = 2<D1, D2>; the canonical class becomes the
+    pullback of K + B/2 and the Euler number 2e - e(B).
 
     ``split`` maps each tracked curve C whose preimage splits to ``(plus,
     minus, label, square)``: the space gains the anti-invariant class d of
     ``label`` and ``square`` once per label, and C gives way to its pieces
     ``plus = (p*C + d)/2`` and ``minus = (p*C - d)/2``.
     """
-    b = branch.divisor_class
-    s.pic._check_member(b)
-    half = RationalVector(s.pic, b.nums, 2 * b.den)
+    components = [s.curve(name) for name in branch]
+    table, scale = s.pic.gram(components + [s.canonical])
+    k = len(components)
+    if any(table[i][j] for i, j in combinations(range(k), 2)):
+        raise CoverError(f"branch components {', '.join(branch)} are not pairwise disjoint")
+    half = s.pic.combination([Fraction(1, 2)] * k, components)
     if not half.is_integral:
         raise CoverError("branch not 2-divisible in the modeled Picard group")
+    euler_of_branch = Fraction(-sum(table[i][i] + table[i][k] for i in range(k)), scale)
+    if euler_of_branch.denominator != 1:
+        raise CoverError(f"branch Euler number {euler_of_branch} is not an integer")
     squares: dict[str, int] = {}
     for name, (_, _, label, square) in split.items():
         s.curve(name)
@@ -175,7 +156,7 @@ def double_cover(
     k_squared = canonical.norm()
     if k_squared.denominator != 1:
         raise CoverError("canonical self-intersection is not an integer")
-    return SurfaceModel(2 * s.euler - branch.euler_of_branch, k_squared.numerator, pic, canonical, curves)
+    return SurfaceModel(2 * s.euler - euler_of_branch.numerator, k_squared.numerator, pic, canonical, curves)
 
 
 def noether_chi(s: SurfaceModel) -> Fraction:
@@ -226,20 +207,25 @@ def sextic_incidence() -> dict[str, object]:
     }
 
 
-def quartic_branch(s: SurfaceModel) -> BranchData:
-    return BranchData.disjoint_rational(tuple(s.curve(f"l{i}") for i in QUARTIC_LINES))
-
-
 @cache
 def build_quartic_cover() -> SurfaceModel:
     """The double cover of the blown-up plane branched along the quartic lines."""
     base = blowup_quartic_points()
-    return double_cover(base, quartic_branch(base), {"W": ("W1", "W2", "dW", -8)})
+    return double_cover(base, tuple(f"l{i}" for i in QUARTIC_LINES), {"W": ("W1", "W2", "dW", -8)})
 
 
 def verify_weak_del_pezzo(t: SurfaceModel) -> bool:
-    """Degree-two weak del Pezzo numerology: seven blowdowns to the plane."""
-    return t.k_squared == 9 - 7 and t.euler == 3 + 7 and noether_chi(t) == 1
+    """Degree-two weak del Pezzo: seven blowdowns to the plane by the numbers,
+    -K.C >= 0 on every tracked curve, read off one Gram of K and the curves,
+    and K.C = 0 exactly on the six G_ab, each of square -2."""
+    table, _ = t.pic.gram([t.canonical, *t.curves.values()])
+    orthogonal = {name for name, x in zip(t.curves, table[0][1:]) if x == 0}
+    return (
+        t.k_squared == 9 - 7 and t.euler == 3 + 7 and noether_chi(t) == 1
+        and all(x <= 0 for x in table[0][1:])
+        and orthogonal == {f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)}
+        and all(t.pairing(name, name) == -2 for name in orthogonal)
+    )
 
 
 @cache
@@ -251,13 +237,6 @@ def build_blown_cover() -> SurfaceModel:
     return t
 
 
-def elliptic_branch(t: SurfaceModel) -> BranchData:
-    """The two disjoint genus-1 strict transforms; their Euler number is 0."""
-    if t.pairing("l1", "l2") != 0:
-        raise CoverError("genus-1 branch components must be disjoint after blowup")
-    return BranchData(t.curve("l1") + t.curve("l2"), 0)
-
-
 @cache
 def build_final_cover() -> SurfaceModel:
     """The double cover of the blown-up quartic cover branched along E1 + E2."""
@@ -267,7 +246,7 @@ def build_final_cover() -> SurfaceModel:
     # so D2 = -D1 and W2's plus piece is W''2
     split = {g: (f"G'{g[1:]}", f"G''{g[1:]}", f"d{g[1:]}", -4) for g in t.curves if g[0] == "G"}
     split |= {"W1": ("W'1", "W''1", "D", -8), "W2": ("W''2", "W'2", "D", -8)}
-    return double_cover(t, elliptic_branch(t), split)
+    return double_cover(t, ("l1", "l2"), split)
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,10 @@ class TestRunChecks:
         monkeypatch.setattr(QuadraticSpace, "gram", counted)
         run_checks()
         # the pencils, the saturations and the cover tables read curve tables;
-        # the Grams left are the isometry's form check on the 17 images and
-        # the six-line incidence count
-        assert sorted(calls) == [7, 17]
+        # the Grams left are the isometry's form check on the 17 images, the
+        # six-line incidence count and cover.weak_dp2's K.C for the quartic
+        # cover's 14 curves, read with K in one Gram of 15
+        assert sorted(calls) == [7, 15, 17]
 
     def test_vectors_per_run(self, monkeypatch):
         run_checks()  # the model, its curve table and the cached surfaces exist
@@ -245,10 +246,10 @@ class TestRunChecks:
         monkeypatch.setattr(fibration.Fibration, "__init__", counted_init)
         run_checks()
         # one lookup per fiber built (eight per pencil, two smooth ones per
-        # cover, the six I2 fibers of the pencil |E1| that count the sixteen
-        # curves, once for cover.X_sixteen and once for cross.euler24's I2
-        # comparison) and one sum per pencil and per cover
-        assert len(lookups) == 15 * (8 + 2) + 2 * 6
+        # cover, and the six I2 fibers of the pencil |E1| that count the
+        # sixteen curves, once per run for cover.X_sixteen and cross.euler24)
+        # and one sum per pencil and per cover
+        assert len(lookups) == 15 * (8 + 2) + 6
         assert len(sums) == 2 * 15
 
     def test_saturation_builds_each_eight_once(self, monkeypatch):

@@ -3,9 +3,9 @@ from itertools import combinations, product
 
 import pytest
 
+from kummerlab import covers
 from kummerlab.covers import (
     QUARTIC_LINES,
-    BranchData,
     CoverError,
     SurfaceModel,
     blowup,
@@ -15,18 +15,16 @@ from kummerlab.covers import (
     build_quartic_cover,
     curve_table_T,
     double_cover,
-    elliptic_branch,
     noether_chi,
     projective_plane,
-    quartic_branch,
     sextic_incidence,
     sixteen_curves_on_X,
     sixteen_defects,
     sixteen_on_X,
     verify_weak_del_pezzo,
 )
-from kummerlab.fibration import build_fibration, discover_fibers
-from kummerlab.kummer_ns import CurveTable, jacobian_kummer_ns
+from kummerlab.fibration import I0_STAR, SMOOTH, build_fibration, discover_fibers, transform_double_cover
+from kummerlab.kummer_ns import CurveTable, even_eight, jacobian_kummer_ns
 from kummerlab.labels import INDEX_PAIRS
 from kummerlab.lattice import QuadraticSpace, RationalVector, SublatticeModel
 from kummerlab.nodecode import NodeSet, code_from_even_sets, f2_basis, f2_span, weight_enumerator
@@ -95,10 +93,13 @@ class TestDoubleCover:
         assert noether_chi(t) == 1
 
     def test_branch_euler_number(self):
+        # e(B) = 2e - e(T) is derived by adjunction: each quartic line is a
+        # (-2)-curve with K.l = 0, so e(l) = 2, and the four make 8
         base = blowup_quartic_points()
-        branch = quartic_branch(base)
-        assert branch.euler_of_branch == 8
-        assert branch.divisor_class.norm() == 4 * -2  # four disjoint (-2)-curves
+        assert 2 * base.euler - build_quartic_cover().euler == 8
+        for i in QUARTIC_LINES:
+            line = base.curve(f"l{i}")
+            assert (line.norm(), base.canonical.dot(line)) == (-2, 0)
 
     def test_pullback_doubles_pairings(self):
         base = blowup_quartic_points()
@@ -125,7 +126,7 @@ class TestDoubleCover:
     def test_shared_label_added_once(self):
         s = projective_plane({"a": 1, "b": 1})
         split = {"a": ("a+", "a-", "d", -2), "b": ("b+", "b-", "d", -2)}
-        cover = double_cover(s, BranchData(s.pic.zero(), 0), split)
+        cover = double_cover(s, (), split)
         assert cover.pic.labels == ("H", "d") and cover.pic.diag == (2, -2)
         assert list(cover.curves) == ["a+", "a-", "b+", "b-"]
         # (2 -/+ 2) / 4: the pullbacks pair to 2, d with itself to -2
@@ -135,31 +136,48 @@ class TestDoubleCover:
         s = projective_plane({"a": 1, "b": 1})
         split = {"a": ("a+", "a-", "d", -2), "b": ("b+", "b-", "d", -4)}
         with pytest.raises(CoverError, match="squares -2 and -4"):
-            double_cover(s, BranchData(s.pic.zero(), 0), split)
+            double_cover(s, (), split)
 
     def test_split_of_untracked_curve_rejected(self):
         s = projective_plane({"a": 1})
         with pytest.raises(CoverError, match="no tracked curve named 'b'"):
-            double_cover(s, BranchData(s.pic.zero(), 0), {"b": ("b+", "b-", "d", -2)})
+            double_cover(s, (), {"b": ("b+", "b-", "d", -2)})
 
     def test_empty_branch_doubles(self):
         s = projective_plane({"c": 2})
-        doubled = double_cover(s, BranchData(s.pic.zero(), 0), {})
+        doubled = double_cover(s, (), {})
         assert doubled.euler == 2 * s.euler
         assert doubled.k_squared == 2 * s.k_squared
 
-    def test_odd_branch_rejected(self):
-        s = projective_plane({"c": 2})
-        odd = s.curve("c") + s.pic.basis_vector("H")
-        with pytest.raises(CoverError, match="2-divisible"):
-            double_cover(s, BranchData(odd, 2), {})
+    @pytest.mark.parametrize("degree, numbers", [(2, (4, 8, 1)), (4, (10, 2, 1)), (6, (24, 0, 2))])
+    def test_double_plane_along_one_smooth_curve(self, degree, numbers):
+        # a conic gives P1 x P1, a quartic the del Pezzo surface of degree
+        # two and a sextic a K3 surface: e(B) = -(d^2 - 3d) by adjunction
+        s = projective_plane({"c": degree})
+        cover = double_cover(s, ("c",), {})
+        assert (cover.euler, cover.k_squared, noether_chi(cover)) == numbers
+        assert 2 * s.euler - cover.euler == -(degree * degree - 3 * degree)
 
-    def test_disjoint_rational_validation(self):
-        s = blowup_quartic_points()
-        with pytest.raises(CoverError):
-            BranchData.disjoint_rational((s.curve("l1"),))  # self-intersection 1
-        with pytest.raises(CoverError):
-            BranchData.disjoint_rational((s.curve("l3"), s.curve("l3")))
+    def test_odd_branch_rejected(self):
+        with pytest.raises(CoverError, match="2-divisible"):
+            double_cover(projective_plane({"c": 3}), ("c",), {})
+        with pytest.raises(CoverError, match="2-divisible"):
+            double_cover(blowup_quartic_points(), ("l1",), {})
+
+    def test_branch_not_disjoint_rejected(self):
+        with pytest.raises(CoverError, match="not pairwise disjoint"):
+            double_cover(blowup_quartic_points(), ("l3", "l3"), {})
+
+    def test_untracked_branch_curve_rejected(self):
+        with pytest.raises(CoverError, match="no tracked curve named 'b'"):
+            double_cover(projective_plane({"c": 2}), ("b",), {})
+
+    def test_fractional_branch_euler_number_rejected(self):
+        # C = 2H on a form with H^2 = 1/8: C/2 is integral, but C^2 = 1/2
+        space = QuadraticSpace(("H",), [Fraction(1, 8)])
+        s = SurfaceModel(1, 0, space, space.zero(), {"c": 2 * space.basis_vector("H")})
+        with pytest.raises(CoverError, match="branch Euler number -1/2 is not an integer"):
+            double_cover(s, ("c",), {})
 
 
 class TestNoether:
@@ -191,6 +209,29 @@ class TestWeakDelPezzo:
         bad = SurfaceModel(9, 2, space, space.basis_vector("H"), {})
         assert not verify_weak_del_pezzo(bad)
 
+    def with_curve(self, name, v):
+        t = build_quartic_cover()
+        return SurfaceModel(t.euler, t.k_squared, t.pic, t.canonical, {**t.curves, name: v})
+
+    def test_curve_with_positive_canonical_degree_rejected(self):
+        # -H is no curve: K.(-H) = 2 > 0, so -K is not nef on the curves
+        t = build_quartic_cover()
+        assert t.canonical.dot(-1 * t.pic.basis_vector("H")) == 2
+        assert not verify_weak_del_pezzo(self.with_curve("bad", -1 * t.pic.basis_vector("H")))
+
+    def test_k_orthogonal_curves_are_the_six_g(self):
+        t = build_quartic_cover()
+        g = {f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)}
+        assert {name for name, v in t.curves.items() if t.canonical.dot(v) == 0} == g
+        assert all(t.pairing(name, name) == -2 for name in g)
+        # dW is orthogonal to K but of square -8: as one more curve, or as
+        # G56's class, it fails; so does dropping G56
+        d = t.pic.basis_vector("dW")
+        assert not verify_weak_del_pezzo(self.with_curve("dW", d))
+        assert not verify_weak_del_pezzo(self.with_curve("G56", d))
+        curves = {name: v for name, v in t.curves.items() if name != "G56"}
+        assert not verify_weak_del_pezzo(SurfaceModel(t.euler, t.k_squared, t.pic, t.canonical, curves))
+
 
 class TestCurveTable:
     def test_declared_values(self):
@@ -220,14 +261,13 @@ class TestFinalCover:
 
     def test_branch_is_two_divisible_and_disjoint(self):
         t = build_blown_cover()
-        branch = elliptic_branch(t)
-        assert branch.euler_of_branch == 0
-        half = Fraction(1, 2) * branch.divisor_class
-        assert half.is_integral
         e1, e2 = t.curve("l1"), t.curve("l2")
-        assert branch.divisor_class == e1 + e2
+        assert (Fraction(1, 2) * (e1 + e2)).is_integral
         assert t.pic.inner(e1, e2) == 0
-        assert t.pic.inner(e1, e1) == 0  # base-point free genus-1 class upstairs
+        # base-point free genus-1 classes upstairs: C^2 = K.C = 0, so e(C) = 0
+        for c in (e1, e2):
+            assert (t.pic.inner(c, c), t.canonical.dot(c)) == (0, 0)
+        assert 2 * t.euler - build_final_cover().euler == 0
 
     def test_k3_numbers(self):
         x = build_final_cover()
@@ -317,6 +357,33 @@ class TestBlownCoverPencil:
             for fiber in build_fibration(model, 1, 2).fibers if fiber.kodaira_type == "I2"
         }
         assert blown == kummer == {f"{a}{b}" for a, b in INDEX_PAIRS if not {a, b} & {1, 2}}
+
+    def test_branch_bridge_to_the_kummer_stars(self, monkeypatch):
+        # the final cover's branch is exactly the class-F curves the pencil
+        # |E1| skips on the blown-up cover, and there are as many as the I0*
+        # fibers the Kummer (1,2) cover makes smooth
+        branches = []
+
+        def recording(s, branch, split):
+            branches.append(branch)
+            return double_cover(s, branch, split)
+
+        monkeypatch.setattr(covers, "double_cover", recording)
+        build_final_cover.cache_clear()
+        try:
+            build_final_cover()
+        finally:
+            build_final_cover.cache_clear()
+        t = build_blown_cover().table
+        row = t.table[t.labels.index("l1")]
+        skipped = tuple(t.labels[x] for x, p in enumerate(row) if p == 0 and not t.table[x][x])
+        assert branches == [skipped] == [("l1", "l2")]
+        model = jacobian_kummer_ns()
+        pencil = build_fibration(model, 1, 2)
+        cover = transform_double_cover(pencil, even_eight(1, 2), model)
+        stars = [k for k, f in enumerate(pencil.fibers) if f.kodaira_type == I0_STAR]
+        assert [k for k, f in enumerate(cover.fibers) if f.kodaira_type == SMOOTH] == stars
+        assert len(stars) == len(skipped) == 2
 
     def test_dropped_exceptional_curve_leaves_one_fiber_fewer(self):
         t = build_blown_cover().table

@@ -14,7 +14,7 @@ import pytest
 
 from kummerlab.checks import PASS, CheckDef, CheckResult
 from kummerlab.cli import Report
-from kummerlab.covers import BranchData, SurfaceModel, projective_plane
+from kummerlab.covers import SurfaceModel, projective_plane
 from kummerlab.fibration import SMOOTH, Fiber, Fibration
 from kummerlab.kummer_ns import CurveTable
 from kummerlab.lattice import (
@@ -46,7 +46,6 @@ def _instances() -> list[tuple[object, str]]:
         (Fibration((1, 2), v, (), (), ()), "pair"),
         (CurveTable(("a",), (v,), [[2]], 1), "meets"),
         (plane, "euler"),
-        (BranchData(v, 0), "euler_of_branch"),
         (CheckResult("x.y", PASS, "d"), "status"),
         (CheckDef("x.y", "d", "c", lambda ctx: (True, "d", None)), "flagged"),
         (Report("0", (), {}, 0), "elapsed_ms"),
@@ -156,14 +155,6 @@ class TestConstruction:
         body = lambda ctx: (True, "d", None)  # noqa: E731
         d = CheckDef(id="x.y", description="d", claim="c", run=body)
         assert d.flagged is False and d.run is body
-
-    def test_branch_data_components_default_to_empty(self):
-        plane = projective_plane({})
-        d = plane.pic.basis_vector("H")
-        branch = BranchData(d, 0)
-        assert branch.divisor_class is d and branch.euler_of_branch == 0
-        # a branch is its class and Euler number; it lists no components
-        assert BranchData.__slots__ == ("divisor_class", "euler_of_branch")
 
     def test_node_set_defaults_to_empty(self):
         assert NodeSet().bits == 0 and NodeSet() == EMPTY
