@@ -620,8 +620,10 @@ def _cover_chi(ctx: CheckContext):
     "a degree-two weak del Pezzo surface",
 )
 def _cover_dp2(ctx: CheckContext):
-    ok = covers.verify_weak_del_pezzo(covers.build_quartic_cover())
-    return ok, "invariants match a plane blown up at seven points (9-7=2, 3+7=10)", None
+    defects = covers.weak_del_pezzo_defects(covers.build_quartic_cover())
+    failed = f"not a degree-two weak del Pezzo surface: {'; '.join(defects)}"
+    passed = "invariants match a plane blown up at seven points (9-7=2, 3+7=10)"
+    return not defects, failed if defects else passed, None
 
 
 @check(
@@ -659,8 +661,11 @@ def _cover_x_euler(ctx: CheckContext):
 )
 def _cover_x_canonical(ctx: CheckContext):
     x = covers.build_final_cover()
-    ok = x.canonical.is_zero() and x.k_squared == 0
-    return ok, "canonical class of the final cover is numerically trivial", None
+    # K = 0 gives K^2 = 0, so the square is not compared
+    meets = ", ".join(name for name, k in zip(x.curves, x.k_row) if k) or "no curve"
+    failed = f"not zero: K^2 = {x.k_squared}, K.C != 0 on {meets}"
+    ok = x.canonical.is_zero()
+    return ok, f"canonical class of the final cover is {'numerically trivial' if ok else failed}", None
 
 
 @check(

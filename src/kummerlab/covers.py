@@ -1,19 +1,19 @@
 """Numerical surface calculus for the double-plane tower.
 
-Surfaces are tracked by Euler number, canonical self-intersection and a
-partial Picard model: a labelled quadratic space holding the hyperplane
-class, exceptional classes, pullbacks thereof and the anti-invariant classes
-of split curves, together with named curve classes.  Two operations evolve a
-surface: blowing up a point (new (-1) class, strict transforms drop one copy
-of it per local branch) and taking a double cover branched along disjoint
-tracked curves of 2-divisible sum B (e(B) by adjunction, the sum of
--(C^2 + K.C) over the components; Euler number 2e - e(B), canonical class
+Surfaces are tracked by Euler number and a partial Picard model: a labelled
+quadratic space holding the hyperplane class, exceptional classes, pullbacks
+thereof and the anti-invariant classes of split curves, together with the
+canonical class K and named curve classes.  Two operations evolve a surface:
+blowing up a point (new (-1) class, strict transforms drop one copy of it
+per local branch) and taking a double cover branched along disjoint tracked
+curves of 2-divisible sum B (Euler number 2e - e(B), canonical class
 K + B/2, pairings doubled on pullbacks, split curves replaced by their two
-pieces).  Each surface keeps the curve table of its named curves, and every
-intersection number below is read from it: the six-line configuration on
-the six-point blowup, the curve table of the quartic cover, and the sixteen
-curves on the final cover, counted from the fibers `discover_fibers` finds
-on the blown-up quartic cover, whose branch E1 + E2 is two fibers.
+pieces).  Each surface takes one Gram of its curves and K when built: K^2,
+the pairings and each curve Euler number by adjunction, -(C^2 + K.C), are
+read from it, and so are the curve table of the quartic cover and the
+sixteen curves on the final cover, counted from the fibers `discover_fibers`
+finds on the blown-up quartic cover, whose branch E1 + E2 is two fibers.
+The six-line configuration takes a Gram of H and the lines on the blowup.
 """
 
 from __future__ import annotations
@@ -41,40 +41,46 @@ class CoverError(ValueError):
 
 
 class SurfaceModel(Frozen):
-    """A surface's numbers, Picard model and named curves, with their `CurveTable`."""
+    """A surface's numbers, Picard model, canonical class K and named curves.  One Gram
+    of the curves and K, taken here, gives their `CurveTable`, K's row ``k_row`` (K.C
+    times the table's scale, in table order) and ``k_squared``."""
 
-    __slots__ = ("euler", "k_squared", "pic", "canonical", "curves", "table")
+    __slots__ = ("euler", "pic", "canonical", "curves", "table", "k_row", "k_squared")
 
     def __init__(
-        self, euler: int, k_squared: int, pic: QuadraticSpace, canonical: RationalVector,
-        curves: Mapping[str, RationalVector],
+        self, euler: int, pic: QuadraticSpace, canonical: RationalVector, curves: Mapping[str, RationalVector]
     ) -> None:
-        if canonical.norm() != k_squared:
-            raise CoverError("canonical self-intersection disagrees with k_squared")
         object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "k_squared", k_squared)
         object.__setattr__(self, "pic", pic)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "curves", MappingProxyType(dict(curves)))
-        classes = tuple(self.curves.values())
-        object.__setattr__(self, "table", CurveTable(tuple(self.curves), classes, *pic.gram(classes)))
+        names, classes = tuple(self.curves), tuple(self.curves.values())
+        (*rows, k_row), scale = pic.gram(classes + (canonical,))
+        object.__setattr__(self, "table", CurveTable(names, classes, [r[:-1] for r in rows], scale))
+        object.__setattr__(self, "k_row", tuple(k_row[:-1]))
+        object.__setattr__(self, "k_squared", self.integer("K^2", k_row[-1]))
 
-    def curve(self, name: str) -> RationalVector:
+    def integer(self, what: str, n: int) -> int:
+        """The number ``what``, n over the table's scale; a fraction raises."""
+        if n % self.table.scale:
+            raise CoverError(f"{what} = {Fraction(n, self.table.scale)} is not an integer")
+        return n // self.table.scale
+
+    def row(self, name: str) -> int:
         try:
-            return self.curves[name]
-        except KeyError:
+            return self.table.labels.index(name)
+        except ValueError:
             raise CoverError(f"no tracked curve named {name!r}") from None
 
     def pairing(self, a: str, b: str) -> int:
-        """An intersection number read off the curve table; a fraction raises."""
-        t = self.table
-        try:
-            n = t.table[t.labels.index(a)][t.labels.index(b)]
-        except ValueError:
-            raise CoverError(f"no tracked curve named {a!r} or {b!r}") from None
-        if n % t.scale:
-            raise CoverError(f"{a}.{b} = {Fraction(n, t.scale)} is not an integer")
-        return n // t.scale
+        """An intersection number read off the curve table."""
+        return self.integer(f"{a}.{b}", self.table.table[self.row(a)][self.row(b)])
+
+    def adjunction_euler(self, names: tuple[str, ...]) -> int:
+        """The Euler number of the disjoint smooth tracked curves ``names``, the
+        sum of -(C^2 + K.C) by adjunction, read off the table and K's row."""
+        n = -sum(self.table.table[i][i] + self.k_row[i] for i in map(self.row, names))
+        return self.integer(f"e({' + '.join(names)})", n)
 
 
 def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
@@ -82,7 +88,7 @@ def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
     pic = QuadraticSpace(("H",), [1])
     h = pic.basis_vector("H")
     curves = {name: deg * h for name, deg in tracked_degrees.items()}
-    return SurfaceModel(3, 9, pic, -3 * h, curves)
+    return SurfaceModel(3, pic, -3 * h, curves)
 
 
 def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[str]) -> SurfaceModel:
@@ -92,17 +98,16 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
     a point of multiplicity two on that curve.  Listed curves are replaced by
     their strict transforms.
     """
-    old = s.pic
-    pic = QuadraticSpace(old.labels + (exceptional,), old.diag + (-1,))
+    pic = QuadraticSpace(s.pic.labels + (exceptional,), s.pic.diag + (-1,))
 
     def extend(v: RationalVector, exc_coeff: int) -> RationalVector:
         return RationalVector(pic, v.nums + (exc_coeff * v.den,), v.den)
 
     for name in through:
-        s.curve(name)
+        s.row(name)
     curves = {name: extend(v, -through.count(name)) for name, v in s.curves.items()}
     curves[exceptional] = pic.basis_vector(exceptional)
-    return SurfaceModel(s.euler + 1, s.k_squared - 1, pic, extend(s.canonical, 1), curves)
+    return SurfaceModel(s.euler + 1, pic, extend(s.canonical, 1), curves)
 
 
 def double_cover(
@@ -110,31 +115,25 @@ def double_cover(
 ) -> SurfaceModel:
     """Double cover branched along B, the sum of the tracked curves ``branch``.
 
-    They must be pairwise disjoint with B/2 in the modeled Picard group; each
-    is a smooth curve C, of Euler number -(C^2 + K.C) by adjunction, read off
-    one Gram of the components and K.  The pullback doubles the form on the
-    same labels, <p*D1, p*D2> = 2<D1, D2>; the canonical class becomes the
-    pullback of K + B/2 and the Euler number 2e - e(B).
+    They must be pairwise disjoint with B/2 in the modeled Picard group, and
+    e(B) is their `SurfaceModel.adjunction_euler`.  The pullback doubles the
+    form on the same labels, <p*D1, p*D2> = 2<D1, D2>; the canonical class
+    becomes the pullback of K + B/2 and the Euler number 2e - e(B).
 
     ``split`` maps each tracked curve C whose preimage splits to ``(plus,
     minus, label, square)``: the space gains the anti-invariant class d of
     ``label`` and ``square`` once per label, and C gives way to its pieces
     ``plus = (p*C + d)/2`` and ``minus = (p*C - d)/2``.
     """
-    components = [s.curve(name) for name in branch]
-    table, scale = s.pic.gram(components + [s.canonical])
-    k = len(components)
-    if any(table[i][j] for i, j in combinations(range(k), 2)):
+    rows = [s.row(name) for name in branch]
+    if any(s.table.table[i][j] for i, j in combinations(rows, 2)):
         raise CoverError(f"branch components {', '.join(branch)} are not pairwise disjoint")
-    half = s.pic.combination([Fraction(1, 2)] * k, components)
+    half = s.pic.combination([Fraction(1, 2)] * len(rows), [s.table.classes[i] for i in rows])
     if not half.is_integral:
         raise CoverError("branch not 2-divisible in the modeled Picard group")
-    euler_of_branch = Fraction(-sum(table[i][i] + table[i][k] for i in range(k)), scale)
-    if euler_of_branch.denominator != 1:
-        raise CoverError(f"branch Euler number {euler_of_branch} is not an integer")
     squares: dict[str, int] = {}
     for name, (_, _, label, square) in split.items():
-        s.curve(name)
+        s.row(name)
         if squares.setdefault(label, square) != square:
             raise CoverError(f"anti-invariant class {label!r} given squares {squares[label]} and {square}")
     diag = tuple(2 * d for d in s.pic.diag) + tuple(squares.values())
@@ -152,11 +151,7 @@ def double_cover(
             curves[plus], curves[minus] = Fraction(1, 2) * (p + d), Fraction(1, 2) * (p - d)
         else:
             curves[name] = pull(v)
-    canonical = pull(s.canonical + half)
-    k_squared = canonical.norm()
-    if k_squared.denominator != 1:
-        raise CoverError("canonical self-intersection is not an integer")
-    return SurfaceModel(2 * s.euler - euler_of_branch.numerator, k_squared.numerator, pic, canonical, curves)
+    return SurfaceModel(2 * s.euler - s.adjunction_euler(branch), pic, pull(s.canonical + half), curves)
 
 
 def noether_chi(s: SurfaceModel) -> Fraction:
@@ -194,7 +189,7 @@ def sextic_incidence() -> dict[str, object]:
     """
     s = blowup_quartic_points()
     lines = range(1, 7)
-    table, scale = s.pic.gram([s.pic.basis_vector("H")] + [s.curve(f"l{i}") for i in lines])
+    table, scale = s.pic.gram([s.pic.basis_vector("H")] + [s.curves[f"l{i}"] for i in lines])
     deg = {i: table[0][i] // scale for i in lines}
     sextic, quartic = sum(deg.values()), sum(deg[i] for i in QUARTIC_LINES)
     return {
@@ -214,18 +209,18 @@ def build_quartic_cover() -> SurfaceModel:
     return double_cover(base, tuple(f"l{i}" for i in QUARTIC_LINES), {"W": ("W1", "W2", "dW", -8)})
 
 
-def verify_weak_del_pezzo(t: SurfaceModel) -> bool:
-    """Degree-two weak del Pezzo: seven blowdowns to the plane by the numbers,
-    -K.C >= 0 on every tracked curve, read off one Gram of K and the curves,
-    and K.C = 0 exactly on the six G_ab, each of square -2."""
-    table, _ = t.pic.gram([t.canonical, *t.curves.values()])
-    orthogonal = {name for name, x in zip(t.curves, table[0][1:]) if x == 0}
-    return (
-        t.k_squared == 9 - 7 and t.euler == 3 + 7 and noether_chi(t) == 1
-        and all(x <= 0 for x in table[0][1:])
-        and orthogonal == {f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)}
-        and all(t.pairing(name, name) == -2 for name in orthogonal)
-    )
+def weak_del_pezzo_defects(t: SurfaceModel) -> list[str]:
+    """What keeps t from a degree-two weak del Pezzo surface, empty if nothing:
+    seven blowdowns to the plane by the numbers, -K.C >= 0 on every tracked
+    curve and K.C = 0 exactly on the six G_ab, each of square -2, read off
+    K's row and the curve table."""
+    orthogonal = [name for name, k in zip(t.curves, t.k_row) if k == 0]
+    # Noether's chi = (2 + 10)/12 = 1 follows from the numbers, so it is not compared
+    defects = [f"K^2 = {t.k_squared}, e = {t.euler}"] if (t.k_squared, t.euler) != (9 - 7, 3 + 7) else []
+    defects += [f"K.{name} > 0" for name, k in zip(t.curves, t.k_row) if k > 0]
+    if set(orthogonal) != {f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)}:
+        defects.append(f"K.C = 0 on {', '.join(orthogonal) or 'no curve'}")
+    return defects + [f"{name}^2 = {sq}" for name in orthogonal if (sq := t.pairing(name, name)) != -2]
 
 
 @cache
@@ -263,9 +258,9 @@ def curve_table_T() -> dict[str, int]:
     """The curve table on the quartic cover, read off its Picard model.
 
     E1 and E2 are the preimages of the first two lines and W1, W2 the split
-    conic preimages.  Also records the diagonal sum W1.E1 + W2.E2 and the
-    branch count on each of the first two lines (four, so the preimages have
-    Euler number 0 and genus one).
+    conic preimages.  Also records the diagonal sum W1.E1 + W2.E2, the branch
+    count on each of the first two lines (four) and E1's Euler number by
+    adjunction (0, so genus one).
     """
     t = _pairings(
         build_quartic_cover(), {"E1": "l1", "E2": "l2"},
@@ -273,7 +268,7 @@ def curve_table_T() -> dict[str, int]:
     )
     t["W1.E1+W2.E2"] = t.pop("W1.E1") + t.pop("W2.E2")
     t["branch_points_on_l1"] = sum(blowup_quartic_points().pairing("l1", f"l{i}") for i in QUARTIC_LINES)
-    t["E1.euler"] = 2 * 2 - t["branch_points_on_l1"]
+    t["E1.euler"] = build_quartic_cover().adjunction_euler(("l1",))
     return t
 
 

@@ -178,7 +178,7 @@ def test_criterion_08_cover_calculus():
         t.euler == 10
         and t.k_squared == 2
         and covers.noether_chi(t) == 1
-        and covers.verify_weak_del_pezzo(t)
+        and not covers.weak_del_pezzo_defects(t)
         and table["E1.E1"] == 2
         and table["W1.W1"] == 0
         and table["E1.E2"] == 2

@@ -188,11 +188,11 @@ class TestRunChecks:
 
         monkeypatch.setattr(QuadraticSpace, "gram", counted)
         run_checks()
-        # the pencils, the saturations and the cover tables read curve tables;
-        # the Grams left are the isometry's form check on the 17 images, the
-        # six-line incidence count and cover.weak_dp2's K.C for the quartic
-        # cover's 14 curves, read with K in one Gram of 15
-        assert sorted(calls) == [7, 15, 17]
+        # the pencils, the saturations and the cover tables read curve tables,
+        # and cover.weak_dp2 reads K's row, taken with the quartic cover's
+        # curve table; the Grams left are the isometry's form check on the 17
+        # images and the six-line incidence count
+        assert sorted(calls) == [7, 17]
 
     def test_vectors_per_run(self, monkeypatch):
         run_checks()  # the model, its curve table and the cached surfaces exist
@@ -646,7 +646,7 @@ class TestFaultInjection:
         def without_g56():
             t = original()
             curves = {name: v for name, v in t.curves.items() if name != "G56"}
-            return covers.SurfaceModel(t.euler, t.k_squared, t.pic, t.canonical, curves)
+            return covers.SurfaceModel(t.euler, t.pic, t.canonical, curves)
 
         monkeypatch.setattr(covers, "build_blown_cover", without_g56)
         # the pencil |E1| finds five I2 fibers, not six, so the inventory
@@ -658,6 +658,42 @@ class TestFaultInjection:
         assert self.failing(results) == ({"cover.X_sixteen", "cross.euler24"}, set())
         assert results["cover.X_sixteen"].detail == (
             "14 disjoint rational curves: 10 split + 2 exceptional + 2 conic pieces"
+        )
+
+    def test_exceptional_curve_dropped_from_quartic_cover(self, monkeypatch, fresh_tower):
+        original = covers.build_quartic_cover
+
+        def without_g56():
+            t = original()
+            curves = {name: v for name, v in t.curves.items() if name != "G56"}
+            return covers.SurfaceModel(t.euler, t.pic, t.canonical, curves)
+
+        monkeypatch.setattr(covers, "build_quartic_cover", without_g56)
+        # five curves of the quartic cover are orthogonal to K, not six, and
+        # the blown-up cover built on it loses the same I2 fiber as above
+        results = self.results()
+        assert self.failing(results) == ({"cover.weak_dp2", "cover.X_sixteen", "cross.euler24"}, set())
+        assert results["cover.weak_dp2"].detail == (
+            "not a degree-two weak del Pezzo surface: K.C = 0 on G34, G35, G36, G45, G46"
+        )
+
+    def test_blown_cover_canonical_class_without_n1(self, monkeypatch, fresh_tower):
+        original = covers.build_blown_cover
+
+        def without_n1():
+            t = original()
+            return covers.SurfaceModel(t.euler, t.pic, t.canonical - t.pic.basis_vector("N1"), t.curves)
+
+        monkeypatch.setattr(covers, "build_blown_cover", without_n1)
+        # K.l1 = K.l2 = -1 makes each branch curve of Euler number 1 by
+        # adjunction, so e(X) = 2*12 - 2 = 22, and K_X = -p*N1 has square -2
+        results = self.results()
+        cover = {"cover.X_canonical", "cover.X_chi2", "cover.X_euler24"}
+        assert self.failing(results) == (cover | {"cross.euler24"}, set())
+        assert results["cover.X_euler24"].data == {"euler": 22}
+        assert results["cover.X_chi2"].data == {"chi": "5/3"}
+        assert results["cover.X_canonical"].detail == (
+            "canonical class of the final cover is not zero: K^2 = -2, K.C != 0 on l1, l2, N1"
         )
 
     def test_w2_pieces_swapped(self, monkeypatch, fresh_tower):

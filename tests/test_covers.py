@@ -21,7 +21,7 @@ from kummerlab.covers import (
     sixteen_curves_on_X,
     sixteen_defects,
     sixteen_on_X,
-    verify_weak_del_pezzo,
+    weak_del_pezzo_defects,
 )
 from kummerlab.fibration import I0_STAR, SMOOTH, build_fibration, discover_fibers, transform_double_cover
 from kummerlab.kummer_ns import CurveTable, even_eight, jacobian_kummer_ns
@@ -98,7 +98,7 @@ class TestDoubleCover:
         base = blowup_quartic_points()
         assert 2 * base.euler - build_quartic_cover().euler == 8
         for i in QUARTIC_LINES:
-            line = base.curve(f"l{i}")
+            line = base.curves[f"l{i}"]
             assert (line.norm(), base.canonical.dot(line)) == (-2, 0)
 
     def test_pullback_doubles_pairings(self):
@@ -107,10 +107,10 @@ class TestDoubleCover:
         for a, b in (("l1", "l2"), ("l1", "l1"), ("l3", "l4")):
             assert t.pairing(a, b) == 2 * base.pairing(a, b)
         # the conic's pieces sum to its pullback, which doubles its pairings
-        w, l1 = t.curve("W1") + t.curve("W2"), t.curve("l1")
+        w, l1 = t.curves["W1"] + t.curves["W2"], t.curves["l1"]
         assert t.pic.inner(w, w) == 2 * base.pairing("W", "W")
         assert t.pic.inner(l1, w) == 2 * base.pairing("l1", "W")
-        assert t.curve("W1") - t.curve("W2") == t.pic.basis_vector("dW")
+        assert t.curves["W1"] - t.curves["W2"] == t.pic.basis_vector("dW")
 
     def test_negating_the_anti_invariant_swaps_the_pieces(self):
         t = build_quartic_cover()
@@ -119,9 +119,9 @@ class TestDoubleCover:
             return RationalVector(t.pic, v.nums[:-1] + (-v.nums[-1],), v.den)
 
         assert t.pic.labels[-1] == "dW" and t.pic.diag[-1] == -8
-        assert negate_dw(t.curve("W1")) == t.curve("W2")
-        assert negate_dw(t.curve("W2")) == t.curve("W1")
-        assert all(negate_dw(t.curve(name)) == t.curve(name) for name in t.curves if name[0] != "W")
+        assert negate_dw(t.curves["W1"]) == t.curves["W2"]
+        assert negate_dw(t.curves["W2"]) == t.curves["W1"]
+        assert all(negate_dw(t.curves[name]) == t.curves[name] for name in t.curves if name[0] != "W")
 
     def test_shared_label_added_once(self):
         s = projective_plane({"a": 1, "b": 1})
@@ -175,9 +175,51 @@ class TestDoubleCover:
     def test_fractional_branch_euler_number_rejected(self):
         # C = 2H on a form with H^2 = 1/8: C/2 is integral, but C^2 = 1/2
         space = QuadraticSpace(("H",), [Fraction(1, 8)])
-        s = SurfaceModel(1, 0, space, space.zero(), {"c": 2 * space.basis_vector("H")})
-        with pytest.raises(CoverError, match="branch Euler number -1/2 is not an integer"):
+        s = SurfaceModel(1, space, space.zero(), {"c": 2 * space.basis_vector("H")})
+        with pytest.raises(CoverError, match=r"e\(c\) = -1/2 is not an integer"):
             double_cover(s, ("c",), {})
+
+
+class TestOneGram:
+    """K's row and K^2 come from the one Gram each surface takes of its curves
+    and K; the reference is the vector arithmetic, on every surface of the
+    tower: the plane, each blowup, both covers and the final cover."""
+
+    @staticmethod
+    def stages():
+        s = projective_plane({f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
+        stages = [s]
+        for a, b in combinations(QUARTIC_LINES, 2):
+            stages.append(s := blowup(s, f"G{a}{b}", (f"l{a}", f"l{b}")))
+        assert s == blowup_quartic_points()
+        t = build_quartic_cover()
+        stages += [t, n1 := blowup(t, "N1", ("l1", "l2")), blowup(n1, "N2", ("l1", "l2")), build_final_cover()]
+        assert stages[-2] == build_blown_cover()
+        return stages
+
+    def test_k_row_and_k_squared_match_the_vectors(self):
+        stages = self.stages()
+        for s in stages:
+            scale = s.table.scale
+            assert s.table.labels == tuple(s.curves) and len(s.k_row) == len(s.curves)
+            assert [Fraction(k, scale) for k in s.k_row] == [s.canonical.dot(c) for c in s.curves.values()]
+            assert s.k_squared == s.canonical.norm()
+        assert [s.k_squared for s in stages] == [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0]
+
+    def test_fractional_canonical_square_rejected(self):
+        space = QuadraticSpace(("H",), [Fraction(1, 2)])
+        with pytest.raises(CoverError, match=r"K\^2 = 1/2 is not an integer"):
+            SurfaceModel(1, space, space.basis_vector("H"), {})
+
+    def test_adjunction_reads_the_curve_table(self):
+        # -(C^2 + K.C) = 3d - d^2 on the plane: 2 for a line or a conic, 0
+        # for a cubic; the line preimage E1 on the quartic cover has
+        # E1^2 = 2 = -K.E1
+        plane = projective_plane({"line": 1, "conic": 2, "cubic": 3})
+        assert [plane.adjunction_euler((name,)) for name in plane.curves] == [2, 2, 0]
+        assert build_quartic_cover().adjunction_euler(("l1",)) == curve_table_T()["E1.euler"] == 0
+        with pytest.raises(CoverError, match="no tracked curve named 'quartic'"):
+            plane.adjunction_euler(("quartic",))
 
 
 class TestNoether:
@@ -186,38 +228,38 @@ class TestNoether:
 
     def test_k3_numbers(self):
         space = QuadraticSpace(("H",), [0])
-        k3ish = SurfaceModel(24, 0, space, space.zero(), {})
+        k3ish = SurfaceModel(24, space, space.zero(), {})
         assert noether_chi(k3ish) == 2
 
     def test_non_integral_value(self):
         space = QuadraticSpace(("H",), [2])
-        odd = SurfaceModel(9, 2, space, space.basis_vector("H"), {})
+        odd = SurfaceModel(9, space, space.basis_vector("H"), {})
         assert noether_chi(odd) == Fraction(11, 12)
 
 
 class TestWeakDelPezzo:
     def test_quartic_cover_is_weak_dp2(self):
-        assert verify_weak_del_pezzo(build_quartic_cover())
+        assert weak_del_pezzo_defects(build_quartic_cover()) == []
 
     def test_wrong_degree_rejected(self):
         t = blowup(build_quartic_cover(), "Z", ())
         assert t.k_squared == 1
-        assert not verify_weak_del_pezzo(t)
+        assert weak_del_pezzo_defects(t) == ["K^2 = 1, e = 11"]
 
     def test_noether_inconsistency_rejected(self):
         space = QuadraticSpace(("H",), [2])
-        bad = SurfaceModel(9, 2, space, space.basis_vector("H"), {})
-        assert not verify_weak_del_pezzo(bad)
+        bad = SurfaceModel(9, space, space.basis_vector("H"), {})
+        assert weak_del_pezzo_defects(bad) == ["K^2 = 2, e = 9", "K.C = 0 on no curve"]
 
     def with_curve(self, name, v):
         t = build_quartic_cover()
-        return SurfaceModel(t.euler, t.k_squared, t.pic, t.canonical, {**t.curves, name: v})
+        return SurfaceModel(t.euler, t.pic, t.canonical, {**t.curves, name: v})
 
     def test_curve_with_positive_canonical_degree_rejected(self):
         # -H is no curve: K.(-H) = 2 > 0, so -K is not nef on the curves
         t = build_quartic_cover()
         assert t.canonical.dot(-1 * t.pic.basis_vector("H")) == 2
-        assert not verify_weak_del_pezzo(self.with_curve("bad", -1 * t.pic.basis_vector("H")))
+        assert weak_del_pezzo_defects(self.with_curve("bad", -1 * t.pic.basis_vector("H"))) == ["K.bad > 0"]
 
     def test_k_orthogonal_curves_are_the_six_g(self):
         t = build_quartic_cover()
@@ -227,10 +269,12 @@ class TestWeakDelPezzo:
         # dW is orthogonal to K but of square -8: as one more curve, or as
         # G56's class, it fails; so does dropping G56
         d = t.pic.basis_vector("dW")
-        assert not verify_weak_del_pezzo(self.with_curve("dW", d))
-        assert not verify_weak_del_pezzo(self.with_curve("G56", d))
+        six = "G34, G35, G36, G45, G46, G56"
+        assert weak_del_pezzo_defects(self.with_curve("dW", d)) == [f"K.C = 0 on {six}, dW", "dW^2 = -8"]
+        assert weak_del_pezzo_defects(self.with_curve("G56", d)) == ["G56^2 = -8"]
         curves = {name: v for name, v in t.curves.items() if name != "G56"}
-        assert not verify_weak_del_pezzo(SurfaceModel(t.euler, t.k_squared, t.pic, t.canonical, curves))
+        without_g56 = SurfaceModel(t.euler, t.pic, t.canonical, curves)
+        assert weak_del_pezzo_defects(without_g56) == ["K.C = 0 on G34, G35, G36, G45, G46"]
 
 
 class TestCurveTable:
@@ -261,7 +305,7 @@ class TestFinalCover:
 
     def test_branch_is_two_divisible_and_disjoint(self):
         t = build_blown_cover()
-        e1, e2 = t.curve("l1"), t.curve("l2")
+        e1, e2 = t.curves["l1"], t.curves["l2"]
         assert (Fraction(1, 2) * (e1 + e2)).is_integral
         assert t.pic.inner(e1, e2) == 0
         # base-point free genus-1 classes upstairs: C^2 = K.C = 0, so e(C) = 0
@@ -300,8 +344,8 @@ class TestFinalCover:
     def test_conic_anti_invariants_are_opposite(self):
         # W'1.W'2 = 4 and W'1.W''2 = 0 force D1.D2 = 8 = |D1||D2|: D2 = -D1
         x = build_final_cover()
-        d1 = x.curve("W'1") - x.curve("W''1")
-        d2 = x.curve("W'2") - x.curve("W''2")
+        d1 = x.curves["W'1"] - x.curves["W''1"]
+        d2 = x.curves["W'2"] - x.curves["W''2"]
         assert x.pic.inner(d1, d1) == x.pic.inner(d2, d2) == -8
         assert x.pic.inner(d1, d2) == 8 and d2 == -d1 == -x.pic.basis_vector("D")
 
@@ -482,8 +526,8 @@ class TestQuarticCoverLattice:
         # E1 = E2 = H, W1 = H + A', W2 = H - A' with A' = dW/2
         t = build_quartic_cover()
         h, a = t.pic.basis_vector("H"), HALF * t.pic.basis_vector("dW")
-        assert t.curve("l1") == t.curve("l2") == h
-        assert (t.curve("W1"), t.curve("W2")) == (h + a, h - a)
+        assert t.curves["l1"] == t.curves["l2"] == h
+        assert (t.curves["W1"], t.curves["W2"]) == (h + a, h - a)
         assert curve_table_T()["W1.E1+W2.E2"] == t.pairing("W1", "l1") + t.pairing("W2", "l2") == 2 + 2
 
 
@@ -499,7 +543,7 @@ class TestBlownCoverLattice:
     def test_saturation_of_the_trivial_fibers(self):
         t = build_blown_cover()
         pic = SublatticeModel(t.pic, pic_generators(t))
-        f, g = t.curve("l1"), [t.pic.basis_vector(label) for label in G_LABELS]
+        f, g = t.curves["l1"], [t.pic.basis_vector(label) for label in G_LABELS]
         spanned = SublatticeModel(t.pic, [f, *g])
         # every class of the saturation is a combination of F and the G_ab
         # with coefficients in Z / denominator; its fractional parts name it
@@ -523,7 +567,7 @@ class TestBlownCoverLattice:
         # the trivial lattice: F, the zero section N1 and one non-identity
         # component of each of the six I2 fibers
         components = [t.table.classes[fiber.components[1][0]] for fiber in pairs]
-        trivial = SublatticeModel(t.pic, [t.curve("l1"), t.curve("N1"), *components])
+        trivial = SublatticeModel(t.pic, [t.curves["l1"], t.curves["N1"], *components])
         assert len(pairs) == 6 and trivial.rank == 2 + 6
         assert pic.rank - trivial.rank == 10 - 2 - 6 == 2
 
@@ -538,12 +582,12 @@ class TestFinalCoverLattice:
 
     def lattice(self):
         t, x = build_blown_cover(), build_final_cover()
-        pieces = [x.curve(name) for name in x.curves if name[0] in "GW"]
-        pulled = [*map(self.pull, pic_generators(t)), HALF * self.pull(t.curve("l1"))]
+        pieces = [x.curves[name] for name in x.curves if name[0] in "GW"]
+        pulled = [*map(self.pull, pic_generators(t)), HALF * self.pull(t.curves["l1"])]
         return SublatticeModel(x.pic, pulled + pieces)
 
     def sixteen(self):
-        return [build_final_cover().curve(name) for name in sixteen_on_X()]
+        return [build_final_cover().curves[name] for name in sixteen_on_X()]
 
     def test_rank_parity_and_discriminant(self):
         m = self.lattice()
@@ -576,10 +620,10 @@ class TestFinalCoverLattice:
         # N1 and the twelve split G pieces, one non-identity component of
         # each of the twelve I2 fibers
         x = build_final_cover()
-        fiber = HALF * self.pull(build_blown_cover().curve("l1"))
-        assert x.pic.inner(fiber, fiber) == 0 and x.pic.inner(fiber, x.curve("N1")) == 1
-        pieces = [x.curve(name) for name in sixteen_on_X()[:12]]
+        fiber = HALF * self.pull(build_blown_cover().curves["l1"])
+        assert x.pic.inner(fiber, fiber) == 0 and x.pic.inner(fiber, x.curves["N1"]) == 1
+        pieces = [x.curves[name] for name in sixteen_on_X()[:12]]
         assert all(x.pic.inner(fiber, c) == 0 for c in pieces)
-        trivial = SublatticeModel(x.pic, [fiber, x.curve("N1"), *pieces])
+        trivial = SublatticeModel(x.pic, [fiber, x.curves["N1"], *pieces])
         assert trivial.rank == 2 + 12
         assert self.lattice().rank - trivial.rank == 17 - 14 == 3

@@ -172,6 +172,6 @@ class TestConstruction:
         assert report.elapsed_ms == 3
         pic = QuadraticSpace(labels=("H",), diag=(1,))
         h = pic.basis_vector("H")
-        surface = SurfaceModel(euler=3, k_squared=9, pic=pic, canonical=-3 * h, curves={"H": h})
-        assert surface.curve("H") is h
+        surface = SurfaceModel(euler=3, pic=pic, canonical=-3 * h, curves={"H": h})
+        assert surface.curves["H"] is h
         assert BinaryCode(codewords={EMPTY}).dimension == 0
