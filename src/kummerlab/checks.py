@@ -141,7 +141,7 @@ class CheckContext:
         return self._cover(self.fibration)
 
     @cached_property
-    def sixteen(self) -> dict[str, object]:
+    def sixteen(self) -> tuple[list[str], dict[str, object]]:
         return covers.sixteen_curves_on_X()
 
 
@@ -684,16 +684,13 @@ def _cover_x_chi(ctx: CheckContext):
     "sixteen disjoint rational curves: 12 + 2 + 2",
 )
 def _cover_sixteen(ctx: CheckContext):
-    inv = ctx.sixteen
+    sixteen, inv = ctx.sixteen
     total, split = inv["total"], inv["split_preimages_of_exceptional"]
     exceptional, conic = inv["exceptional_of_cover"], inv["split_conic_pieces_used"]
-    defects = covers.sixteen_defects()
+    defects = covers.sixteen_defects(sixteen)
     ok = total == 16 and split == 12 and exceptional == 2 and not defects
     count = "sixteen" if total == 16 else total
-    detail = (
-        f"{count} disjoint rational curves: {split} split + {exceptional} exceptional"
-        f" + {conic} conic pieces"
-    )
+    detail = f"{count} disjoint rational curves: {split} split + {exceptional} exceptional + {conic} conic pieces"
     if defects:
         detail += f"; Gram not -2 I at {', '.join(defects)}"
     return ok, detail, inv
@@ -727,9 +724,9 @@ def _cover_incidence(ctx: CheckContext):
 )
 def _cross_euler(ctx: CheckContext):
     fib_total, surf_total = ctx.transformed.euler, covers.build_final_cover().euler
-    # the I2 fibers double the six I2 pairs of the blown-up quartic cover
+    # the Kummer cover's I2 fibers against those the final cover's own fibration finds
     i2 = sum(1 for f in ctx.transformed.fibers if f.kodaira_type == "I2")
-    split = ctx.sixteen["split_preimages_of_exceptional"]
+    split = ctx.sixteen[1]["split_preimages_of_exceptional"]
     ok = fib_total == surf_total == 24 and i2 == split
     verb = "agrees with" if fib_total == surf_total else "differs from"
     detail = f"fiber Euler sum {fib_total} {verb} the surface Euler number {surf_total}"

@@ -10,10 +10,10 @@ curves of 2-divisible sum B (Euler number 2e - e(B), canonical class
 K + B/2, pairings doubled on pullbacks, split curves replaced by their two
 pieces).  Each surface takes one Gram of its curves and K when built: K^2,
 the pairings and each curve Euler number by adjunction, -(C^2 + K.C), are
-read from it, and so are the curve table of the quartic cover and the
-sixteen curves on the final cover, counted from the fibers `discover_fibers`
-finds on the blown-up quartic cover, whose branch E1 + E2 is two fibers.
-The six-line configuration takes a Gram of H and the lines on the blowup.
+read from it, and so are the six-line incidences and the curve table of
+the quartic cover.  The sixteen curves and the twelve I2 fibers on the final
+cover are read off its own fibration, which `discover_fibers` finds on its
+curve table with the fiber class half the branch fiber l1.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
     a point of multiplicity two on that curve.  Listed curves are replaced by
     their strict transforms.
     """
+    if exceptional in s.curves:
+        raise CoverError(f"exceptional curve {exceptional!r} is named like a tracked curve")
     pic = QuadraticSpace(s.pic.labels + (exceptional,), s.pic.diag + (-1,))
 
     def extend(v: RationalVector, exc_coeff: int) -> RationalVector:
@@ -132,8 +134,13 @@ def double_cover(
     if not half.is_integral:
         raise CoverError("branch not 2-divisible in the modeled Picard group")
     squares: dict[str, int] = {}
-    for name, (_, _, label, square) in split.items():
+    pieces = [piece for entry in split.values() for piece in entry[:2]]
+    for name, (plus, minus, label, square) in split.items():
         s.row(name)
+        # a piece may take its own parent's name, which it replaces
+        for piece in (plus, minus):
+            if pieces.count(piece) > 1 or piece != name and piece in s.curves:
+                raise CoverError(f"split piece {piece!r} of {name} is named like another curve or piece")
         if squares.setdefault(label, square) != square:
             raise CoverError(f"anti-invariant class {label!r} given squares {squares[label]} and {square}")
     diag = tuple(2 * d for d in s.pic.diag) + tuple(squares.values())
@@ -172,31 +179,29 @@ QUARTIC_LINES = (3, 4, 5, 6)
 @cache
 def blowup_quartic_points() -> SurfaceModel:
     """The plane blown up at the six singular points of the four-line quartic."""
-    s = projective_plane({f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
+    s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
     for a, b in combinations(QUARTIC_LINES, 2):
         s = blowup(s, f"G{a}{b}", (f"l{a}", f"l{b}"))
     return s
 
 
 def sextic_incidence() -> dict[str, object]:
-    """The incidences of the six branch lines, read from one Gram of H and
-    l1..l6 on the six-point blowup.
+    """The incidences of the six branch lines, read off the six-point blowup's
+    curve table.
 
     The degrees are H.l_i, two plane lines meet deg*deg times, and the
     quartic singular points are the pairs of quartic lines whose strict
-    transforms no longer meet.  The blown-up plane's form is unimodular, so
-    the Gram's scale is 1.
+    transforms no longer meet.
     """
     s = blowup_quartic_points()
     lines = range(1, 7)
-    table, scale = s.pic.gram([s.pic.basis_vector("H")] + [s.curves[f"l{i}"] for i in lines])
-    deg = {i: table[0][i] // scale for i in lines}
+    deg = {i: s.pairing("H", f"l{i}") for i in lines}
     sextic, quartic = sum(deg.values()), sum(deg[i] for i in QUARTIC_LINES)
     return {
         "double_points": sum(deg[a] * deg[b] for a, b in INDEX_PAIRS),
         "points_per_line": [sum(deg[a] * deg[b] for b in lines if b != a) for a in lines],
         "quartic_singular_points": sum(
-            1 for a, b in combinations(QUARTIC_LINES, 2) if deg[a] * deg[b] and not table[a][b]
+            1 for a, b in combinations(QUARTIC_LINES, 2) if deg[a] * deg[b] and not s.pairing(f"l{a}", f"l{b}")
         ),
         "degrees": {"sextic": sextic, "quartic": quartic, "residual_conic": sextic - quartic},
     }
@@ -226,22 +231,21 @@ def weak_del_pezzo_defects(t: SurfaceModel) -> list[str]:
 @cache
 def build_blown_cover() -> SurfaceModel:
     """The quartic cover blown up at the two crossing points of the genus-1 pair."""
-    t = build_quartic_cover()
-    t = blowup(t, "N1", ("l1", "l2"))
-    t = blowup(t, "N2", ("l1", "l2"))
-    return t
+    return blowup(blowup(build_quartic_cover(), "N1", ("l1", "l2")), "N2", ("l1", "l2"))
+
+
+# W1 and W2 split along one D: W'1.W'2 = 4 and W'1.W''2 = 0 force D1.D2 = 8 =
+# |D1||D2|, the Cauchy-Schwarz equality, so D2 = -D1 and W2's plus piece is W''2
+CONIC_SPLIT = {"W1": ("W'1", "W''1", "D", -8), "W2": ("W''2", "W'2", "D", -8)}
 
 
 @cache
 def build_final_cover() -> SurfaceModel:
     """The double cover of the blown-up quartic cover branched along E1 + E2."""
     t = build_blown_cover()
-    # each tracked G_ab misses the branch and splits; W'1.W'2 = 4 and
-    # W'1.W''2 = 0 force D1.D2 = 8 = |D1||D2|, the Cauchy-Schwarz equality,
-    # so D2 = -D1 and W2's plus piece is W''2
+    # each tracked G_ab misses the branch and splits
     split = {g: (f"G'{g[1:]}", f"G''{g[1:]}", f"d{g[1:]}", -4) for g in t.curves if g[0] == "G"}
-    split |= {"W1": ("W'1", "W''1", "D", -8), "W2": ("W''2", "W'2", "D", -8)}
-    return double_cover(t, ("l1", "l2"), split)
+    return double_cover(t, ("l1", "l2"), split | CONIC_SPLIT)
 
 
 # ---------------------------------------------------------------------------
@@ -272,51 +276,42 @@ def curve_table_T() -> dict[str, int]:
     return t
 
 
-def sixteen_curves_on_X() -> dict[str, object]:
-    """Inventory of the sixteen disjoint rational curves on the final cover.
-
-    On the blown-up cover the branch E1 + E2 is two fibers of |E1|, F the row
-    of l1: the G of each I2 fiber misses it and splits in two (twelve), the
-    sections N1 and N2 meet it twice and stay irreducible of square -2 (two),
-    and two of the four split conic pieces, paired on the final cover, make
-    sixteen.
-    """
-    t = build_blown_cover().table
-    l1 = t.labels.index("l1")
-    _, pairs, sections = discover_fibers(t, t.table[l1], t.table[l1][l1])
-    split_exceptional = 2 * len(pairs)
-    exceptional_of_x = sum(1 for x in sections if t.labels[x] in ("N1", "N2"))
-    s = _pairings(
-        build_final_cover(), {},
-        "W'1.W'1 W''1.W''1 W'2.W'2 W''2.W''2 W'1.W''1 W'2.W''2 W'1.W'2 W''1.W''2 W'1.W''2 W''1.W'2",
-    )
-    w_self = s["W'1.W'1"] + s["W''1.W''1"] + 2 * s["W'1.W''1"]
-    # the conic misses both blown points, so its class is unchanged upstairs
-    # and the pullback square is 2 * W1^2 with zero blowup correction
-    pullback_self = 2 * build_quartic_cover().pairing("W1", "W1")
-    return {
-        "split_preimages_of_exceptional": split_exceptional,
-        "exceptional_of_cover": exceptional_of_x,
-        "split_conic_pieces_used": 2,
-        "total": split_exceptional + exceptional_of_x + 2,
+def sixteen_curves_on_X() -> tuple[list[str], dict[str, object]]:
+    """The sixteen disjoint rational curves on the final cover and their
+    inventory, read off its fibration: l1 is a branch fiber, so p*l1 = 2R for
+    the fiber class R.  Each of the twelve I2 fibers holds one split G piece,
+    the sections that meet no other section are the exceptional curves N1
+    and N2, and the plus pieces of the split conic, W'1 and W''2, make sixteen."""
+    x = build_final_cover()
+    t, l1 = x.table, x.row("l1")
+    if t.table[l1][l1] % 4 or any(p % 2 for p in t.table[l1]):
+        raise CoverError("the branch fiber l1 is not twice a class on the final cover")
+    _, pairs, sections = discover_fibers(t, [p // 2 for p in t.table[l1]], t.table[l1][l1] // 4)
+    alone = [t.labels[y] for y in sections if not any(t.table[y][z] for z in sections if z != y)]
+    plus = [piece for piece, *_ in CONIC_SPLIT.values()]
+    conic = [piece for entry in CONIC_SPLIT.values() for piece in entry[:2]]
+    sixteen = [t.labels[fiber.components[1][0]] for fiber in pairs] + alone + plus
+    s = _pairings(x, {}, "W'1.W'1 W''1.W''1 W'2.W'2 W''2.W''2 W'1.W''1 W'2.W''2"
+                         " W'1.W'2 W''1.W''2 W'1.W''2 W''1.W'2")
+    return sixteen, {
+        "split_preimages_of_exceptional": len(pairs),
+        "exceptional_of_cover": len(alone),
+        "split_conic_pieces_used": len(plus),
+        "total": len(sixteen),
         "split_conic_table": s,
         "aggregate_cross": s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"],
-        "split_self_sum": w_self,
-        "blowup_correction": pullback_self - w_self,
+        "split_self_sum": s["W'1.W'1"] + s["W''1.W''1"] + 2 * s["W'1.W''1"],
+        # p*W1 = W'1 + W''1 meets the sections off the conic, the exceptional curves of the
+        # last blowups, twice per blown point on W1; none, so its square is 2 W1^2 as on T
+        "blowup_correction": sum(
+            x.pairing(w, t.labels[y]) for w in conic[:2] for y in sections if t.labels[y] not in conic
+        ),
     }
 
 
-def sixteen_on_X() -> list[str]:
-    """The sixteen on the final cover: the split pieces of the G_ab, N1, N2, W'1 and W''2."""
-    return [name for name in build_final_cover().curves if name[0] == "G"] + ["N1", "N2", "W'1", "W''2"]
-
-
-def sixteen_defects() -> list[str]:
-    """The pairings "a.b = value" among `sixteen_on_X` that are not those of -2 I."""
+def sixteen_defects(sixteen: list[str]) -> list[str]:
+    """The pairings "a.b = value" among the named curves on the final cover that are not those of -2 I."""
     x = build_final_cover()
-    t, sixteen = x.table, sixteen_on_X()
-    rows = zip([t.labels.index(name) for name in sixteen], sixteen)
-    return [
-        f"{a}.{b} = {x.pairing(a, b)}" for (i, a), (j, b) in combinations_with_replacement(rows, 2)
-        if t.table[i][j] != (-2 * t.scale if i == j else 0)
-    ]
+    t, rows = x.table, {name: x.row(name) for name in sixteen}
+    return [f"{a}.{b} = {x.pairing(a, b)}" for a, b in combinations_with_replacement(sixteen, 2)
+            if t.table[rows[a]][rows[b]] != (-2 * t.scale if a == b else 0)]

@@ -173,7 +173,7 @@ def test_criterion_08_cover_calculus():
     t = covers.build_quartic_cover()
     table = covers.curve_table_T()
     x = covers.build_final_cover()
-    inventory = covers.sixteen_curves_on_X()
+    _, inventory = covers.sixteen_curves_on_X()
     ok = (
         t.euler == 10
         and t.k_squared == 2

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,7 +21,6 @@ from kummerlab.covers import (
     sextic_incidence,
     sixteen_curves_on_X,
     sixteen_defects,
-    sixteen_on_X,
     weak_del_pezzo_defects,
 )
 from kummerlab.fibration import I0_STAR, SMOOTH, build_fibration, discover_fibers, transform_double_cover
@@ -82,6 +82,12 @@ class TestBlowup:
         with pytest.raises(CoverError):
             blowup(s, "E", ("missing",))
 
+    def test_exceptional_named_like_a_tracked_curve_rejected(self):
+        # blowing up with the conic's name would replace the conic: W.W = -1, not 4
+        s = projective_plane({"l1": 1, "l2": 1, "W": 2})
+        with pytest.raises(CoverError, match="exceptional curve 'W' is named like a tracked curve"):
+            blowup(s, "W", ("l1", "l2"))
+
 
 class TestDoubleCover:
     def test_quartic_cover_numbers(self):
@@ -138,6 +144,25 @@ class TestDoubleCover:
         with pytest.raises(CoverError, match="squares -2 and -4"):
             double_cover(s, (), split)
 
+    def test_piece_named_like_another_tracked_curve_rejected(self):
+        # a piece named l1 would replace the branch-free line l1: l1.l1 = 0, not 2
+        s = projective_plane({"l1": 1, "W": 2})
+        with pytest.raises(CoverError, match="split piece 'l1' of W is named like another curve or piece"):
+            double_cover(s, (), {"W": ("l1", "W-", "d", -8)})
+
+    def test_piece_named_like_another_piece_rejected(self):
+        s = projective_plane({"a": 1, "b": 1})
+        with pytest.raises(CoverError, match="split piece 'p' of a is named like another curve or piece"):
+            double_cover(s, (), {"a": ("p", "a-", "d", -2), "b": ("p", "b-", "d", -2)})
+        with pytest.raises(CoverError, match="split piece 'p' of a"):
+            double_cover(s, (), {"a": ("p", "p", "d", -2)})
+
+    def test_piece_may_take_its_parents_name(self):
+        s = projective_plane({"a": 1, "b": 1})
+        cover = double_cover(s, (), {"a": ("a", "a-", "d", -2)})
+        assert list(cover.curves) == ["a", "a-", "b"]
+        assert cover.pairing("a", "a-") == 1 and cover.pairing("b", "b") == 2
+
     def test_split_of_untracked_curve_rejected(self):
         s = projective_plane({"a": 1})
         with pytest.raises(CoverError, match="no tracked curve named 'b'"):
@@ -187,7 +212,7 @@ class TestOneGram:
 
     @staticmethod
     def stages():
-        s = projective_plane({f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
+        s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
         stages = [s]
         for a, b in combinations(QUARTIC_LINES, 2):
             stages.append(s := blowup(s, f"G{a}{b}", (f"l{a}", f"l{b}")))
@@ -321,14 +346,14 @@ class TestFinalCover:
         assert noether_chi(x) == 2
 
     def test_sixteen_curve_inventory(self):
-        inv = sixteen_curves_on_X()
+        _, inv = sixteen_curves_on_X()
         assert inv["total"] == 16
         assert inv["split_preimages_of_exceptional"] == 12
         assert inv["exceptional_of_cover"] == 2
         assert inv["split_conic_pieces_used"] == 2
 
     def test_split_conic_aggregates(self):
-        inv = sixteen_curves_on_X()
+        _, inv = sixteen_curves_on_X()
         table = inv["split_conic_table"]
         assert table["W'1.W''2"] == 0 and table["W''1.W'2"] == 0
         cross = (
@@ -350,10 +375,18 @@ class TestFinalCover:
         assert x.pic.inner(d1, d2) == 8 and d2 == -d1 == -x.pic.basis_vector("D")
 
     def test_sixteen_pair_to_minus_two_identity(self):
-        sixteen = sixteen_on_X()
-        assert len(sixteen) == len(set(sixteen)) == 16 and sixteen_defects() == []
+        sixteen, _ = sixteen_curves_on_X()
+        assert len(sixteen) == len(set(sixteen)) == 16 and sixteen_defects(sixteen) == []
         pieces = [f"G{prime}{a}{b}" for a, b in combinations(QUARTIC_LINES, 2) for prime in ("'", "''")]
         assert sixteen == pieces + ["N1", "N2", "W'1", "W''2"]
+        # W'2 in place of W''2 meets W'1 with 4
+        assert sixteen_defects(sixteen[:-1] + ["W'2"]) == ["W'1.W'2 = 4"]
+
+    def test_branch_fiber_not_twice_a_class_rejected(self, monkeypatch):
+        # a plane line's row, its square 1, does not halve
+        monkeypatch.setattr(covers, "build_final_cover", lambda: projective_plane({"l1": 1}))
+        with pytest.raises(CoverError, match="the branch fiber l1 is not twice a class"):
+            sixteen_curves_on_X()
 
 
 def pencil_of_e1(table):
@@ -372,8 +405,8 @@ def without(table, label):
 
 
 class TestBlownCoverPencil:
-    """The pencil |E1| on the blown-up quartic cover, whose fibers count the
-    sixteen curves: the A1^6 configuration of six I2 fibers."""
+    """The pencil |E1| on the blown-up quartic cover: the A1^6 configuration
+    of six I2 fibers, which the final cover splits into its twelve."""
 
     def test_fibers_and_sections(self):
         t = build_blown_cover().table
@@ -435,8 +468,65 @@ class TestBlownCoverPencil:
         stars, pairs, sections = pencil_of_e1(without(t, "G56"))
         assert (len(stars), len(pairs), len(sections)) == (0, 5, 2)
 
-    def test_warm_count_builds_nothing(self, monkeypatch):
-        sixteen_curves_on_X()  # the blown-up cover and its table exist
+
+
+def fibration_of_x():
+    """X's fiber class R = p*l1/2 (l1 is a branch fiber) as a vector, and the
+    fibers and sections `discover_fibers` finds for it on X's curve table."""
+    x = build_final_cover()
+    t, l1 = x.table, x.row("l1")
+    return HALF * x.curves["l1"], discover_fibers(t, [p // 2 for p in t.table[l1]], t.table[l1][l1] // 4)
+
+
+class TestFinalCoverFibration:
+    """X's own elliptic fibration, with fiber class R: the twelve I2 fibers of
+    the abstract and the sections, which name the sixteen curves."""
+
+    def test_fibers_and_sections(self):
+        x = build_final_cover()
+        t = x.table
+        fiber, (stars, pairs, sections) = fibration_of_x()
+        assert (len(stars), len(pairs), len(sections)) == (0, 12, 6)
+        assert sorted(t.labels[y] for y in sections) == sorted(["W'1", "W''1", "W'2", "W''2", "N1", "N2"])
+        assert x.pic.inner(fiber, fiber) == 0 and x.pic.inner(fiber, x.curves["N1"]) == 1
+        assert all(x.pic.inner(fiber, t.classes[y]) == 1 for y in sections)
+        assert sum(f.euler_number for f in pairs) == 24 == x.euler
+        sixteen, inv = sixteen_curves_on_X()
+        assert sixteen[:12] == [t.labels[f.components[1][0]] for f in pairs]
+        assert (inv["split_preimages_of_exceptional"], inv["exceptional_of_cover"]) == (12, 2)
+
+    def test_split_pieces_lie_in_different_fibers(self):
+        # G'ab and G''ab are each the tracked component of their own fiber:
+        # G''ab pairs 0 with R - G'ab, so it is not that fiber's other part
+        x = build_final_cover()
+        t = x.table
+        fiber, (_, pairs, _) = fibration_of_x()
+        fiber_of = {t.labels[f.components[1][0]]: k for k, f in enumerate(pairs)}
+        for a, b in combinations(QUARTIC_LINES, 2):
+            one, other = x.curves[f"G'{a}{b}"], x.curves[f"G''{a}{b}"]
+            assert fiber_of[f"G'{a}{b}"] != fiber_of[f"G''{a}{b}"]
+            assert x.pic.inner(fiber - one, other) == 0 != x.pic.inner(other, other)
+
+    def test_index_pairs_match_the_kummer_cover(self):
+        # the I2 components carry each index pair of the Kummer (1,2) cover's
+        # doubled I2 fibers twice
+        t = build_final_cover().table
+        _, (_, pairs, _) = fibration_of_x()
+        tower = Counter(t.labels[f.components[1][0]].lstrip("G'") for f in pairs)
+        model = jacobian_kummer_ns()
+        cover = transform_double_cover(build_fibration(model, 1, 2), even_eight(1, 2), model)
+        labels = model.curve_table.labels
+        kummer = Counter(labels[f.components[1][0]][1:] for f in cover.fibers if f.kodaira_type == "I2")
+        assert tower == kummer == {ab: 2 for ab in ("34", "35", "36", "45", "46", "56")}
+
+    def test_dropped_piece_leaves_one_fiber_fewer(self):
+        t = without(build_final_cover().table, "G'56")
+        row = t.table[t.labels.index("l1")]
+        stars, pairs, sections = discover_fibers(t, [p // 2 for p in row], 0)
+        assert (len(stars), len(pairs), len(sections)) == (0, 11, 6)
+
+    def test_warm_inventory_builds_nothing(self, monkeypatch):
+        sixteen_curves_on_X()  # the final cover and its table exist
         calls = []
 
         def record(cls, name):
@@ -451,7 +541,7 @@ class TestBlownCoverPencil:
         record(QuadraticSpace, "inner")
         record(QuadraticSpace, "gram")
         record(RationalVector, "__init__")
-        assert sixteen_curves_on_X()["total"] == 16
+        assert sixteen_curves_on_X()[1]["total"] == 16
         assert calls == []
 
 
@@ -587,7 +677,7 @@ class TestFinalCoverLattice:
         return SublatticeModel(x.pic, pulled + pieces)
 
     def sixteen(self):
-        return [build_final_cover().curves[name] for name in sixteen_on_X()]
+        return [build_final_cover().curves[name] for name in sixteen_curves_on_X()[0]]
 
     def test_rank_parity_and_discriminant(self):
         m = self.lattice()
@@ -617,13 +707,13 @@ class TestFinalCoverLattice:
 
     def test_shioda_tate_rank(self):
         # the fiber class R = p*F / 2 (F is a branch fiber), the zero section
-        # N1 and the twelve split G pieces, one non-identity component of
-        # each of the twelve I2 fibers
+        # N1 and one non-identity component of each of the twelve I2 fibers,
+        # all from one discovery on X's curve table
         x = build_final_cover()
-        fiber = HALF * self.pull(build_blown_cover().curves["l1"])
-        assert x.pic.inner(fiber, fiber) == 0 and x.pic.inner(fiber, x.curves["N1"]) == 1
-        pieces = [x.curves[name] for name in sixteen_on_X()[:12]]
-        assert all(x.pic.inner(fiber, c) == 0 for c in pieces)
+        fiber, (_, pairs, _) = fibration_of_x()
+        assert fiber == HALF * self.pull(build_blown_cover().curves["l1"])
+        pieces = [x.table.classes[f.components[1][0]] for f in pairs]
+        assert len(pieces) == 12 and all(x.pic.inner(fiber, c) == 0 for c in pieces)
         trivial = SublatticeModel(x.pic, [fiber, x.curves["N1"], *pieces])
         assert trivial.rank == 2 + 12
         assert self.lattice().rank - trivial.rank == 17 - 14 == 3
