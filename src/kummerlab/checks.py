@@ -596,7 +596,7 @@ def _cover_e10(ctx: CheckContext):
 )
 def _cover_k2(ctx: CheckContext):
     t = covers.build_quartic_cover()
-    h_sq = t.pairing("l1", "l1")
+    h_sq = t.pairing("H", "H")
     ok = t.k_squared == 2 and h_sq == 2
     return ok, f"K^2 = {t.k_squared} and pulled-back hyperplane square {h_sq}", {
         "k_squared": t.k_squared,

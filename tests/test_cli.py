@@ -422,18 +422,8 @@ C0_RAISED = {f"fibration.sweep.{ij}" for ij in ("12", "13", "23")} | {
     "fibration.sections4",
     "ns.discriminant",
 }
-TOWER_RAISED = {
-    "cover.X_canonical",
-    "cover.X_chi2",
-    "cover.X_euler24",
-    "cover.X_sixteen",
-    "cover.chi1",
-    "cover.curve_table",
-    "cover.eT10",
-    "cover.kT2",
-    "cover.weak_dp2",
-    "cross.euler24",
-}
+FINAL_RAISED = {"cover.X_canonical", "cover.X_chi2", "cover.X_euler24", "cover.X_sixteen", "cross.euler24"}
+TOWER_RAISED = FINAL_RAISED | {"cover.chi1", "cover.curve_table", "cover.eT10", "cover.kT2", "cover.weak_dp2"}
 E56_ISOLATED = {f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "23", "24", "34")}
 
 # each pinned fault of TestFaultInjection, by test name: the ids it fails and
@@ -483,6 +473,9 @@ FAULT_MATRIX = {
         C0_RAISED,
     ),
     "g34_blown_up_on_l3_only": (TOWER_RAISED | {"cover.incidence_sextic"}, TOWER_RAISED),
+    "g12_blown_up_before_quartic_cover": (
+        FINAL_RAISED | {"cover.curve_table", "cover.eT10", "cover.kT2", "cover.weak_dp2"}, FINAL_RAISED
+    ),
     "exceptional_curve_dropped_from_blown_cover": ({"cover.X_sixteen", "cross.euler24"}, set()),
     "exceptional_curve_dropped_from_quartic_cover": (
         {"cover.weak_dp2", "cover.X_sixteen", "cross.euler24"}, set()
@@ -530,9 +523,8 @@ FAULT_MATRIX = {
 
 # the claims that no pinned fault fails by their own comparison, with the reason
 FAULT_EXEMPT = {
-    "cover.chi1": "the quartic cover's numbers fail only when no tower builds (the G34 fault)",
-    "cover.eT10": "the quartic cover's numbers fail only when no tower builds (the G34 fault)",
-    "cover.kT2": "the quartic cover's numbers fail only when no tower builds (the G34 fault)",
+    "cover.chi1": "chi does not change under a blowup, so the G12 fault keeps it 1; it fails only"
+    " when no tower builds (the G34 fault)",
     "nikulin.disc64": "no pinned fault reaches the Nikulin lattice",
     "nikulin.eps1_none": "no pinned fault reaches the Nikulin lattice or its roots",
     "nikulin.even_negdef": "no pinned fault reaches the Nikulin lattice",
@@ -719,6 +711,26 @@ class TestFaultInjection:
         detail = results["cover.incidence_sextic"].detail
         assert detail == "15 double points, 5 per line, 5 blown for the quartic, degrees 6 = 4 + 2"
 
+    def test_g12_blown_up_before_quartic_cover(self, monkeypatch, fresh_tower):
+        original = covers.blowup_quartic_points
+
+        def with_g12():
+            return covers.blowup(original(), "G12", ("l1", "l2"))
+
+        monkeypatch.setattr(covers, "blowup_quartic_points", with_g12)
+        # a seventh point, l1 ∩ l2, misses the quartic lines, so the quartic
+        # cover builds with e = 2*10 - 8 = 12 and K = p*(G12 - H) of square
+        # 0, and both fail by their own comparison; chi = (0 + 12)/12 stays 1.
+        # The pulled-back hyperplane keeps its square 2, though the strict
+        # transform of l1 now has square 0.  l1 and l2 no longer meet, so
+        # blowing up N1 and N2 on both gives l1.l2 = -2 and the final cover's
+        # branch raises as not disjoint
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["g12_blown_up_before_quartic_cover"]
+        assert results["cover.eT10"].data == {"euler": 12}
+        assert results["cover.kT2"].data == {"k_squared": 0, "h_squared": 2}
+        assert results["cover.chi1"].status == PASS
+
     def test_exceptional_curve_dropped_from_blown_cover(self, monkeypatch, fresh_tower):
         original = covers.build_blown_cover
 
@@ -886,7 +898,7 @@ class TestFaultInjection:
         claims = {d.id for d in REGISTRY if not d.flagged}
         assert len(claims) == 82 and FAULT_EXEMPT.keys() <= claims
         assert by_comparison == claims - FAULT_EXEMPT.keys()
-        assert (len(by_comparison), len(FAULT_EXEMPT)) == (69, 13)
+        assert (len(by_comparison), len(FAULT_EXEMPT)) == (71, 11)
 
 
 class TestReport:
@@ -1007,7 +1019,49 @@ class TestRenderJson:
             render_json(one_check(data))
 
 
+USAGE = "usage: kummerlab [-h] [--check GLOB] [--report {text,json}] [--list]\n"
+HELP = USAGE + """
+Run the exact verification checks for the Kummer surface divisor
+combinatorics.
+
+options:
+  -h, --help            show this help message and exit
+  --check GLOB          run only checks matching this glob (repeatable)
+  --report {text,json}  output format (default: text)
+  --list                list all registered checks and exit
+"""
+
+
 class TestMain:
+    # the command line as argparse parsed it: exit code, stdout (None for the
+    # nikulin.* JSON report) and the message of a usage error on stderr
+    @pytest.mark.parametrize(
+        "argv, code, out, error",
+        [
+            (["-h"], 0, HELP, ""),
+            (["--help"], 0, HELP, ""),
+            (["--bogus", "--help", "--report", "xml"], 0, HELP, ""),
+            (["--report=json", "--check=nikulin.*"], 0, None, ""),
+            (["--rep", "json", "--check", "nikulin.*"], 0, None, ""),
+            (["--report", "xml"], 2, "", "argument --report: invalid choice: 'xml' (choose from 'text', 'json')"),
+            (["--check"], 2, "", "argument --check: expected one argument"),
+            (["--check", "--list"], 2, "", "argument --check: expected one argument"),
+            (["--bogus"], 2, "", "unrecognized arguments: --bogus"),
+            (["x", "--check", "oq.*", "--", "--list"], 2, "", "unrecognized arguments: x -- --list"),
+            (["--list=yes"], 2, "", "argument --list: ignored explicit argument 'yes'"),
+            (["--list", "--check", "nikulin.*"], 0, render_check_list(), ""),
+        ],
+    )
+    def test_command_line(self, capsys, argv, code, out, error):
+        try:
+            exit_code = main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+        captured = capsys.readouterr()
+        assert exit_code == code
+        assert captured.err == (f"{USAGE}kummerlab: error: {error}\n" if error else "")
+        assert captured.out == (render_json(build_report(["nikulin.*"])) if out is None else out)
+
     def test_full_run_exits_zero(self, capsys):
         assert main([]) == 0
         out = capsys.readouterr().out

@@ -3,8 +3,10 @@
 `dataclasses` imports `inspect` (and through it `ast`, `dis`, `tokenize`)
 and generates each class's methods from source at import time, and `typing`
 is a large module the package does not need at run time, since its
-annotations are strings.  A cold ``kummerlab --report json`` pays for every
-module it imports, so these stay off its import path.
+annotations are strings.  Running the report adds neither `argparse` (with
+`gettext`, which imports `locale` for its messages) nor `json`, whose
+decoder and scanner come with its encoder.  A cold ``kummerlab --report
+json`` pays for every module it imports, so these stay off its path.
 """
 
 import ast
@@ -17,6 +19,7 @@ import kummerlab
 
 SRC_DIR = pathlib.Path(kummerlab.__file__).parent
 HEAVY = ("dataclasses", "inspect", "typing")
+CLI_HEAVY = ("argparse", "gettext", "locale", "json")
 
 
 def test_cli_import_adds_no_heavy_module():
@@ -25,19 +28,29 @@ def test_cli_import_adds_no_heavy_module():
     # run with ``site`` could then not tell whether the package imports it.
     # The benchmark's cold runs keep ``site``, so on such an interpreter they
     # do not see the `typing` part of this guard; users' interpreters may.
+    # The first line lists the modules the import adds, the second those
+    # that the JSON report's run adds on top, with its stdout discarded.
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "before = set(sys.modules)\n"
         "import kummerlab.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "imported = set(sys.modules)\n"
+        "with open(os.devnull, 'w', encoding='utf-8') as sys.stdout:\n"
+        "    code = kummerlab.cli.main(['--report', 'json'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, ' '.join(sorted(set(sys.modules) - imported)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    added = set(proc.stdout.split())
-    assert "kummerlab.cli" in added
-    assert not added.intersection(HEAVY), sorted(added.intersection(HEAVY))
+    imports, run = proc.stdout.splitlines()
+    status, *run_added = run.split()
+    added = set(imports.split())
+    assert "kummerlab.cli" in added and status == "0"
+    heavy = added.union(run_added).intersection(HEAVY + CLI_HEAVY)
+    assert not heavy, sorted(heavy)
 
 
 def test_no_module_imports_dataclasses_or_typing():
