@@ -422,7 +422,7 @@ def _nik_roots(ctx: CheckContext):
         v = n.space.basis_vector(lab)
         expected |= {v, -v}
     ok = len(found) == 16 and set(found) == expected
-    return ok, f"norm -2 enumeration returns {len(found)} vectors, the signed basis", {
+    return ok, f"norm -2 enumeration returns {len(found)} vectors, {'the' if ok else 'not the'} signed basis", {
         "count": len(found)
     }
 
@@ -464,10 +464,11 @@ def _nik_shape(ctx: CheckContext):
     negdef = n.lattice.is_negative_definite()
     halfsum_norm = n.halfsum.norm()
     ok = even and negdef and halfsum_norm == -4 and n.lattice.rank == 8
-    return ok, "rank 8, even, negative definite, half-sum of norm -4", {
+    shape = f"{'' if even else 'not '}even, {'' if negdef else 'not '}negative definite"
+    return ok, f"rank {n.lattice.rank}, {shape}, half-sum of norm {halfsum_norm}", {
         "even": even,
         "negative_definite": negdef,
-        "halfsum_norm": int(halfsum_norm),
+        "halfsum_norm": int(halfsum_norm) if halfsum_norm.denominator == 1 else str(halfsum_norm),
     }
 
 

@@ -1,17 +1,19 @@
 """Numerical surface calculus for the double-plane tower.
 
-Surfaces are tracked by Euler number and a partial Picard model: a labelled
-quadratic space holding the hyperplane class, exceptional classes, pullbacks
-thereof and the anti-invariant classes of split curves, together with the
-canonical class K and named curve classes.  Two operations evolve a surface:
-blowing up a point (new (-1) class, strict transforms drop one copy of it
-per local branch) and taking a double cover branched along disjoint tracked
-curves of 2-divisible sum B (Euler number 2e - e(B), canonical class
-K + B/2, pairings doubled on pullbacks, split curves replaced by their two
-pieces).  Each surface takes one Gram of its curves and K when built: K^2,
-the pairings and each curve Euler number by adjunction, -(C^2 + K.C), are
-read from it, and so are the six-line incidences and the curve table of
-the quartic cover.  The sixteen curves and the twelve I2 fibers on the final
+Surfaces are tracked by Euler number, canonical class K, named curve classes
+and a Picard lattice in a labelled quadratic space holding the hyperplane
+class, exceptional classes, pullbacks thereof and the anti-invariant classes
+of split curves.  The plane's lattice is ZH, and two operations evolve a
+surface and its lattice: blowing up a point (a new (-1) class joins the
+lattice, strict transforms drop one copy of it per local branch) and taking
+a double cover branched along disjoint tracked curves B_i whose sum B has B/2
+in the lattice (Euler number 2e - e(B), canonical class K + B/2, pairings
+doubled on pullbacks, split curves replaced by their two pieces; the lattice
+is spanned by the pullbacks, each p*B_i/2 and one piece per split curve).
+Each surface takes one Gram of its curves and K when built: K^2, the
+pairings and each curve Euler number by adjunction, -(C^2 + K.C), are read
+from it, and so are the six-line incidences and the curve table of the
+quartic cover.  The sixteen curves and the twelve I2 fibers on the final
 cover are read off its own fibration, which `discover_fibers` finds on its
 curve table with the fiber class half the branch fiber l1.
 """
@@ -28,7 +30,7 @@ from ._frozen import Frozen
 from .fibration import discover_fibers
 from .kummer_ns import CurveTable
 from .labels import INDEX_PAIRS
-from .lattice import QuadraticSpace, RationalVector
+from .lattice import QuadraticSpace, RationalVector, SublatticeModel
 
 
 class CoverError(ValueError):
@@ -41,21 +43,22 @@ class CoverError(ValueError):
 
 
 class SurfaceModel(Frozen):
-    """A surface's numbers, Picard model, canonical class K and named curves.  One Gram
-    of the curves and K, taken here, gives their `CurveTable`, K's row ``k_row`` (K.C
-    times the table's scale, in table order) and ``k_squared``."""
+    """A surface's numbers, Picard lattice in the space ``pic``, canonical class K and
+    named curves.  One Gram of the curves and K, taken here, gives their `CurveTable`,
+    K's row ``k_row`` (K.C times the table's scale, in table order) and ``k_squared``."""
 
-    __slots__ = ("euler", "pic", "canonical", "curves", "table", "k_row", "k_squared")
+    __slots__ = ("euler", "lattice", "pic", "canonical", "curves", "table", "k_row", "k_squared")
 
     def __init__(
-        self, euler: int, pic: QuadraticSpace, canonical: RationalVector, curves: Mapping[str, RationalVector]
+        self, euler: int, lattice: SublatticeModel, canonical: RationalVector, curves: Mapping[str, RationalVector]
     ) -> None:
         object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "pic", pic)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "pic", lattice.space)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "curves", MappingProxyType(dict(curves)))
         names, classes = tuple(self.curves), tuple(self.curves.values())
-        (*rows, k_row), scale = pic.gram(classes + (canonical,))
+        (*rows, k_row), scale = lattice.space.gram(classes + (canonical,))
         object.__setattr__(self, "table", CurveTable(names, classes, [r[:-1] for r in rows], scale))
         object.__setattr__(self, "k_row", tuple(k_row[:-1]))
         object.__setattr__(self, "k_squared", self.integer("K^2", k_row[-1]))
@@ -85,14 +88,13 @@ class SurfaceModel(Frozen):
 
 def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
     """The plane: e = 3, K^2 = 9, Pic = ZH, canonical -3H; curves by degree."""
-    pic = QuadraticSpace(("H",), [1])
-    h = pic.basis_vector("H")
+    h = QuadraticSpace(("H",), [1]).basis_vector("H")
     curves = {name: deg * h for name, deg in tracked_degrees.items()}
-    return SurfaceModel(3, pic, -3 * h, curves)
+    return SurfaceModel(3, SublatticeModel(h.space, [h]), -3 * h, curves)
 
 
 def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[str]) -> SurfaceModel:
-    """Blow up one point: e + 1, K^2 - 1, a new (-1) class.
+    """Blow up one point: e + 1, K^2 - 1, a new (-1) class, added to the lattice.
 
     ``through`` lists tracked curves through the point; list a name twice for
     a point of multiplicity two on that curve.  Listed curves are replaced by
@@ -109,34 +111,38 @@ def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[st
         s.row(name)
     curves = {name: extend(v, -through.count(name)) for name, v in s.curves.items()}
     curves[exceptional] = pic.basis_vector(exceptional)
-    return SurfaceModel(s.euler + 1, pic, extend(s.canonical, 1), curves)
+    lattice = SublatticeModel(pic, [*(extend(g, 0) for g in s.lattice.generators), curves[exceptional]])
+    return SurfaceModel(s.euler + 1, lattice, extend(s.canonical, 1), curves)
 
 
 def double_cover(
-    s: SurfaceModel, branch: tuple[str, ...], split: Mapping[str, tuple[str, str, str, int]]
+    s: SurfaceModel, branch: tuple[str, ...], split: Mapping[str, tuple[str, str, int, str, int]]
 ) -> SurfaceModel:
     """Double cover branched along B, the sum of the tracked curves ``branch``.
 
-    They must be pairwise disjoint with B/2 in the modeled Picard group, and
-    e(B) is their `SurfaceModel.adjunction_euler`.  The pullback doubles the
-    form on the same labels, <p*D1, p*D2> = 2<D1, D2>; the canonical class
-    becomes the pullback of K + B/2 and the Euler number 2e - e(B).
+    They must be pairwise disjoint with B/2 in the lattice, and e(B) is their
+    `SurfaceModel.adjunction_euler`.  The pullback doubles the form on the
+    same labels, <p*D1, p*D2> = 2<D1, D2>; the canonical class becomes the
+    pullback of K + B/2, the Euler number 2e - e(B), and the lattice the span
+    of the base's generators, each ramification curve p*B_i/2 and the pieces.
 
-    ``split`` maps each tracked curve C whose preimage splits to ``(plus,
-    minus, label, square)``: the space gains the anti-invariant class d of
-    ``label`` and ``square`` once per label, and C gives way to its pieces
-    ``plus = (p*C + d)/2`` and ``minus = (p*C - d)/2``.
+    ``split`` maps each tracked curve C off the branch whose preimage splits
+    to ``(plus, minus, k, label, square)``: the space gains the anti-invariant
+    class a of ``label`` and ``square`` once per label, and C gives way to its
+    pieces ``plus = (p*C + k a)/2`` and ``minus = (p*C - k a)/2``.
     """
     rows = [s.row(name) for name in branch]
     if any(s.table.table[i][j] for i, j in combinations(rows, 2)):
         raise CoverError(f"branch components {', '.join(branch)} are not pairwise disjoint")
     half = s.pic.combination([Fraction(1, 2)] * len(rows), [s.table.classes[i] for i in rows])
-    if not half.is_integral:
-        raise CoverError("branch not 2-divisible in the modeled Picard group")
+    if not s.lattice.contains(half):
+        raise CoverError("branch not 2-divisible in the Picard lattice")
     squares: dict[str, int] = {}
     pieces = [piece for entry in split.values() for piece in entry[:2]]
-    for name, (plus, minus, label, square) in split.items():
+    for name, (plus, minus, _, label, square) in split.items():
         s.row(name)
+        if name in branch:
+            raise CoverError(f"branch component {name} cannot split: its preimage is the ramification curve")
         # a piece may take its own parent's name, which it replaces
         for piece in (plus, minus):
             if pieces.count(piece) > 1 or piece != name and piece in s.curves:
@@ -153,12 +159,15 @@ def double_cover(
     curves = {}
     for name, v in s.curves.items():
         if name in split:
-            plus, minus, label, _ = split[name]
-            p, d = pull(v), pic.basis_vector(label)
+            plus, minus, k, label, _ = split[name]
+            p, d = pull(v), k * pic.basis_vector(label)
             curves[plus], curves[minus] = Fraction(1, 2) * (p + d), Fraction(1, 2) * (p - d)
         else:
             curves[name] = pull(v)
-    return SurfaceModel(2 * s.euler - s.adjunction_euler(branch), pic, pull(s.canonical + half), curves)
+    ramification = [Fraction(1, 2) * pull(s.table.classes[i]) for i in rows]
+    plus_pieces = [curves[entry[0]] for entry in split.values()]
+    lattice = SublatticeModel(pic, [*map(pull, s.lattice.generators), *ramification, *plus_pieces])
+    return SurfaceModel(2 * s.euler - s.adjunction_euler(branch), lattice, pull(s.canonical + half), curves)
 
 
 def noether_chi(s: SurfaceModel) -> Fraction:
@@ -174,14 +183,20 @@ def noether_chi(s: SurfaceModel) -> Fraction:
 
 # the four lines of the branch quartic; l1 and l2 make up the residual conic
 QUARTIC_LINES = (3, 4, 5, 6)
+# the three diagonals of the complete quadrilateral, each the line through two
+# opposite singular points of the quartic: m3456 through G34 and G56, and so on
+DIAGONALS = {f"m{a}{b}{c}{d}": (f"G{a}{b}", f"G{c}{d}") for a, b, c, d in ((3, 4, 5, 6), (3, 5, 4, 6), (3, 6, 4, 5))}
+# the quartic cover's anti-invariant class A, of square -2: the conic W splits along
+# 2A, so W1 = H + A, and each diagonal, missing the quartic lines, along A
+QUARTIC_SPLIT = {"W": ("W1", "W2", 2, "A", -2)} | {m: (f"m'{m[1:]}", f"m''{m[1:]}", 1, "A", -2) for m in DIAGONALS}
 
 
 @cache
 def blowup_quartic_points() -> SurfaceModel:
     """The plane blown up at the six singular points of the four-line quartic."""
-    s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
-    for a, b in combinations(QUARTIC_LINES, 2):
-        s = blowup(s, f"G{a}{b}", (f"l{a}", f"l{b}"))
+    s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2} | dict.fromkeys(DIAGONALS, 1))
+    for g in (f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)):
+        s = blowup(s, g, (f"l{g[1]}", f"l{g[2]}", *(m for m, ends in DIAGONALS.items() if g in ends)))
     return s
 
 
@@ -210,8 +225,7 @@ def sextic_incidence() -> dict[str, object]:
 @cache
 def build_quartic_cover() -> SurfaceModel:
     """The double cover of the blown-up plane branched along the quartic lines."""
-    base = blowup_quartic_points()
-    return double_cover(base, tuple(f"l{i}" for i in QUARTIC_LINES), {"W": ("W1", "W2", "dW", -8)})
+    return double_cover(blowup_quartic_points(), tuple(f"l{i}" for i in QUARTIC_LINES), QUARTIC_SPLIT)
 
 
 def weak_del_pezzo_defects(t: SurfaceModel) -> list[str]:
@@ -236,7 +250,7 @@ def build_blown_cover() -> SurfaceModel:
 
 # W1 and W2 split along one D: W'1.W'2 = 4 and W'1.W''2 = 0 force D1.D2 = 8 =
 # |D1||D2|, the Cauchy-Schwarz equality, so D2 = -D1 and W2's plus piece is W''2
-CONIC_SPLIT = {"W1": ("W'1", "W''1", "D", -8), "W2": ("W''2", "W'2", "D", -8)}
+CONIC_SPLIT = {"W1": ("W'1", "W''1", 1, "D", -8), "W2": ("W''2", "W'2", 1, "D", -8)}
 
 
 @cache
@@ -244,7 +258,7 @@ def build_final_cover() -> SurfaceModel:
     """The double cover of the blown-up quartic cover branched along E1 + E2."""
     t = build_blown_cover()
     # each tracked G_ab misses the branch and splits
-    split = {g: (f"G'{g[1:]}", f"G''{g[1:]}", f"d{g[1:]}", -4) for g in t.curves if g[0] == "G"}
+    split = {g: (f"G'{g[1:]}", f"G''{g[1:]}", 1, f"d{g[1:]}", -4) for g in t.curves if g[0] == "G"}
     return double_cover(t, ("l1", "l2"), split | CONIC_SPLIT)
 
 
@@ -289,7 +303,6 @@ def sixteen_curves_on_X() -> tuple[list[str], dict[str, object]]:
     _, pairs, sections = discover_fibers(t, [p // 2 for p in t.table[l1]], t.table[l1][l1] // 4)
     alone = [t.labels[y] for y in sections if not any(t.table[y][z] for z in sections if z != y)]
     plus = [piece for piece, *_ in CONIC_SPLIT.values()]
-    conic = [piece for entry in CONIC_SPLIT.values() for piece in entry[:2]]
     sixteen = [t.labels[fiber.components[1][0]] for fiber in pairs] + alone + plus
     s = _pairings(x, {}, "W'1.W'1 W''1.W''1 W'2.W'2 W''2.W''2 W'1.W''1 W'2.W''2"
                          " W'1.W'2 W''1.W''2 W'1.W''2 W''1.W'2")
@@ -301,11 +314,9 @@ def sixteen_curves_on_X() -> tuple[list[str], dict[str, object]]:
         "split_conic_table": s,
         "aggregate_cross": s["W'1.W'2"] + s["W'1.W''2"] + s["W''1.W'2"] + s["W''1.W''2"],
         "split_self_sum": s["W'1.W'1"] + s["W''1.W''1"] + 2 * s["W'1.W''1"],
-        # p*W1 = W'1 + W''1 meets the sections off the conic, the exceptional curves of the
-        # last blowups, twice per blown point on W1; none, so its square is 2 W1^2 as on T
-        "blowup_correction": sum(
-            x.pairing(w, t.labels[y]) for w in conic[:2] for y in sections if t.labels[y] not in conic
-        ),
+        # p*W1 = W'1 + W''1 meets the sections that meet no other section, the exceptional curves
+        # of the last blowups, twice per blown point on W1; none, so its square is 2 W1^2 as on T
+        "blowup_correction": sum(x.pairing(w, a) for w in CONIC_SPLIT["W1"][:2] for a in alone),
     }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerlab import __version__, checks, covers, fibration, kummer_ns, lattice
+from kummerlab import __version__, checks, covers, fibration, kummer_ns, lattice, nikulin
 from kummerlab.checks import (
     FAIL,
     PASS,
@@ -22,7 +22,7 @@ from kummerlab.checks import (
 from kummerlab.cli import Report, build_report, main, render_check_list, render_json, select_ids
 from kummerlab.labels import INDEX_PAIRS
 from kummerlab.kummer_ns import even_eight, jacobian_kummer_ns
-from kummerlab.lattice import QuadraticSpace, RationalVector
+from kummerlab.lattice import QuadraticSpace, RationalVector, SublatticeModel
 
 # outputs captured before any change to the package; the stdout fixed points
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -519,19 +519,31 @@ FAULT_MATRIX = {
         {f"fibration.sweep.{ij}" for ij in ("23", "26", "36")} | {"ns.discriminant"},
     ),
     "star_centres_listed_as_sections": ({"fibration.sections4", "fibration.sweep.12"}, set()),
+    "branch_euler_number_off_by_two": (
+        {
+            "cover.chi1",
+            "cover.curve_table",
+            "cover.eT10",
+            "cover.weak_dp2",
+            "cover.X_chi2",
+            "cover.X_euler24",
+            "cross.euler24",
+        },
+        set(),
+    ),
+    "c8_weight_changed": (
+        {"nikulin.disc64", "nikulin.eps1_none", "nikulin.even_negdef", "nikulin.roots16"}
+        | {f"nikulin.saturation.{i}{j}" for i, j in INDEX_PAIRS},
+        {"nikulin.disc64", "nikulin.eps1_none", "nikulin.roots16"},
+    ),
+    "half_sum_generator_dropped": ({"nikulin.disc64"}, set()),
+    "root_dropped_from_enumeration": ({"nikulin.roots16"}, set()),
 }
 
 # the claims that no pinned fault fails by their own comparison, with the reason
 FAULT_EXEMPT = {
-    "cover.chi1": "chi does not change under a blowup, so the G12 fault keeps it 1; it fails only"
-    " when no tower builds (the G34 fault)",
-    "nikulin.disc64": "no pinned fault reaches the Nikulin lattice",
-    "nikulin.eps1_none": "no pinned fault reaches the Nikulin lattice or its roots",
-    "nikulin.even_negdef": "no pinned fault reaches the Nikulin lattice",
-    "nikulin.roots16": "no pinned fault reaches the Nikulin lattice or its roots",
-    "nikulin.saturation.12": "no pinned fault moves the (1,2) eight or its saturation",
-    "nikulin.saturation.14": "no pinned fault moves the (1,4) eight or its saturation",
-    "nikulin.saturation.34": "no pinned fault moves the (3,4) eight or its saturation",
+    "nikulin.eps1_none": "the half-integer branch is empty whatever the weights, since eight odd"
+    " squares exceed the budget 4; the c8 fault reaches it only through the enumeration's raise",
     "ns.rank17": "every pinned model fault keeps seventeen independent generators",
     "ns.tropes_contained": "the trope halves stay in the lattice they generate",
     "polarization.type12": "the polarization arithmetic reads no model, surface or lattice",
@@ -737,7 +749,7 @@ class TestFaultInjection:
         def without_g56():
             t = original()
             curves = {name: v for name, v in t.curves.items() if name != "G56"}
-            return covers.SurfaceModel(t.euler, t.pic, t.canonical, curves)
+            return covers.SurfaceModel(t.euler, t.lattice, t.canonical, curves)
 
         monkeypatch.setattr(covers, "build_blown_cover", without_g56)
         # the final cover splits the five G it tracks, so its fibration finds
@@ -757,7 +769,7 @@ class TestFaultInjection:
         def without_g56():
             t = original()
             curves = {name: v for name, v in t.curves.items() if name != "G56"}
-            return covers.SurfaceModel(t.euler, t.pic, t.canonical, curves)
+            return covers.SurfaceModel(t.euler, t.lattice, t.canonical, curves)
 
         monkeypatch.setattr(covers, "build_quartic_cover", without_g56)
         # five curves of the quartic cover are orthogonal to K, not six, and
@@ -773,7 +785,7 @@ class TestFaultInjection:
 
         def without_n1():
             t = original()
-            return covers.SurfaceModel(t.euler, t.pic, t.canonical - t.pic.basis_vector("N1"), t.curves)
+            return covers.SurfaceModel(t.euler, t.lattice, t.canonical - t.pic.basis_vector("N1"), t.curves)
 
         monkeypatch.setattr(covers, "build_blown_cover", without_n1)
         # K.l1 = K.l2 = -1 makes each branch curve of Euler number 1 by
@@ -791,8 +803,8 @@ class TestFaultInjection:
 
         def swapped(s, branch, split):
             if "W2" in split:
-                plus, minus, label, square = split["W2"]
-                split = {**split, "W2": (minus, plus, label, square)}
+                plus, minus, *along = split["W2"]
+                split = {**split, "W2": (minus, plus, *along)}
             return original(s, branch, split)
 
         monkeypatch.setattr(covers, "double_cover", swapped)
@@ -810,16 +822,17 @@ class TestFaultInjection:
     def test_conic_anti_invariant_square_changed(self, monkeypatch, fresh_tower):
         original = covers.double_cover
 
-        def square_4(s, branch, split):
+        def square_1(s, branch, split):
             if "W" in split:
-                split = {"W": split["W"][:3] + (-4,)}
+                split = {name: (*entry[:4], -1) for name, entry in split.items()}
             return original(s, branch, split)
 
-        monkeypatch.setattr(covers, "double_cover", square_4)
-        # dW^2 = -4 gives W1 = H + dW/2 the square 2 - 1 = 1 and W1.W2 = 3,
-        # so the derived curve table differs from the paper's by its own
-        # comparison; upstairs W'1 = (p*W1 + D)/2 has the square (2 - 8)/4,
-        # not an integer, so the final cover's inventory raises
+        monkeypatch.setattr(covers, "double_cover", square_1)
+        # A^2 = -1, for the conic and the diagonals alike, gives W1 = H + A the
+        # square 2 - 1 = 1 and W1.W2 = 3, so the derived curve table differs
+        # from the paper's by its own comparison; upstairs W'1 = (p*W1 + D)/2
+        # has the square (2 - 8)/4, not an integer, so the final cover's
+        # inventory raises
         results = self.results()
         assert self.failing(results) == FAULT_MATRIX["conic_anti_invariant_square_changed"]
         assert results["cover.curve_table"].detail == (
@@ -888,6 +901,62 @@ class TestFaultInjection:
         # has four sections, so only the two section tests see the fault
         assert self.failing() == FAULT_MATRIX["star_centres_listed_as_sections"]
 
+    def test_branch_euler_number_off_by_two(self, monkeypatch, fresh_tower):
+        original = covers.SurfaceModel.adjunction_euler
+        monkeypatch.setattr(covers.SurfaceModel, "adjunction_euler", lambda s, names: original(s, names) + 2)
+        # e(B) + 2 gives the quartic cover e = 18 - 10 = 8, so chi = (2 + 8)/12
+        # = 5/6 fails by its own comparison, as do e and the weak del Pezzo
+        # numbers; E1's Euler number reads 2, and X gets e = 2*10 - 2 = 18
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["branch_euler_number_off_by_two"]
+        assert results["cover.chi1"].data == {"chi": "5/6"}
+
+    @pytest.fixture
+    def fresh_nikulin(self):
+        # the faulty lattice must not stay in the shared cache for other tests
+        nikulin.nikulin_lattice.cache_clear()
+        yield
+        nikulin.nikulin_lattice.cache_clear()
+
+    def test_c8_weight_changed(self, monkeypatch, fresh_nikulin):
+        def heavier_c8(labels, diag):
+            labels, diag = tuple(labels), list(diag)
+            diag[labels.index("c8")] = -4
+            return QuadraticSpace(labels, diag)
+
+        monkeypatch.setattr(nikulin, "QuadraticSpace", heavier_c8)
+        # the half-sum has norm -(7*2 + 4)/4 = -9/2, so the lattice is not
+        # even and its Gram is not integral, and every saturated eight's Gram
+        # differs from it; the root search meets 2*c8 of norm -4 and raises
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["c8_weight_changed"]
+        assert results["nikulin.even_negdef"].detail == (
+            "rank 8, not even, negative definite, half-sum of norm -9/2"
+        )
+        assert results["nikulin.even_negdef"].data["halfsum_norm"] == "-9/2"
+
+    def test_half_sum_generator_dropped(self, monkeypatch, fresh_nikulin):
+        monkeypatch.setattr(nikulin, "SublatticeModel", lambda space, gens: SublatticeModel(space, tuple(gens)[:-1]))
+        # the eight c_i alone span a lattice of Gram -2 I, discriminant
+        # (Z/2)^8; the root search and the saturations read the space and the
+        # canonical Gram, not the span
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["half_sum_generator_dropped"]
+        assert results["nikulin.disc64"].data == {"invariant_factors": [2] * 8, "order": 256}
+
+    def test_root_dropped_from_enumeration(self, monkeypatch):
+        original = nikulin._parity_tuples
+
+        def without_2c8(k, budget, eps):
+            return (t for t in original(k, budget, eps) if t != (0,) * 7 + (2,))
+
+        monkeypatch.setattr(nikulin, "_parity_tuples", without_2c8)
+        # the enumeration loses c8 = (0, ..., 0, 2)/2; the root count is read
+        # by roots16 alone
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["root_dropped_from_enumeration"]
+        assert results["nikulin.roots16"].detail == "norm -2 enumeration returns 15 vectors, not the signed basis"
+
     def test_fault_matrix(self):
         # every test above asserts its own entry; together the pinned faults
         # make each claim fail by its own comparison, apart from the
@@ -898,7 +967,7 @@ class TestFaultInjection:
         claims = {d.id for d in REGISTRY if not d.flagged}
         assert len(claims) == 82 and FAULT_EXEMPT.keys() <= claims
         assert by_comparison == claims - FAULT_EXEMPT.keys()
-        assert (len(by_comparison), len(FAULT_EXEMPT)) == (71, 11)
+        assert (len(by_comparison), len(FAULT_EXEMPT)) == (78, 4)
 
 
 class TestReport:

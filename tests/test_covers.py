@@ -6,7 +6,10 @@ import pytest
 
 from kummerlab import covers
 from kummerlab.covers import (
+    CONIC_SPLIT,
+    DIAGONALS,
     QUARTIC_LINES,
+    QUARTIC_SPLIT,
     CoverError,
     SurfaceModel,
     blowup,
@@ -28,6 +31,24 @@ from kummerlab.kummer_ns import CurveTable, even_eight, jacobian_kummer_ns
 from kummerlab.labels import INDEX_PAIRS
 from kummerlab.lattice import QuadraticSpace, RationalVector, SublatticeModel
 from kummerlab.nodecode import NodeSet, code_from_even_sets, f2_basis, f2_span, weight_enumerator
+
+# the pieces of the three diagonals on the quartic cover, in table order
+DIAGONAL_PIECES = [piece for m in DIAGONALS for piece in QUARTIC_SPLIT[m][:2]]
+
+
+def zh(space):
+    """The lattice ZH in a one-label space."""
+    return SublatticeModel(space, [space.basis_vector("H")])
+
+
+def blowup_stages(diagonals=tuple(DIAGONALS)):
+    """The plane tracking H, the six lines, W and the given diagonals, then
+    each of its six blowups in turn, built by hand."""
+    s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2} | dict.fromkeys(diagonals, 1))
+    stages = [s]
+    for g in G_LABELS:
+        stages.append(s := blowup(s, g, (f"l{g[1]}", f"l{g[2]}", *(m for m in diagonals if g in DIAGONALS[m]))))
+    return stages
 
 
 class TestPlaneConfig:
@@ -116,22 +137,24 @@ class TestDoubleCover:
         w, l1 = t.curves["W1"] + t.curves["W2"], t.curves["l1"]
         assert t.pic.inner(w, w) == 2 * base.pairing("W", "W")
         assert t.pic.inner(l1, w) == 2 * base.pairing("l1", "W")
-        assert t.curves["W1"] - t.curves["W2"] == t.pic.basis_vector("dW")
+        assert t.curves["W1"] - t.curves["W2"] == 2 * t.pic.basis_vector("A")
 
     def test_negating_the_anti_invariant_swaps_the_pieces(self):
         t = build_quartic_cover()
 
-        def negate_dw(v):
+        def negate_a(v):
             return RationalVector(t.pic, v.nums[:-1] + (-v.nums[-1],), v.den)
 
-        assert t.pic.labels[-1] == "dW" and t.pic.diag[-1] == -8
-        assert negate_dw(t.curves["W1"]) == t.curves["W2"]
-        assert negate_dw(t.curves["W2"]) == t.curves["W1"]
-        assert all(negate_dw(t.curves[name]) == t.curves[name] for name in t.curves if name[0] != "W")
+        assert t.pic.labels[-1] == "A" and t.pic.diag[-1] == -2
+        pairs = [entry[:2] for entry in QUARTIC_SPLIT.values()]
+        for plus, minus in pairs:
+            assert negate_a(t.curves[plus]) == t.curves[minus] and negate_a(t.curves[minus]) == t.curves[plus]
+        pieces = {piece for pair in pairs for piece in pair}
+        assert all(negate_a(t.curves[name]) == t.curves[name] for name in t.curves if name not in pieces)
 
     def test_shared_label_added_once(self):
         s = projective_plane({"a": 1, "b": 1})
-        split = {"a": ("a+", "a-", "d", -2), "b": ("b+", "b-", "d", -2)}
+        split = {"a": ("a+", "a-", 1, "d", -2), "b": ("b+", "b-", 1, "d", -2)}
         cover = double_cover(s, (), split)
         assert cover.pic.labels == ("H", "d") and cover.pic.diag == (2, -2)
         assert list(cover.curves) == ["a+", "a-", "b+", "b-"]
@@ -140,7 +163,7 @@ class TestDoubleCover:
 
     def test_split_label_with_two_squares_rejected(self):
         s = projective_plane({"a": 1, "b": 1})
-        split = {"a": ("a+", "a-", "d", -2), "b": ("b+", "b-", "d", -4)}
+        split = {"a": ("a+", "a-", 1, "d", -2), "b": ("b+", "b-", 1, "d", -4)}
         with pytest.raises(CoverError, match="squares -2 and -4"):
             double_cover(s, (), split)
 
@@ -148,25 +171,37 @@ class TestDoubleCover:
         # a piece named l1 would replace the branch-free line l1: l1.l1 = 0, not 2
         s = projective_plane({"l1": 1, "W": 2})
         with pytest.raises(CoverError, match="split piece 'l1' of W is named like another curve or piece"):
-            double_cover(s, (), {"W": ("l1", "W-", "d", -8)})
+            double_cover(s, (), {"W": ("l1", "W-", 1, "d", -8)})
 
     def test_piece_named_like_another_piece_rejected(self):
         s = projective_plane({"a": 1, "b": 1})
         with pytest.raises(CoverError, match="split piece 'p' of a is named like another curve or piece"):
-            double_cover(s, (), {"a": ("p", "a-", "d", -2), "b": ("p", "b-", "d", -2)})
+            double_cover(s, (), {"a": ("p", "a-", 1, "d", -2), "b": ("p", "b-", 1, "d", -2)})
         with pytest.raises(CoverError, match="split piece 'p' of a"):
-            double_cover(s, (), {"a": ("p", "p", "d", -2)})
+            double_cover(s, (), {"a": ("p", "p", 1, "d", -2)})
 
     def test_piece_may_take_its_parents_name(self):
         s = projective_plane({"a": 1, "b": 1})
-        cover = double_cover(s, (), {"a": ("a", "a-", "d", -2)})
+        cover = double_cover(s, (), {"a": ("a", "a-", 1, "d", -2)})
         assert list(cover.curves) == ["a", "a-", "b"]
         assert cover.pairing("a", "a-") == 1 and cover.pairing("b", "b") == 2
 
     def test_split_of_untracked_curve_rejected(self):
         s = projective_plane({"a": 1})
         with pytest.raises(CoverError, match="no tracked curve named 'b'"):
-            double_cover(s, (), {"b": ("b+", "b-", "d", -2)})
+            double_cover(s, (), {"b": ("b+", "b-", 1, "d", -2)})
+
+    def test_split_along_a_multiple_of_a_label(self):
+        # the label's square is that of the class a; a piece is (p*C +/- k a)/2
+        s = projective_plane({"c": 2})
+        cover = double_cover(s, (), {"c": ("c+", "c-", 2, "a", -2)})
+        assert cover.curves["c+"] - cover.curves["c-"] == 2 * cover.pic.basis_vector("a")
+        assert cover.pairing("c+", "c+") == (8 - 8) // 4 and cover.pairing("c+", "c-") == (8 + 8) // 4
+
+    def test_split_of_a_branch_component_rejected(self):
+        # l1's preimage is the ramification curve, which does not split
+        with pytest.raises(CoverError, match="branch component l1 cannot split"):
+            double_cover(build_blown_cover(), ("l1", "l2"), {"l1": ("a", "b", 1, "dd", -4)} | CONIC_SPLIT)
 
     def test_empty_branch_doubles(self):
         s = projective_plane({"c": 2})
@@ -189,6 +224,14 @@ class TestDoubleCover:
         with pytest.raises(CoverError, match="2-divisible"):
             double_cover(blowup_quartic_points(), ("l1",), {})
 
+    def test_two_divisibility_is_lattice_membership(self):
+        # on a plane whose lattice is 2ZH, the conic 2H has integral half H,
+        # which is not in the lattice
+        h = QuadraticSpace(("H",), [1]).basis_vector("H")
+        s = SurfaceModel(3, SublatticeModel(h.space, [2 * h]), -3 * h, {"c": 2 * h})
+        with pytest.raises(CoverError, match="branch not 2-divisible in the Picard lattice"):
+            double_cover(s, ("c",), {})
+
     def test_branch_not_disjoint_rejected(self):
         with pytest.raises(CoverError, match="not pairwise disjoint"):
             double_cover(blowup_quartic_points(), ("l3", "l3"), {})
@@ -200,7 +243,7 @@ class TestDoubleCover:
     def test_fractional_branch_euler_number_rejected(self):
         # C = 2H on a form with H^2 = 1/8: C/2 is integral, but C^2 = 1/2
         space = QuadraticSpace(("H",), [Fraction(1, 8)])
-        s = SurfaceModel(1, space, space.zero(), {"c": 2 * space.basis_vector("H")})
+        s = SurfaceModel(1, zh(space), space.zero(), {"c": 2 * space.basis_vector("H")})
         with pytest.raises(CoverError, match=r"e\(c\) = -1/2 is not an integer"):
             double_cover(s, ("c",), {})
 
@@ -212,11 +255,8 @@ class TestOneGram:
 
     @staticmethod
     def stages():
-        s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2})
-        stages = [s]
-        for a, b in combinations(QUARTIC_LINES, 2):
-            stages.append(s := blowup(s, f"G{a}{b}", (f"l{a}", f"l{b}")))
-        assert s == blowup_quartic_points()
+        stages = blowup_stages()
+        assert stages[-1] == blowup_quartic_points()
         t = build_quartic_cover()
         stages += [t, n1 := blowup(t, "N1", ("l1", "l2")), blowup(n1, "N2", ("l1", "l2")), build_final_cover()]
         assert stages[-2] == build_blown_cover()
@@ -234,7 +274,7 @@ class TestOneGram:
     def test_fractional_canonical_square_rejected(self):
         space = QuadraticSpace(("H",), [Fraction(1, 2)])
         with pytest.raises(CoverError, match=r"K\^2 = 1/2 is not an integer"):
-            SurfaceModel(1, space, space.basis_vector("H"), {})
+            SurfaceModel(1, zh(space), space.basis_vector("H"), {})
 
     def test_adjunction_reads_the_curve_table(self):
         # -(C^2 + K.C) = 3d - d^2 on the plane: 2 for a line or a conic, 0
@@ -253,12 +293,12 @@ class TestNoether:
 
     def test_k3_numbers(self):
         space = QuadraticSpace(("H",), [0])
-        k3ish = SurfaceModel(24, space, space.zero(), {})
+        k3ish = SurfaceModel(24, zh(space), space.zero(), {})
         assert noether_chi(k3ish) == 2
 
     def test_non_integral_value(self):
         space = QuadraticSpace(("H",), [2])
-        odd = SurfaceModel(9, space, space.basis_vector("H"), {})
+        odd = SurfaceModel(9, zh(space), space.basis_vector("H"), {})
         assert noether_chi(odd) == Fraction(11, 12)
 
 
@@ -273,12 +313,12 @@ class TestWeakDelPezzo:
 
     def test_noether_inconsistency_rejected(self):
         space = QuadraticSpace(("H",), [2])
-        bad = SurfaceModel(9, space, space.basis_vector("H"), {})
+        bad = SurfaceModel(9, zh(space), space.basis_vector("H"), {})
         assert weak_del_pezzo_defects(bad) == ["K^2 = 2, e = 9", "K.C = 0 on no curve"]
 
     def with_curve(self, name, v):
         t = build_quartic_cover()
-        return SurfaceModel(t.euler, t.pic, t.canonical, {**t.curves, name: v})
+        return SurfaceModel(t.euler, t.lattice, t.canonical, {**t.curves, name: v})
 
     def test_curve_with_positive_canonical_degree_rejected(self):
         # -H is no curve: K.(-H) = 2 > 0, so -K is not nef on the curves
@@ -291,14 +331,14 @@ class TestWeakDelPezzo:
         g = {f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)}
         assert {name for name, v in t.curves.items() if t.canonical.dot(v) == 0} == g
         assert all(t.pairing(name, name) == -2 for name in g)
-        # dW is orthogonal to K but of square -8: as one more curve, or as
+        # 2A is orthogonal to K but of square -8: as one more curve, or as
         # G56's class, it fails; so does dropping G56
-        d = t.pic.basis_vector("dW")
+        d = 2 * t.pic.basis_vector("A")
         six = "G34, G35, G36, G45, G46, G56"
-        assert weak_del_pezzo_defects(self.with_curve("dW", d)) == [f"K.C = 0 on {six}, dW", "dW^2 = -8"]
+        assert weak_del_pezzo_defects(self.with_curve("2A", d)) == [f"K.C = 0 on {six}, 2A", "2A^2 = -8"]
         assert weak_del_pezzo_defects(self.with_curve("G56", d)) == ["G56^2 = -8"]
         curves = {name: v for name, v in t.curves.items() if name != "G56"}
-        without_g56 = SurfaceModel(t.euler, t.pic, t.canonical, curves)
+        without_g56 = SurfaceModel(t.euler, t.lattice, t.canonical, curves)
         assert weak_del_pezzo_defects(without_g56) == ["K.C = 0 on G34, G35, G36, G45, G46"]
 
 
@@ -414,7 +454,8 @@ class TestBlownCoverPencil:
         assert stars == ()
         assert [t.labels[fiber.components[1][0]] for fiber in pairs] == [f"G{a}{b}" for a, b in INDEX_PAIRS if a >= 3]
         assert all(fiber.components[0] == (~fiber.components[1][0], 1) for fiber in pairs)
-        assert [t.labels[x] for x in sections] == ["N1", "N2"]
+        # the diagonal pieces meet F = E1 once, as N1 and N2 do
+        assert [t.labels[x] for x in sections] == DIAGONAL_PIECES + ["N1", "N2"]
         # l1 and l2 are orthogonal to F of square 0: fibers of class F, skipped
         row = t.table[t.labels.index("l1")]
         skipped = [t.labels[x] for x, p in enumerate(row) if p == 0 and not t.table[x][x]]
@@ -466,7 +507,7 @@ class TestBlownCoverPencil:
         t = build_blown_cover().table
         assert len(pencil_of_e1(t)[1]) == 6
         stars, pairs, sections = pencil_of_e1(without(t, "G56"))
-        assert (len(stars), len(pairs), len(sections)) == (0, 5, 2)
+        assert (len(stars), len(pairs), len(sections)) == (0, 5, 8)
 
 
 
@@ -486,8 +527,12 @@ class TestFinalCoverFibration:
         x = build_final_cover()
         t = x.table
         fiber, (stars, pairs, sections) = fibration_of_x()
-        assert (len(stars), len(pairs), len(sections)) == (0, 12, 6)
-        assert sorted(t.labels[y] for y in sections) == sorted(["W'1", "W''1", "W'2", "W''2", "N1", "N2"])
+        assert (len(stars), len(pairs), len(sections)) == (0, 12, 12)
+        conic = ["W'1", "W''1", "W'2", "W''2"]
+        assert sorted(t.labels[y] for y in sections) == sorted(conic + DIAGONAL_PIECES + ["N1", "N2"])
+        # only N1 and N2 meet no other section: each diagonal piece meets a piece of another diagonal
+        alone = [t.labels[y] for y in sections if not any(t.table[y][z] for z in sections if z != y)]
+        assert alone == ["N1", "N2"]
         assert x.pic.inner(fiber, fiber) == 0 and x.pic.inner(fiber, x.curves["N1"]) == 1
         assert all(x.pic.inner(fiber, t.classes[y]) == 1 for y in sections)
         assert sum(f.euler_number for f in pairs) == 24 == x.euler
@@ -523,7 +568,7 @@ class TestFinalCoverFibration:
         t = without(build_final_cover().table, "G'56")
         row = t.table[t.labels.index("l1")]
         stars, pairs, sections = discover_fibers(t, [p // 2 for p in row], 0)
-        assert (len(stars), len(pairs), len(sections)) == (0, 11, 6)
+        assert (len(stars), len(pairs), len(sections)) == (0, 11, 12)
 
     def test_warm_inventory_builds_nothing(self, monkeypatch):
         sixteen_curves_on_X()  # the final cover and its table exist
@@ -549,16 +594,11 @@ HALF = Fraction(1, 2)
 G_LABELS = tuple(f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2))
 
 
-def pic_generators(s, glue=True):
-    """Generators of the Picard lattice of the quartic cover, or of its blowup
-    (then with N1 and N2): H, the G_ab, A' = dW/2, the half-branch classes
-    R_a = (H - sum_b G_ab)/2 and the glue v = (-H + G34 - G56 - A')/2."""
-    b = s.pic.basis_vector
-    gens = [b("H"), *map(b, G_LABELS), HALF * b("dW")]
-    for a in QUARTIC_LINES:
-        gens.append(HALF * (b("H") - s.pic.combination([1] * 3, [b(g) for g in G_LABELS if str(a) in g])))
-    gens += [HALF * (-b("H") + b("G34") - b("G56") - HALF * b("dW"))] if glue else []
-    return gens + [b(n) for n in ("N1", "N2") if n in s.pic.labels]
+def quartic_cover_with(diagonals):
+    """The quartic cover built by the tower's rule, tracking only the given
+    diagonals on the plane."""
+    split = {c: QUARTIC_SPLIT[c] for c in ("W", *diagonals)}
+    return double_cover(blowup_stages(diagonals)[-1], tuple(f"l{i}" for i in QUARTIC_LINES), split)
 
 
 def classes(lattice, h, square):
@@ -584,25 +624,36 @@ def classes(lattice, h, square):
 
 
 class TestQuarticCoverLattice:
-    """Pic(T) from the quartic cover's own Picard model: I_{1,7}, whose
-    exceptional classes and roots settle the seven blowdowns."""
+    """Pic(T) from the tower's own rule: I_{1,7}, whose exceptional classes
+    and roots settle the seven blowdowns."""
 
     def test_glue_makes_it_odd_unimodular(self):
-        t = build_quartic_cover()
-        pic = SublatticeModel(t.pic, pic_generators(t))
+        # the glue is a split diagonal: without the diagonals the lattice of
+        # the pullbacks, the half-branches and W1 has discriminant (2,2), and
+        # any one diagonal gives all of Pic(T)
+        pic = build_quartic_cover().lattice
         assert pic.rank == 8 and not pic.is_even()
         assert pic.discriminant_group().invariant_factors == ()
-        unglued = SublatticeModel(t.pic, pic_generators(t, glue=False))
-        assert unglued.discriminant_group().invariant_factors == (2, 2)
+        assert quartic_cover_with(()).lattice.discriminant_group().invariant_factors == (2, 2)
+        assert all(quartic_cover_with((m,)).lattice.same_lattice(pic) for m in DIAGONALS)
+
+    def test_diagonal_pieces_are_exceptional_curves(self):
+        # each diagonal misses the quartic lines, and its pieces (p*m +/- A)/2
+        # are (-1)-curves: square (2*(-1) - 2)/4 = -1 and K.piece = -H.p*m/2 = -1
+        t = build_quartic_cover()
+        for piece in DIAGONAL_PIECES:
+            assert (t.pairing(piece, piece), t.k_row[t.row(piece)] // t.table.scale) == (-1, -1)
+            assert [t.pairing(piece, f"l{i}") for i in QUARTIC_LINES] == [0, 0, 0, 0]
 
     def test_exceptional_classes_and_roots(self):
         t = build_quartic_cover()
-        pic = SublatticeModel(t.pic, pic_generators(t))
+        pic = t.lattice
         # K = -H, so K.x = -2h: h = 1/2 for K.x = -1, h = 0 for K.x = 0
         assert t.canonical == -1 * t.pic.basis_vector("H")
         exceptional = classes(pic, HALF, -1)
         assert len(exceptional) == 56
         assert all(t.canonical.dot(x) == -1 for x in exceptional)
+        assert {t.curves[piece] for piece in DIAGONAL_PIECES} <= set(exceptional)
         assert len(classes(pic, 0, -2)) == 126  # the roots of E7
         # the exceptional classes meeting every G_ab non-negatively, and the
         # sets of seven disjoint ones among them, candidate blowdowns to the plane
@@ -613,9 +664,9 @@ class TestQuarticCoverLattice:
         assert len(sevens) == 2
 
     def test_curve_table_entries_are_its_classes(self):
-        # E1 = E2 = H, W1 = H + A', W2 = H - A' with A' = dW/2
+        # E1 = E2 = H, W1 = H + A, W2 = H - A
         t = build_quartic_cover()
-        h, a = t.pic.basis_vector("H"), HALF * t.pic.basis_vector("dW")
+        h, a = t.pic.basis_vector("H"), t.pic.basis_vector("A")
         assert t.curves["l1"] == t.curves["l2"] == h
         assert (t.curves["W1"], t.curves["W2"]) == (h + a, h - a)
         assert curve_table_T()["W1.E1+W2.E2"] == t.pairing("W1", "l1") + t.pairing("W2", "l2") == 2 + 2
@@ -625,14 +676,13 @@ class TestBlownCoverLattice:
     """Pic(T~) = I_{1,9} and the Mordell-Weil group of the pencil |E1|."""
 
     def test_odd_unimodular(self):
-        t = build_blown_cover()
-        pic = SublatticeModel(t.pic, pic_generators(t))
+        pic = build_blown_cover().lattice
         assert pic.rank == 10 and not pic.is_even()
         assert pic.discriminant_group().invariant_factors == ()
 
     def test_saturation_of_the_trivial_fibers(self):
         t = build_blown_cover()
-        pic = SublatticeModel(t.pic, pic_generators(t))
+        pic = t.lattice
         f, g = t.curves["l1"], [t.pic.basis_vector(label) for label in G_LABELS]
         spanned = SublatticeModel(t.pic, [f, *g])
         # every class of the saturation is a combination of F and the G_ab
@@ -652,40 +702,29 @@ class TestBlownCoverLattice:
 
     def test_shioda_tate_rank(self):
         t = build_blown_cover()
-        pic = SublatticeModel(t.pic, pic_generators(t))
         _, pairs, _ = pencil_of_e1(t.table)
         # the trivial lattice: F, the zero section N1 and one non-identity
         # component of each of the six I2 fibers
         components = [t.table.classes[fiber.components[1][0]] for fiber in pairs]
         trivial = SublatticeModel(t.pic, [t.curves["l1"], t.curves["N1"], *components])
         assert len(pairs) == 6 and trivial.rank == 2 + 6
-        assert pic.rank - trivial.rank == 10 - 2 - 6 == 2
+        assert t.lattice.rank - trivial.rank == 10 - 2 - 6 == 2
 
 
 class TestFinalCoverLattice:
-    """M on X: pullbacks of Pic(T~), the half fiber, and the split pieces."""
-
-    def pull(self, v):
-        """The pullback of a class of the blown-up quartic cover."""
-        x = build_final_cover()
-        return RationalVector(x.pic, v.nums + (0,) * (x.pic.dim - v.space.dim), v.den)
-
-    def lattice(self):
-        t, x = build_blown_cover(), build_final_cover()
-        pieces = [x.curves[name] for name in x.curves if name[0] in "GW"]
-        pulled = [*map(self.pull, pic_generators(t)), HALF * self.pull(t.curves["l1"])]
-        return SublatticeModel(x.pic, pulled + pieces)
+    """M on X, spanned by the pullbacks of Pic(T~), the half fibers and the
+    split pieces."""
 
     def sixteen(self):
         return [build_final_cover().curves[name] for name in sixteen_curves_on_X()[0]]
 
     def test_rank_parity_and_discriminant(self):
-        m = self.lattice()
+        m = build_final_cover().lattice
         assert m.rank == 17 and m.is_even()
         assert m.discriminant_group().invariant_factors == (2, 2, 2, 2, 2, 2, 8)
 
     def test_half_sum_of_the_sixteen(self):
-        m, sixteen = self.lattice(), self.sixteen()
+        m, sixteen = build_final_cover().lattice, self.sixteen()
         total = build_final_cover().pic.combination([1] * 16, sixteen)
         assert m.contains(HALF * total)
         # dropping any one of the sixteen breaks the 2-divisibility
@@ -695,7 +734,7 @@ class TestFinalCoverLattice:
         # a set of the sixteen is even iff its half-sum lies in M, i.e. iff
         # the sum of their M-coordinates is even: the kernel over F2 of the
         # coordinates mod 2, read from an echelon basis tagged by position
-        m = self.lattice()
+        m = build_final_cover().lattice
         tagged = []
         for k, c in enumerate(self.sixteen()):
             parity = sum((x & 1) << i for i, x in enumerate(m.coordinates_of(c)))
@@ -706,14 +745,14 @@ class TestFinalCoverLattice:
         assert weight_enumerator(code) == {0: 1, 8: 14, 16: 1}
 
     def test_shioda_tate_rank(self):
-        # the fiber class R = p*F / 2 (F is a branch fiber), the zero section
-        # N1 and one non-identity component of each of the twelve I2 fibers,
-        # all from one discovery on X's curve table
+        # the fiber class R = p*F / 2 (F is a branch fiber, so R lies in M),
+        # the zero section N1 and one non-identity component of each of the
+        # twelve I2 fibers, all from one discovery on X's curve table
         x = build_final_cover()
         fiber, (_, pairs, _) = fibration_of_x()
-        assert fiber == HALF * self.pull(build_blown_cover().curves["l1"])
+        assert x.lattice.contains(fiber) and not x.lattice.contains(HALF * fiber)
         pieces = [x.table.classes[f.components[1][0]] for f in pairs]
         assert len(pieces) == 12 and all(x.pic.inner(fiber, c) == 0 for c in pieces)
         trivial = SublatticeModel(x.pic, [fiber, x.curves["N1"], *pieces])
         assert trivial.rank == 2 + 12
-        assert self.lattice().rank - trivial.rank == 17 - 14 == 3
+        assert x.lattice.rank - trivial.rank == 17 - 14 == 3

@@ -172,6 +172,7 @@ class TestConstruction:
         assert report.elapsed_ms == 3
         pic = QuadraticSpace(labels=("H",), diag=(1,))
         h = pic.basis_vector("H")
-        surface = SurfaceModel(euler=3, pic=pic, canonical=-3 * h, curves={"H": h})
-        assert surface.curves["H"] is h
+        lattice = SublatticeModel(pic, [h])
+        surface = SurfaceModel(euler=3, lattice=lattice, canonical=-3 * h, curves={"H": h})
+        assert surface.curves["H"] is h and surface.lattice is lattice and surface.pic is pic
         assert BinaryCode(codewords={EMPTY}).dimension == 0
