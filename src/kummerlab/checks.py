@@ -21,7 +21,7 @@ from .kummer_ns import (
     jacobian_kummer_ns,
 )
 from .labels import INDEX_PAIRS, NODE_LABELS, TROPE_LABELS
-from .lattice import RationalVector
+from .lattice import RationalVector, _quotient
 from .nodecode import (
     BinaryCode,
     NodeSet,
@@ -274,7 +274,7 @@ def _tropes_contained(ctx: CheckContext):
 )
 def _trope_pairings(ctx: CheckContext):
     t = ctx.model.curve_table
-    tropes = range(t.labels.index("C0"), len(t.labels))  # row and column 0 hold L
+    tropes = range(t.row_of["C0"], len(t.labels))  # row and column 0 hold L
     norms = all(t.table[a][a] == -2 * t.scale for a in tropes)
     degrees = all(t.table[0][a] == 2 * t.scale for a in tropes)
     orthogonal = all(t.table[a][b] == 0 for a in tropes for b in tropes if a < b)
@@ -462,13 +462,14 @@ def _nik_shape(ctx: CheckContext):
     n = nik_mod.nikulin_lattice()
     even = n.lattice.is_even()
     negdef = n.lattice.is_negative_definite()
-    halfsum_norm = n.halfsum.norm()
+    [[norm]], scale = n.space.gram([n.halfsum])
+    halfsum_norm = _quotient(norm, scale)
     ok = even and negdef and halfsum_norm == -4 and n.lattice.rank == 8
     shape = f"{'' if even else 'not '}even, {'' if negdef else 'not '}negative definite"
     return ok, f"rank {n.lattice.rank}, {shape}, half-sum of norm {halfsum_norm}", {
         "even": even,
         "negative_definite": negdef,
-        "halfsum_norm": int(halfsum_norm) if halfsum_norm.denominator == 1 else str(halfsum_norm),
+        "halfsum_norm": halfsum_norm if type(halfsum_norm) is int else str(halfsum_norm),
     }
 
 
@@ -493,7 +494,8 @@ def _nik_saturation(ctx: CheckContext, i: int, j: int):
     "the fiber class is isotropic",
 )
 def _fib_f2(ctx: CheckContext):
-    norm = ctx.fibration.fiber_class.norm()
+    [[norm]], scale = ctx.model.space.gram([ctx.fibration.fiber_class])
+    norm = _quotient(norm, scale)
     return norm == 0, f"fiber class self-intersection {norm}", None
 
 

@@ -4,8 +4,8 @@ Surfaces are tracked by Euler number, canonical class K, named curve classes
 and a Picard lattice in a labelled quadratic space holding the hyperplane
 class, exceptional classes, pullbacks thereof and the anti-invariant classes
 of split curves.  The plane's lattice is ZH, and two operations evolve a
-surface and its lattice: blowing up a point (a new (-1) class joins the
-lattice, strict transforms drop one copy of it per local branch) and taking
+surface and its lattice: blowing up points (a new (-1) class per point joins
+the lattice, strict transforms drop one copy of it per local branch) and taking
 a double cover branched along disjoint tracked curves B_i whose sum B has B/2
 in the lattice (Euler number 2e - e(B), canonical class K + B/2, pairings
 doubled on pullbacks, split curves replaced by their two pieces; the lattice
@@ -20,7 +20,6 @@ curve table with the fiber class half the branch fiber l1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from collections.abc import Mapping
@@ -30,7 +29,7 @@ from ._frozen import Frozen
 from .fibration import discover_fibers
 from .kummer_ns import CurveTable
 from .labels import INDEX_PAIRS
-from .lattice import QuadraticSpace, RationalVector, SublatticeModel
+from .lattice import QuadraticSpace, RationalVector, SublatticeModel, _quotient
 
 
 class CoverError(ValueError):
@@ -65,14 +64,14 @@ class SurfaceModel(Frozen):
 
     def integer(self, what: str, n: int) -> int:
         """The number ``what``, n over the table's scale; a fraction raises."""
-        if n % self.table.scale:
-            raise CoverError(f"{what} = {Fraction(n, self.table.scale)} is not an integer")
-        return n // self.table.scale
+        if type(q := _quotient(n, self.table.scale)) is not int:
+            raise CoverError(f"{what} = {q} is not an integer")
+        return q
 
     def row(self, name: str) -> int:
         try:
-            return self.table.labels.index(name)
-        except ValueError:
+            return self.table.row_of[name]
+        except (KeyError, TypeError):
             raise CoverError(f"no tracked curve named {name!r}") from None
 
     def pairing(self, a: str, b: str) -> int:
@@ -93,26 +92,35 @@ def projective_plane(tracked_degrees: Mapping[str, int]) -> SurfaceModel:
     return SurfaceModel(3, SublatticeModel(h.space, [h]), -3 * h, curves)
 
 
-def blowup(s: SurfaceModel, exceptional: str, through: tuple[str, ...] | list[str]) -> SurfaceModel:
-    """Blow up one point: e + 1, K^2 - 1, a new (-1) class, added to the lattice.
+def _squares(space: QuadraticSpace) -> tuple:
+    """The squares of the space's basis, its integer weights when its scale is 1."""
+    return space.weights if space.scale == 1 else space.diag
 
-    ``through`` lists tracked curves through the point; list a name twice for
-    a point of multiplicity two on that curve.  Listed curves are replaced by
-    their strict transforms.
+
+def blowup(s: SurfaceModel, points: Mapping[str, tuple[str, ...] | list[str]]) -> SurfaceModel:
+    """Blow up n points in one step: e + n, K^2 - n, a (-1) class per point, added to the lattice.
+
+    ``points`` maps each exceptional curve's name to the tracked curves through
+    its point; list a name twice for a point of multiplicity two on that
+    curve.  Listed curves, which s must track (an infinitely near point takes a
+    second call), are replaced by their strict transforms.
     """
-    if exceptional in s.curves:
-        raise CoverError(f"exceptional curve {exceptional!r} is named like a tracked curve")
-    pic = QuadraticSpace(s.pic.labels + (exceptional,), s.pic.diag + (-1,))
+    for exceptional, through in points.items():
+        if exceptional in s.curves:
+            raise CoverError(f"exceptional curve {exceptional!r} is named like a tracked curve")
+        for name in through:
+            s.row(name)
+    names, n = tuple(points), len(points)
+    pic = QuadraticSpace(s.pic.labels + names, _squares(s.pic) + (-1,) * n)
+    classes = pic.basis[s.pic.dim:]
 
-    def extend(v: RationalVector, exc_coeff: int) -> RationalVector:
-        return RationalVector(pic, v.nums + (exc_coeff * v.den,), v.den)
+    def extend(v: RationalVector, coeffs) -> RationalVector:
+        return RationalVector(pic, v.nums + tuple(c * v.den for c in coeffs), v.den)
 
-    for name in through:
-        s.row(name)
-    curves = {name: extend(v, -through.count(name)) for name, v in s.curves.items()}
-    curves[exceptional] = pic.basis_vector(exceptional)
-    lattice = SublatticeModel(pic, [*(extend(g, 0) for g in s.lattice.generators), curves[exceptional]])
-    return SurfaceModel(s.euler + 1, lattice, extend(s.canonical, 1), curves)
+    curves = {name: extend(v, [-through.count(name) for through in points.values()]) for name, v in s.curves.items()}
+    curves |= zip(names, classes)
+    lattice = SublatticeModel(pic, [*(extend(g, (0,) * n) for g in s.lattice.generators), *classes])
+    return SurfaceModel(s.euler + n, lattice, extend(s.canonical, (1,) * n), curves)
 
 
 def double_cover(
@@ -131,10 +139,13 @@ def double_cover(
     class a of ``label`` and ``square`` once per label, and C gives way to its
     pieces ``plus = (p*C + k a)/2`` and ``minus = (p*C - k a)/2``.
     """
+    def halved(v: RationalVector) -> RationalVector:
+        return RationalVector(v.space, v.nums, 2 * v.den)
+
     rows = [s.row(name) for name in branch]
     if any(s.table.table[i][j] for i, j in combinations(rows, 2)):
         raise CoverError(f"branch components {', '.join(branch)} are not pairwise disjoint")
-    half = s.pic.combination([Fraction(1, 2)] * len(rows), [s.table.classes[i] for i in rows])
+    half = halved(s.pic.combination([1] * len(rows), [s.table.classes[i] for i in rows]))
     if not s.lattice.contains(half):
         raise CoverError("branch not 2-divisible in the Picard lattice")
     squares: dict[str, int] = {}
@@ -149,7 +160,7 @@ def double_cover(
                 raise CoverError(f"split piece {piece!r} of {name} is named like another curve or piece")
         if squares.setdefault(label, square) != square:
             raise CoverError(f"anti-invariant class {label!r} given squares {squares[label]} and {square}")
-    diag = tuple(2 * d for d in s.pic.diag) + tuple(squares.values())
+    diag = tuple(2 * d for d in _squares(s.pic)) + tuple(squares.values())
     pic = QuadraticSpace(s.pic.labels + tuple(squares), diag)
     pad = (0,) * len(squares)
 
@@ -161,18 +172,18 @@ def double_cover(
         if name in split:
             plus, minus, k, label, _ = split[name]
             p, d = pull(v), k * pic.basis_vector(label)
-            curves[plus], curves[minus] = Fraction(1, 2) * (p + d), Fraction(1, 2) * (p - d)
+            curves[plus], curves[minus] = halved(p + d), halved(p - d)
         else:
             curves[name] = pull(v)
-    ramification = [Fraction(1, 2) * pull(s.table.classes[i]) for i in rows]
+    ramification = [halved(pull(s.table.classes[i])) for i in rows]
     plus_pieces = [curves[entry[0]] for entry in split.values()]
     lattice = SublatticeModel(pic, [*map(pull, s.lattice.generators), *ramification, *plus_pieces])
     return SurfaceModel(2 * s.euler - s.adjunction_euler(branch), lattice, pull(s.canonical + half), curves)
 
 
-def noether_chi(s: SurfaceModel) -> Fraction:
-    """(K^2 + e) / 12; integrality is a verification outcome, not an input."""
-    return Fraction(s.k_squared + s.euler, 12)
+def noether_chi(s: SurfaceModel) -> int | Fraction:
+    """(K^2 + e) / 12, an int or a Fraction; integrality is a verification outcome, not an input."""
+    return _quotient(s.k_squared + s.euler, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +206,8 @@ QUARTIC_SPLIT = {"W": ("W1", "W2", 2, "A", -2)} | {m: (f"m'{m[1:]}", f"m''{m[1:]
 def blowup_quartic_points() -> SurfaceModel:
     """The plane blown up at the six singular points of the four-line quartic."""
     s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2} | dict.fromkeys(DIAGONALS, 1))
-    for g in (f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2)):
-        s = blowup(s, g, (f"l{g[1]}", f"l{g[2]}", *(m for m, ends in DIAGONALS.items() if g in ends)))
-    return s
+    points = (f"G{a}{b}" for a, b in combinations(QUARTIC_LINES, 2))
+    return blowup(s, {g: (f"l{g[1]}", f"l{g[2]}", *(m for m, ends in DIAGONALS.items() if g in ends)) for g in points})
 
 
 def sextic_incidence() -> dict[str, object]:
@@ -245,7 +255,7 @@ def weak_del_pezzo_defects(t: SurfaceModel) -> list[str]:
 @cache
 def build_blown_cover() -> SurfaceModel:
     """The quartic cover blown up at the two crossing points of the genus-1 pair."""
-    return blowup(blowup(build_quartic_cover(), "N1", ("l1", "l2")), "N2", ("l1", "l2"))
+    return blowup(build_quartic_cover(), {"N1": ("l1", "l2"), "N2": ("l1", "l2")})
 
 
 # W1 and W2 split along one D: W'1.W'2 = 4 and W'1.W''2 = 0 force D1.D2 = 8 =

@@ -121,10 +121,10 @@ def build_fibration(model: JacobianKummerNS, i: int = 1, j: int = 2) -> Fibratio
     if not (1 <= i < j <= 6):
         raise FibrationError(f"need 1 <= i < j <= 6, got ({i}, {j})")
     t = model.curve_table
-    labels, table = t.labels, t.table
+    table = t.table
     try:
-        e0, eij = [labels.index(label) for label in ("E0", node_label(i, j))]
-    except ValueError:
+        e0, eij = t.row_of["E0"], t.row_of[node_label(i, j)]
+    except KeyError:
         raise FibrationError(f"the curve table lacks E0 or {node_label(i, j)}") from None
     row = tuple(a - b - c for a, b, c in zip(table[0], table[e0], table[eij]))
     stars, pairs, once = discover_fibers(t, row, row[0] - row[e0] - row[eij])

@@ -55,19 +55,21 @@ def trope_support(label: str) -> tuple[str, ...]:
 
 class CurveTable(Frozen):
     """Labelled classes from one Gram (on the model L, the sixteen nodes, then the
-    sixteen tropes): ``classes[a]`` and ``classes[b]`` pair to ``table[a][b] / scale``.
+    sixteen tropes): ``classes[a]`` and ``classes[b]`` pair to ``table[a][b] / scale``,
+    and ``row_of`` maps each label to its row.
     Each row a gets masks derived here, so no table is read with another's:
     ``node_bits[a]``, the ``NodeSet`` bit of its label (0 off the nodes), and
     ``node_rows`` back; ``meets[a]``, the rows b it pairs with nonzero (a unless
     of square 0); ``fractional[a]``, those it pairs with non-integrally."""
 
-    __slots__ = ("labels", "classes", "table", "scale", "node_bits", "node_rows", "meets", "fractional")
+    __slots__ = ("labels", "classes", "table", "scale", "row_of", "node_bits", "node_rows", "meets", "fractional")
 
     def __init__(self, labels: tuple[str, ...], classes: tuple, table: list[list[int]], scale: int) -> None:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "row_of", {label: a for a, label in enumerate(labels)})
         bits = tuple(1 << NODE_INDEX[label] if label in NODE_INDEX else 0 for label in labels)
         object.__setattr__(self, "node_bits", bits)
         object.__setattr__(self, "node_rows", {bit: a for a, bit in enumerate(bits) if bit})
@@ -139,7 +141,7 @@ class JacobianKummerNS:
         """16 x 16 table of trope-node intersection numbers, in canonical order,
         read off the curve table."""
         t = self.curve_table
-        at = {label: k for k, label in enumerate(t.labels)}
+        at = t.row_of
         rows = [[divmod(t.table[at[c]][at[n]], t.scale) for n in NODE_LABELS] for c in TROPE_LABELS]
         if any(r for row in rows for _, r in row):
             raise ValueError("non-integral intersection of a trope with a node")
@@ -208,21 +210,15 @@ class JacobianKummerNS:
 
     def even_eight_identity(self, i: int, j: int) -> bool:
         """The node sum of the (i, j) even eight equals
-        2(L - E0) - 2 C_1i - 2 C_1j - 2 E_ij, exactly."""
+        2(L - E0) - 2 C_1i - 2 C_1j - 2 E_ij, exactly: the node sum plus
+        2(E0 + C_1i + C_1j + E_ij) pairs like 2L with every curve-table column,
+        and L and the nodes, among the columns, are a basis of the space."""
         if not (1 <= i < j <= 6):
             raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-        lhs = self.space.combination(
-            (2, -2, -2, -2, -2),
-            (
-                self.space.basis_vector("L"),
-                self.space.basis_vector("E0"),
-                self.trope_class("C0" if i == 1 else f"C1{i}"),
-                self.trope_class(f"C1{j}"),
-                self.node_class(node_label(i, j)),
-            ),
-        )
-        rhs = self.node_set_sum(even_eight(i, j))
-        return lhs == rhs
+        t, bits = self.curve_table, even_eight(i, j).bits
+        twice = ("E0", "C0" if i == 1 else f"C1{i}", f"C1{j}", node_label(i, j))
+        rhs = [(x, 1) for bit, x in t.node_rows.items() if bit & bits] + [(t.row_of[c], 2) for c in twice]
+        return t.pairings(rhs) == t.pairings([(t.row_of["L"], 2)])
 
     # -- dual-lattice elements ----------------------------------------------
 

@@ -6,7 +6,8 @@ divisor lattice diag(4, -2, ..., -2), the rank-8 root lattice and the surface
 tower, whose blowups append -1 and whose double covers double the form).
 A vector is integer numerators over one denominator, the diagonal integer
 weights over one scale and a Gram table integer pairings over one scale; a
-single pairing is an exact `fractions.Fraction`; no float appears anywhere.
+view of a single rational, such as one pairing, is an exact `fractions.Fraction`,
+and the first such view imports `fractions`; no float appears anywhere.
 A sublattice is stored as a generator matrix over a fixed ambient space.
 Normal forms (Hermite, Smith) run on integer matrices obtained by clearing
 denominators with a single scalar; the matrices involved are tiny (at most
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 
 from ._frozen import Frozen
@@ -197,12 +197,24 @@ def _leading_minors_positive(mat: Sequence[Sequence[int]]) -> bool:
 # quadratic space and vectors
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)  # the one Fraction that every zero coordinate reads as
+@cache
+def _fraction() -> type[Fraction]:
+    """`fractions.Fraction`, imported on the first call: a path that makes no call
+    never loads `fractions` (nor `decimal` and `numbers`, which it imports)."""
+    from fractions import Fraction
+    return Fraction
 
 
 def _is_exact(x: object) -> bool:
     """True for an int (not a bool) or a Fraction, the package's exact rationals."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return isinstance(x, int) and not isinstance(x, bool) or isinstance(x, _fraction())
+
+
+def _quotient(n: int, d: int) -> int | Fraction:
+    """n / d for d > 0 as an exact rational: an int when d divides n, else a Fraction."""
+    if n % d == 0:
+        return n // d
+    return _fraction()(n, d)
 
 
 def _exact(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
@@ -217,9 +229,13 @@ def _exact(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
 def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
     """``(nums, den)`` with ``values[i] == nums[i] / den``, den the lcm of the reduced
     denominators, each value read once by ``as_integer_ratio()``.  A value that is not
-    an int (not a bool) or a Fraction raises, through `_exact` (an IntEnum passes)."""
+    an int (not a bool) or a Fraction raises, through `_exact` (an IntEnum passes).
+    Ints alone are returned as they are, over 1, without importing `fractions`."""
     values = tuple(values)
-    if not set(map(type, values)) <= {int, Fraction}:
+    types = set(map(type, values))
+    if types <= {int}:
+        return values, 1
+    if not types <= {int, _fraction()}:
         _exact(values)
     pairs = [x.as_integer_ratio() for x in values]
     den = lcm(*{d for _, d in pairs})
@@ -229,8 +245,9 @@ def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, 
 class QuadraticSpace(Frozen):
     """A labelled orthogonal basis: <e_i, e_i> = diag[i], distinct e_i pair to 0.
 
-    Also held as integers: diag[i] == weights[i] / scale.  The vectors e_i are
-    built once, as ``basis``.  Spaces with equal labels and diagonals are equal."""
+    Held as integers, diag[i] == weights[i] / scale; ``diag`` is built on first
+    read.  The vectors e_i are built once, as ``basis``.  Spaces with equal labels
+    and diagonals, so with equal weights and scale, are equal."""
 
     def __init__(self, labels: Iterable[str], diag: Iterable[int | Fraction]) -> None:
         labels = tuple(labels)
@@ -240,7 +257,6 @@ class QuadraticSpace(Frozen):
         if len(weights) != len(labels):
             raise LatticeError("diagonal length must match the label count")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "diag", tuple(Fraction(w, scale) for w in weights))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale", scale)
         n = len(labels)
@@ -248,7 +264,12 @@ class QuadraticSpace(Frozen):
         object.__setattr__(self, "basis", basis)
 
     def _key(self) -> tuple:
-        return self.labels, self.diag
+        return self.labels, self.weights, self.scale
+
+    @cached_property
+    def diag(self) -> tuple[Fraction, ...]:
+        Fraction = _fraction()
+        return tuple(Fraction(w, self.scale) for w in self.weights)
 
     @property
     def dim(self) -> int:
@@ -328,12 +349,16 @@ class QuadraticSpace(Frozen):
             mapped.append(total)
         return mapped, den
 
-    def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
-        """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
+    def _pair(self, v: "RationalVector", w: "RationalVector") -> tuple[int, int]:
+        """``(n, d)`` with <v, w> == n / d, not reduced."""
         self._check_member(v)
         self._check_member(w)
         total = sum(c * a * b for c, a, b in zip(self.weights, v.nums, w.nums) if a and b)
-        return Fraction(total, self.scale * v.den * w.den)
+        return total, self.scale * v.den * w.den
+
+    def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
+        """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
+        return _fraction()(*self._pair(v, w))
 
     def gram(self, vectors: Sequence["RationalVector"]) -> tuple[list[list[int]], int]:
         """``(table, scale)`` with <v_i, v_j> == table[i][j] / scale: the
@@ -376,11 +401,12 @@ class RationalVector(Frozen):
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple([Fraction(x, den) if x else _ZERO for x in self.nums])
+        Fraction, den = _fraction(), self.den
+        zero = Fraction(0)
+        return tuple([Fraction(x, den) if x else zero for x in self.nums])
 
     def coeff(self, label: str) -> Fraction:
-        return Fraction(x, self.den) if (x := self.nums[self.space.index(label)]) else _ZERO
+        return _fraction()(self.nums[self.space.index(label)], self.den)
 
     def dot(self, other: "RationalVector") -> Fraction:
         return self.space.inner(self, other)
@@ -622,6 +648,7 @@ class SublatticeModel(Frozen):
         return _gram_table(self.space.weights, hnf), den * den * self.space.scale
 
     def gram_zbasis(self) -> list[list[Fraction]]:
+        Fraction = _fraction()
         gram, scale = self._zgram
         return [[Fraction(x, scale) for x in row] for row in gram]
 
@@ -638,11 +665,9 @@ class SublatticeModel(Frozen):
         return DiscriminantGroup(d for d in diag if d > 1)
 
     def in_dual(self, v: RationalVector) -> bool:
-        """True iff v pairs integrally with every generator."""
+        """True iff v pairs integrally with every generator, read off numerators."""
         self.space._check_member(v)
-        return all(
-            self.space.inner(v, g).denominator == 1 for g in self.generators
-        )
+        return all(n % d == 0 for n, d in (self.space._pair(v, g) for g in self.generators))
 
     def is_even(self) -> bool:
         """Integral Gram with even diagonal, i.e. every vector has even norm."""

@@ -66,9 +66,9 @@ def roots(n: NikulinLattice) -> tuple[RationalVector, ...]:
     lexicographic order of its coordinates t / 2."""
     tuples = sorted(t for eps in (0, 1) for t in _parity_tuples(n.space.dim, 4, eps))
     found = tuple(RationalVector(n.space, t, 2) for t in tuples)
-    for v in found:
-        if v.norm() != -2:
-            raise AssertionError("enumeration produced a non-root")
+    table, scale = n.space.gram(found)
+    if any(table[k][k] != -2 * scale for k in range(len(found))):
+        raise AssertionError("enumeration produced a non-root")
     return found
 
 

@@ -190,9 +190,11 @@ class TestRunChecks:
         run_checks()
         # the pencils, the saturations, the cover tables and the six-line
         # incidences read curve tables, and cover.weak_dp2 reads K's row,
-        # taken with the quartic cover's curve table; the Gram left is the
-        # isometry's form check on the 17 images
-        assert sorted(calls) == [17]
+        # taken with the quartic cover's curve table; the Grams left are the
+        # isometry's form check on the 17 images and the norms, as integers
+        # over one scale: the fiber class of fibration.F2zero, the half-sum
+        # of nikulin.even_negdef and the 16 roots of the root search
+        assert sorted(calls) == [1, 1, 16, 17]
 
     def test_vectors_per_run(self, monkeypatch):
         run_checks()  # the model, its curve table and the cached surfaces exist
@@ -208,8 +210,9 @@ class TestRunChecks:
         # the sixteen curves are read off the final cover's curve table, so
         # the branch E1 + E2 is not summed as a vector, and the cover
         # tables read the surfaces' curve tables, so the quartic branch is not
-        # rebuilt
-        assert len(built) == 106
+        # rebuilt; the even-eight identities read the model's curve table, so
+        # they sum no vectors
+        assert len(built) == 76
         built.clear()
         run_checks(["alpha.isometry"])
         # 17 basis images and the 17 image vectors of the Z-basis, whose
@@ -227,8 +230,8 @@ class TestRunChecks:
 
         monkeypatch.setattr(QuadraticSpace, "combination", counted)
         run_checks()
-        # the 15 fiber classes and the 15 even-eight identities
-        assert sorted(calls) == [3] * 15 + [5] * 15
+        # the 15 fiber classes; the even-eight identities read the curve table
+        assert sorted(calls) == [3] * 15
 
     def test_euler_numbers_looked_up_once(self, monkeypatch):
         lookups, sums = [], []
@@ -398,8 +401,10 @@ def centres_as_sections_of_pencil_12(monkeypatch):
 SWEEP_FAULTS = (shift_incidence, branch_13_for_pencil_12, drop_e56_from_curve_table, centres_as_sections_of_pencil_12)
 
 
-# every pencil holds E56, and each saturation whose eight contains E56
-# loses its Gram, whenever E56 is not a (-2)-class
+# the checks that read a pencil: every pencil holds E56, so all of them fail
+# whenever E56 is not a (-2)-class, and so does each saturation whose eight,
+# one of E56_EIGHTS, contains E56
+E56_EIGHTS = ("15", "16", "25", "26", "35", "36", "45", "46")
 E56_PENCIL = SWEEPS | {
     "cross.euler24",
     "fibration.F2zero",
@@ -409,9 +414,9 @@ E56_PENCIL = SWEEPS | {
     "fibration.eulersum24",
     "fibration.sections4",
 }
-E56_FAILING = E56_PENCIL | {
-    f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")
-} | {"config.sixteen_six", "ns.discriminant", "ns.trope_pairings"}
+E56_FAILING = E56_PENCIL | {f"nikulin.saturation.{ij}" for ij in E56_EIGHTS} | {
+    "config.sixteen_six", "ns.discriminant", "ns.trope_pairings"
+}
 C0_RAISED = {f"fibration.sweep.{ij}" for ij in ("12", "13", "23")} | {
     "cross.euler24",
     "fibration.F2zero",
@@ -430,8 +435,10 @@ E56_ISOLATED = {f"fibration.sweep.{ij}" for ij in ("12", "13", "14", "23", "24",
 # the subset of them that fail through an `error:` detail, not by their own
 # comparison; its own test asserts the pair
 FAULT_MATRIX = {
-    "combination_drops_last_term": (
-        {"fibration.F2zero"} | {f"delta.identity.{i}{j}" for i, j in INDEX_PAIRS}, set()
+    "combination_drops_last_term": ({"fibration.F2zero"}, set()),
+    "pairings_drop_last_component": (
+        E56_PENCIL | {f"{c}.{i}{j}" for c in ("delta.identity", "nikulin.saturation") for i, j in INDEX_PAIRS},
+        E56_PENCIL,
     ),
     "incidence_reads_next_coordinate": (SWEEPS | {"cross.euler24", "fibration.cover12I2"}, set()),
     "node_weight_changed": (E56_FAILING, E56_PENCIL | {"ns.discriminant"}),
@@ -488,14 +495,15 @@ FAULT_MATRIX = {
         {"cover.X_sixteen", "cross.euler24", "cover.curve_table"}, {"cover.X_sixteen", "cross.euler24"}
     ),
     "node_dropped_from_curve_table": (
-        SWEEPS | {f"nikulin.saturation.{ij}" for ij in ("15", "16", "25", "26", "35", "36", "45", "46")} | {
+        SWEEPS | {f"{c}.{ij}" for c in ("delta.identity", "nikulin.saturation") for ij in E56_EIGHTS} | {
             "config.sixteen_six",
             "cross.euler24",
+            "delta.identity.56",
             "fibration.classify",
             "fibration.cover12I2",
             "fibration.eulersum24",
         },
-        SWEEPS - E56_ISOLATED | {"config.sixteen_six"},
+        SWEEPS - E56_ISOLATED | {"config.sixteen_six", "delta.identity.56"},
     ),
     "star_leaf_moved": (
         {f"fibration.sweep.{ij}" for ij in ("12", "23", "24", "25", "26", "36")} | {
@@ -580,10 +588,24 @@ class TestFaultInjection:
         monkeypatch.setattr(QuadraticSpace, "combination", drop_last)
         # the fiber class loses E_ij, so its square is (L - E0)^2 = 2; the
         # pencils are read off the curve table and sum no vectors, so every
-        # other pencil check passes; the even-eight identity loses E_ij; the
-        # isometry maps integer rows through its images and calls no
-        # combination, so it passes
+        # other pencil check passes; the even-eight identities read the curve
+        # table and the isometry maps integer rows through its images, so
+        # neither calls a combination
         assert self.failing() == FAULT_MATRIX["combination_drops_last_term"]
+
+    def test_pairings_drop_last_component(self, monkeypatch):
+        jacobian_kummer_ns().curve_table
+        original = kummer_ns.CurveTable.pairings
+        monkeypatch.setattr(kummer_ns.CurveTable, "pairings", lambda t, comps: original(t, list(comps)[:-1]))
+        # each star fiber loses a leaf and no longer sums to F, so every
+        # pencil's build raises; each even-eight identity loses 2 E_ij and
+        # each saturation a node of the half-sum, and both fail by their own
+        # comparisons
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["pairings_drop_last_component"]
+        assert results["nikulin.saturation.12"].detail == (
+            "(1,2) eight saturates with index 2; Gram differs from the abstract lattice"
+        )
 
     def test_incidence_reads_next_coordinate(self, monkeypatch):
         shift_incidence(monkeypatch)
@@ -711,8 +733,8 @@ class TestFaultInjection:
     def test_g34_blown_up_on_l3_only(self, monkeypatch, fresh_tower):
         original = covers.blowup
 
-        def l3_only(s, exceptional, through):
-            return original(s, exceptional, ("l3",) if exceptional == "G34" else through)
+        def l3_only(s, points):
+            return original(s, {g: ("l3",) if g == "G34" else through for g, through in points.items()})
 
         monkeypatch.setattr(covers, "blowup", l3_only)
         # l4 keeps square -1, so the quartic branch is not a set of disjoint
@@ -727,7 +749,7 @@ class TestFaultInjection:
         original = covers.blowup_quartic_points
 
         def with_g12():
-            return covers.blowup(original(), "G12", ("l1", "l2"))
+            return covers.blowup(original(), {"G12": ("l1", "l2")})
 
         monkeypatch.setattr(covers, "blowup_quartic_points", with_g12)
         # a seventh point, l1 ∩ l2, misses the quartic lines, so the quartic
@@ -846,10 +868,11 @@ class TestFaultInjection:
         # fail by their own comparisons; where E56 is a star leaf or E_ij the
         # build raises, and the configuration table cannot be read without it;
         # each even eight holding E56 finds seven node rows, whose Gram with
-        # their half-sum is not the abstract one
-        with_e56 = ("15", "16", "25", "26", "35", "36", "45", "46")
+        # their half-sum is not the abstract one and whose sum misses the
+        # identity's other side by E56's row; the (5,6) identity cannot read
+        # the row of E56 itself and raises
         assert self.failing(results) == FAULT_MATRIX["node_dropped_from_curve_table"]
-        for i, j in with_e56:
+        for i, j in E56_EIGHTS:
             assert results[f"nikulin.saturation.{i}{j}"].detail == (
                 f"({i},{j}) eight saturates with index 2; Gram differs from the abstract lattice"
             )

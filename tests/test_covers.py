@@ -47,7 +47,7 @@ def blowup_stages(diagonals=tuple(DIAGONALS)):
     s = projective_plane({"H": 1} | {f"l{i}": 1 for i in range(1, 7)} | {"W": 2} | dict.fromkeys(diagonals, 1))
     stages = [s]
     for g in G_LABELS:
-        stages.append(s := blowup(s, g, (f"l{g[1]}", f"l{g[2]}", *(m for m in diagonals if g in DIAGONALS[m]))))
+        stages.append(s := blowup(s, {g: (f"l{g[1]}", f"l{g[2]}", *(m for m in diagonals if g in DIAGONALS[m]))}))
     return stages
 
 
@@ -86,7 +86,7 @@ class TestBlowup:
 
     def test_exceptional_class(self):
         s = projective_plane({"c": 2})
-        t = blowup(s, "E", ("c",))
+        t = blowup(s, {"E": ("c",)})
         assert (t.euler, t.k_squared) == (4, 8)
         assert t.pairing("E", "E") == -1
         assert t.pairing("c", "c") == 3
@@ -101,13 +101,53 @@ class TestBlowup:
     def test_unknown_curve_rejected(self):
         s = projective_plane({"c": 2})
         with pytest.raises(CoverError):
-            blowup(s, "E", ("missing",))
+            blowup(s, {"E": ("missing",)})
 
     def test_exceptional_named_like_a_tracked_curve_rejected(self):
         # blowing up with the conic's name would replace the conic: W.W = -1, not 4
         s = projective_plane({"l1": 1, "l2": 1, "W": 2})
         with pytest.raises(CoverError, match="exceptional curve 'W' is named like a tracked curve"):
-            blowup(s, "W", ("l1", "l2"))
+            blowup(s, {"W": ("l1", "l2")})
+
+    def test_through_curve_tracked_on_the_base(self):
+        # a point on an exceptional curve, infinitely near, takes a second
+        # call: a name added in the same call is not tracked on the base
+        s = projective_plane({"c": 2})
+        with pytest.raises(CoverError, match="no tracked curve named 'E1'"):
+            blowup(s, {"E1": ("c",), "E2": ("E1",)})
+        t = blowup(blowup(s, {"E1": ("c",)}), {"E2": ("E1",)})
+        assert (t.pairing("E1", "E1"), t.pairing("E1", "E2"), t.k_squared) == (-2, 1, 7)
+
+    @staticmethod
+    def assert_same_surface(s, t):
+        assert (s.curves, s.k_row, s.k_squared, s.euler) == (t.curves, t.k_row, t.k_squared, t.euler)
+        assert (s.table.labels, s.table.table, s.table.scale) == (t.table.labels, t.table.table, t.table.scale)
+        assert s.lattice.same_lattice(t.lattice)
+
+    def test_one_step_equals_one_point_at_a_time(self):
+        self.assert_same_surface(blowup_stages()[-1], blowup_quartic_points())
+        t = build_quartic_cover()
+        n1 = blowup(t, {"N1": ("l1", "l2")})
+        self.assert_same_surface(blowup(n1, {"N2": ("l1", "l2")}), build_blown_cover())
+
+    def test_cold_tower_builds_five_surfaces(self, monkeypatch):
+        tower = (blowup_quartic_points, build_quartic_cover, build_blown_cover, build_final_cover)
+        built, init = [], SurfaceModel.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        for build in tower:
+            build.cache_clear()
+        monkeypatch.setattr(SurfaceModel, "__init__", counted)
+        try:
+            build_final_cover()
+        finally:
+            for build in tower:
+                build.cache_clear()
+        # the plane, the six-point surface, T, the blown-up T and X
+        assert len(built) == 5
 
 
 class TestDoubleCover:
@@ -258,7 +298,7 @@ class TestOneGram:
         stages = blowup_stages()
         assert stages[-1] == blowup_quartic_points()
         t = build_quartic_cover()
-        stages += [t, n1 := blowup(t, "N1", ("l1", "l2")), blowup(n1, "N2", ("l1", "l2")), build_final_cover()]
+        stages += [t, n1 := blowup(t, {"N1": ("l1", "l2")}), blowup(n1, {"N2": ("l1", "l2")}), build_final_cover()]
         assert stages[-2] == build_blown_cover()
         return stages
 
@@ -307,7 +347,7 @@ class TestWeakDelPezzo:
         assert weak_del_pezzo_defects(build_quartic_cover()) == []
 
     def test_wrong_degree_rejected(self):
-        t = blowup(build_quartic_cover(), "Z", ())
+        t = blowup(build_quartic_cover(), {"Z": ()})
         assert t.k_squared == 1
         assert weak_del_pezzo_defects(t) == ["K^2 = 1, e = 11"]
 

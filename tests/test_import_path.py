@@ -5,8 +5,11 @@ and generates each class's methods from source at import time, and `typing`
 is a large module the package does not need at run time, since its
 annotations are strings.  Running the report adds neither `argparse` (with
 `gettext`, which imports `locale` for its messages) nor `json`, whose
-decoder and scanner come with its encoder.  A cold ``kummerlab --report
-json`` pays for every module it imports, so these stay off its path.
+decoder and scanner come with its encoder, nor `fractions`, which imports
+`decimal` and `numbers`: the report reads integers, and only the public
+views that return one rational import `fractions`, inside the call.  A cold
+``kummerlab --report json`` pays for every module it imports, so these stay
+off its path.
 """
 
 import ast
@@ -19,7 +22,7 @@ import kummerlab
 
 SRC_DIR = pathlib.Path(kummerlab.__file__).parent
 HEAVY = ("dataclasses", "inspect", "typing")
-CLI_HEAVY = ("argparse", "gettext", "locale", "json")
+CLI_HEAVY = ("argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers")
 
 
 def test_cli_import_adds_no_heavy_module():
@@ -65,3 +68,12 @@ def test_no_module_imports_dataclasses_or_typing():
                 continue
             for name in names:
                 assert name.split(".")[0] not in HEAVY, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_fractions_imported_only_inside_functions():
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "fractions", f"{path.name}:{node.lineno} imports fractions"
+            elif isinstance(node, ast.Import):
+                assert "fractions" not in [a.name for a in node.names], f"{path.name}:{node.lineno}"

@@ -151,6 +151,38 @@ class TestSpaceValidation:
             lookup(label)
 
 
+class TestFractionViews:
+    """The integer paths never build a Fraction, but every public view that
+    reads off one rational still returns one, and the type gates keep their
+    errors: ints (not bools) and Fractions pass, anything else raises."""
+
+    def test_views_return_fractions(self):
+        space = QuadraticSpace(("a", "b"), [2, -3])
+        v, w = space.vector([1, 2]), space.vector([3, 0])
+        lattice = SublatticeModel(space, [v, w])
+        views = [space.inner(v, w), v.dot(w), v.norm(), *v.coords, v.coeff("a"), v.coeff("b")]
+        views += [x for row in lattice.gram_zbasis() for x in row] + list(space.diag)
+        assert all(type(x) is Fraction for x in views)
+        assert (space.inner(v, w), v.norm(), space.diag) == (6, -10, (2, -3))
+        # a zero coordinate and a zero pairing are Fractions too
+        assert type(w.coeff("b")) is Fraction and type(space.inner(w, space.vector([0, 1]))) is Fraction
+
+    def test_int_and_fraction_diagonals_build_equal_spaces(self):
+        mixed = QuadraticSpace(("a", "b"), [1, Fraction(1, 2)])
+        fractions = QuadraticSpace(("a", "b"), [Fraction(1), Fraction(1, 2)])
+        assert mixed == fractions and hash(mixed) == hash(fractions)
+        assert (mixed.weights, mixed.scale, mixed.diag) == ((2, 1), 2, (1, Fraction(1, 2)))
+        assert QuadraticSpace(("a",), [2]) == QuadraticSpace(("a",), [Fraction(4, 2)])
+        assert QuadraticSpace(("a",), [1]) != QuadraticSpace(("a",), [Fraction(1, 2)])
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 2.0])
+    def test_bools_and_floats_still_raise(self, bad):
+        with pytest.raises(LatticeError):
+            QuadraticSpace(("a", "b"), [1, bad])
+        with pytest.raises(LatticeError):
+            QuadraticSpace(("a", "b"), [1, -2]).vector([bad, Fraction(1, 2)])
+
+
 def _rationals(zero_weight=False):
     values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
     return st.one_of(st.just(Fraction(0)), values) if zero_weight else values
