@@ -43,10 +43,13 @@ class CheckResult(Frozen):
     __slots__ = ("id", "status", "detail", "data")
 
     def __init__(self, id: str, status: str, detail: str, data: object | None = None) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "data", data)
+        _set_id(self, id)
+        _set_status(self, status)
+        _set_detail(self, detail)
+        _set_data(self, data)
+
+
+_set_id, _set_status, _set_detail, _set_data = (CheckResult.__dict__[name].__set__ for name in CheckResult.__slots__)
 
 
 class CheckDef(Frozen):

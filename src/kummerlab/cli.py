@@ -12,7 +12,6 @@ the parser keeps argparse's messages, prefixes and exit codes.
 
 from __future__ import annotations
 
-import re
 import sys
 import time
 from fnmatch import fnmatchcase
@@ -67,12 +66,12 @@ def build_report(patterns: list[str] | None = None) -> Report:
 _ESCAPES = str.maketrans({chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
     '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"
 })
-_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]').search
 
 
 def _quote(s: str) -> str:
-    """``s`` as a JSON string, as ``json.dumps(s, ensure_ascii=False)`` writes it."""
-    if _NEEDS_ESCAPE(s) is None:
+    """``s`` as a JSON string, as ``json.dumps(s, ensure_ascii=False)`` writes it;
+    a printable string holds no control character to escape."""
+    if s.isprintable() and '"' not in s and "\\" not in s:
         return '"' + s + '"'
     return '"' + s.translate(_ESCAPES) + '"'
 

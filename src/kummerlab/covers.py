@@ -29,7 +29,7 @@ from ._frozen import Frozen
 from .fibration import discover_fibers
 from .kummer_ns import CurveTable
 from .labels import INDEX_PAIRS
-from .lattice import QuadraticSpace, RationalVector, SublatticeModel, _quotient
+from .lattice import QuadraticSpace, RationalVector, SublatticeModel, _normal_vector, _quotient
 
 
 class CoverError(ValueError):
@@ -114,8 +114,9 @@ def blowup(s: SurfaceModel, points: Mapping[str, tuple[str, ...] | list[str]]) -
     pic = QuadraticSpace(s.pic.labels + names, _squares(s.pic) + (-1,) * n)
     classes = pic.basis[s.pic.dim:]
 
+    # v's numerators and den, and multiples of den, keep its normal form
     def extend(v: RationalVector, coeffs) -> RationalVector:
-        return RationalVector(pic, v.nums + tuple(c * v.den for c in coeffs), v.den)
+        return _normal_vector(pic, v.nums + tuple([c * v.den for c in coeffs]), v.den)
 
     curves = {name: extend(v, [-through.count(name) for through in points.values()]) for name, v in s.curves.items()}
     curves |= zip(names, classes)
@@ -165,7 +166,7 @@ def double_cover(
     pad = (0,) * len(squares)
 
     def pull(v: RationalVector) -> RationalVector:
-        return RationalVector(pic, v.nums + pad, v.den)
+        return _normal_vector(pic, v.nums + pad, v.den)
 
     curves = {}
     for name, v in s.curves.items():

@@ -50,9 +50,12 @@ class Fiber(Frozen):
     __slots__ = ("components", "kodaira_type", "euler_number")
 
     def __init__(self, components: tuple[tuple[int, int], ...], kodaira_type: str) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "kodaira_type", kodaira_type)
-        object.__setattr__(self, "euler_number", kodaira_euler(kodaira_type))
+        _set_components(self, components)
+        _set_kodaira_type(self, kodaira_type)
+        _set_euler_number(self, kodaira_euler(kodaira_type))
+
+
+_set_components, _set_kodaira_type, _set_euler_number = (Fiber.__dict__[name].__set__ for name in Fiber.__slots__)
 
 
 class Fibration(Frozen):
@@ -95,19 +98,21 @@ def discover_fibers(
         raise FibrationError(f"fiber components must have norm -2, not {', '.join(heavy)}")
     nbrs = {x: table.meets[x] & orthogonal & ~(1 << x) for x in zero}
     stars, pairs = [], []
-    for x in zero:
-        leaves = nbrs[x]
-        if not leaves:
+    for x, leaves in nbrs.items():
+        count = leaves.bit_count()
+        if not count:
             pairs.append(Fiber(((~x, 1), (x, 1)), "I2"))
-        elif leaves.bit_count() == 4 and all(nbrs[y] == 1 << x for y in zero if leaves >> y & 1):
-            comps = ((x, 2), *[(y, 1) for y in zero if leaves >> y & 1])
-            if any(rows[x][y] != scale for y, _ in comps[1:]):
+        # x is not a leaf whose centre has four neighbours, so it must be a star's centre
+        elif count != 1 or nbrs[leaves.bit_length() - 1].bit_count() != 4:
+            ys = [y for y in zero if leaves >> y & 1]
+            if count != 4 or any(nbrs[y] != 1 << x for y in ys):
+                raise FibrationError(f"{labels[x]} lies in neither a star nor an isolated fiber")
+            if any(rows[x][y] != scale for y in ys):
                 raise FibrationError(f"the centre {labels[x]} meets a leaf other than once")
+            comps = ((x, 2), *[(y, 1) for y in ys])
             if table.pairings(comps) != tuple(f):
                 raise FibrationError(f"star fiber at {labels[x]} does not sum to the fiber class")
             stars.append(Fiber(comps, I0_STAR))
-        elif leaves.bit_count() != 1 or nbrs[leaves.bit_length() - 1].bit_count() != 4:
-            raise FibrationError(f"{labels[x]} lies in neither a star nor an isolated fiber")
     return tuple(stars), tuple(pairs), tuple(x for x, p in enumerate(f) if p == scale)
 
 
@@ -143,7 +148,7 @@ def even_eight_from_fibers(fib: Fibration, model: JacobianKummerNS) -> bool:
     bits = [t.node_bits[x] for x, m in comps if m == 1]
     nodes_ok = len(bits) == len(set(bits)) == 8 and sum(bits) == even_eight(*fib.pair).bits
     centres_ok = sum(m == 2 for _, m in comps) == 2
-    return nodes_ok and centres_ok and t.pairings(comps) == tuple(2 * f for f in fib.pairings)
+    return nodes_ok and centres_ok and t.pairings(comps) == tuple([2 * p for p in fib.pairings])
 
 
 def _meets(t: CurveTable, fib: Fibration, x: int, rows: list[int], mask: int) -> bool:

@@ -22,7 +22,7 @@ from .labels import (
     complement_triple,
     node_label,
 )
-from .lattice import QuadraticSpace, RationalVector, SublatticeModel
+from .lattice import QuadraticSpace, RationalVector, SublatticeModel, _normal_vector
 from .nodecode import NodeSet, f2_basis, f2_reduce, f2_span
 
 
@@ -97,7 +97,7 @@ class JacobianKummerNS:
             nums[self.space.index("L")] = 1
             for node in trope_support(label):
                 nums[self.space.index(node)] = -1
-            self._tropes[label] = RationalVector(self.space, tuple(nums), 2)
+            self._tropes[label] = _normal_vector(self.space, tuple(nums), 2)
         gens = [self.space.basis_vector(label) for label in BASIS_LABELS]
         self.ns = SublatticeModel(self.space, tuple(gens) + tuple(self._tropes.values()))
 
@@ -150,10 +150,10 @@ class JacobianKummerNS:
     # -- the double-plane covering involution --------------------------------
 
     def covering_involution(self, v: RationalVector) -> RationalVector:
-        """Linear extension of: L -> 3L - 4E0, E0 -> 2L - 3E0, nodes fixed."""
+        """Linear extension of: L -> 3L - 4E0, E0 -> 2L - 3E0, nodes fixed; unimodular, so normal as v is."""
         self.space._check_member(v)
         a, b, *rest = v.nums
-        return RationalVector(self.space, (3 * a + 2 * b, -4 * a - 3 * b, *rest), v.den)
+        return _normal_vector(self.space, (3 * a + 2 * b, -4 * a - 3 * b, *rest), v.den)
 
     def covering_involution_images(self) -> dict[str, RationalVector]:
         return {
@@ -213,12 +213,10 @@ class JacobianKummerNS:
         2(L - E0) - 2 C_1i - 2 C_1j - 2 E_ij, exactly: the node sum plus
         2(E0 + C_1i + C_1j + E_ij) pairs like 2L with every curve-table column,
         and L and the nodes, among the columns, are a basis of the space."""
-        if not (1 <= i < j <= 6):
-            raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-        t, bits = self.curve_table, even_eight(i, j).bits
+        bits, t = even_eight(i, j).bits, self.curve_table
         twice = ("E0", "C0" if i == 1 else f"C1{i}", f"C1{j}", node_label(i, j))
         rhs = [(x, 1) for bit, x in t.node_rows.items() if bit & bits] + [(t.row_of[c], 2) for c in twice]
-        return t.pairings(rhs) == t.pairings([(t.row_of["L"], 2)])
+        return t.pairings(rhs) == tuple([2 * p for p in t.table[t.row_of["L"]]])
 
     # -- dual-lattice elements ----------------------------------------------
 
@@ -242,12 +240,17 @@ def jacobian_kummer_ns() -> JacobianKummerNS:
     return JacobianKummerNS()
 
 
+# the fifteen even eights by index pair; bit k of a mask is the node of INDEX_PAIRS[k - 1]
+_EVEN_EIGHTS = {(i, j): NodeSet(sum(1 << k for k, p in enumerate(INDEX_PAIRS, 1) if (i in p) != (j in p)))
+                for i, j in INDEX_PAIRS}
+
+
 def even_eight(i: int, j: int) -> NodeSet:
     """The eight nodes E_ik, E_jk for k outside {i, j}; never contains E0."""
-    if not (1 <= i < j <= 6):
-        raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-    # bit k of the mask is the node of the pair INDEX_PAIRS[k - 1]
-    return NodeSet(sum(1 << k for k, p in enumerate(INDEX_PAIRS, 1) if (i in p) != (j in p)))
+    try:
+        return _EVEN_EIGHTS[i, j]
+    except (KeyError, TypeError):
+        raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})") from None
 
 
 def isogeny_polarization_type(ptype: tuple[int, ...], degree: int) -> tuple[int, ...]:

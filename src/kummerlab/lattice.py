@@ -12,19 +12,20 @@ A sublattice is stored as a generator matrix over a fixed ambient space.
 Normal forms (Hermite, Smith) run on integer matrices obtained by clearing
 denominators with a single scalar; the matrices involved are tiny (at most
 33 x 17), so the routines use plain fraction-free pivoting with no
-modular-arithmetic shortcuts.  A two-row step clears one column: the Hermite
-form applies it row by row, and the Smith form clears each leading column
-with it, transposes when a pivot's row is left, and ends with one gcd/lcm
-pass over its diagonal.  Definiteness reads the pivots of one Bareiss pass.
-No kernel tracks a transform: a coordinate section is what the two-row step
-leaves of a lattice's HNF rows once it has cleared the other coordinates one
-by one, and a map sends integer rows through its images, each held once as
-sparse numerators over one denominator.
+modular-arithmetic shortcuts.  A two-row step clears one column, and a fold
+applies it to every row nonzero there, leaving one: the Hermite form folds
+the columns in turn, the Smith form folds each leading column, transposes
+when a pivot's row is left, and ends with one gcd/lcm pass over its
+diagonal, and a square matrix is unimodular when folding its columns leaves
++-1 in each.  Definiteness reads the pivots of one Bareiss pass.
+No kernel tracks a transform: a coordinate section is what folding the other
+coordinates one by one leaves of a lattice's HNF rows, and a map sends
+integer rows through its images, each held once as sparse numerators over
+one denominator.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, cached_property
 from math import gcd, lcm, prod
@@ -76,6 +77,18 @@ def _combine(
     )
 
 
+def _fold(rows: Sequence[Sequence[int]], col: int) -> tuple[Sequence[int] | None, list[Sequence[int]]]:
+    """``(top, rest)``: the two-row step folds the rows nonzero at col into top
+    (None if there are none), and rest holds every other row, zero at col."""
+    hits = [row for row in rows if row[col]]
+    rest = [row for row in rows if not row[col]]
+    top = hits[0] if hits else None
+    for row in hits[1:]:
+        top, row = _combine(top, row, col)
+        rest.append(row)
+    return top, rest
+
+
 def _hnf_rows(
     rows: Sequence[Sequence[int]], ncols: int
 ) -> tuple[list[list[int]], list[int]]:
@@ -84,39 +97,24 @@ def _hnf_rows(
     Returns ``(hnf, pivots)``.  The hnf rows have strictly increasing pivot
     columns, positive pivots, and every entry above a pivot reduced into
     ``[0, pivot)``; this form is unique for the row span, so it serves as the
-    canonical basis.
+    canonical basis.  Each column folds the rows nonzero there into a pivot row.
     """
+    for row in rows:
+        if len(row) != ncols:
+            raise LatticeError(f"row has {len(row)} entries, expected {ncols}")
     work: list[list[int]] = []
     pivots: list[int] = []
-
-    for row in rows:
-        vec = list(row)
-        if len(vec) != ncols:
-            raise LatticeError(f"row has {len(vec)} entries, expected {ncols}")
-        j = 0
-        while True:
-            # a combination clears column j, and both rows vanish before it
-            j = next((c for c in range(j, ncols) if vec[c]), None)
-            if j is None:
-                break
-            pos = bisect_left(pivots, j)
-            if pos < len(pivots) and pivots[pos] == j:
-                work[pos], vec = _combine(work[pos], vec, j)
-            else:
-                if vec[j] < 0:
-                    vec = [-x for x in vec]
-                work.insert(pos, vec)
-                pivots.insert(pos, j)
-                break
-
-    # reduce entries above each pivot into [0, pivot)
-    for i in range(1, len(work)):
-        p = pivots[i]
-        piv = work[i][p]
-        for k in range(i):
-            q = work[k][p] // piv
-            if q:
-                work[k] = [x - q * y for x, y in zip(work[k], work[i])]
+    for c in range(ncols):
+        if not rows:
+            break
+        top, rows = _fold(rows, c)
+        if top is not None:
+            top = [-x for x in top] if top[c] < 0 else list(top)
+            for k, row in enumerate(work):
+                if q := row[c] // top[c]:
+                    work[k] = [x - q * y for x, y in zip(row, top)]
+            work.append(top)
+            pivots.append(c)
     return work, pivots
 
 
@@ -125,26 +123,21 @@ def _smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     for unimodular U and V, which are not built: min(m, n) non-negative
     entries, zeros last.
 
-    The entry of least absolute value in the leading column clears that
-    column by row steps.  If it then divides the rest of its row, column
-    steps would clear that row and touch no other row, so the pivot's row
-    and column are dropped; otherwise the matrix is transposed and cleared
-    again, on a pivot of smaller absolute value.  The diagonal so found is
+    Row steps fold the leading column, least entry first, into one pivot row
+    whose entry is the gcd of the column.  If it divides the rest of its row,
+    column steps would clear that row and touch no other row, so the pivot's
+    row and column are dropped; otherwise the matrix is transposed and folded
+    again, to a pivot of smaller absolute value.  The diagonal so found is
     made a divisibility chain, as diag(a, b) is equivalent to diag(gcd, lcm).
     """
-    a = [list(row) for row in mat]
+    a = mat
     diag = [0] * (min(len(a), len(a[0])) if a else 0)
     found = 0
     while a and a[0]:
-        nonzero = [i for i, row in enumerate(a) if row[0]]
-        if not nonzero:
+        pivot, a = _fold(sorted(a, key=lambda row: abs(row[0])), 0)
+        if pivot is None:
             a = [row[1:] for row in a]
-            continue
-        pivot = a.pop(min(nonzero, key=lambda i: abs(a[i][0])))
-        for i, row in enumerate(a):
-            if row[0]:
-                pivot, a[i] = _combine(pivot, row, 0)
-        if any(x % pivot[0] for x in pivot[1:]):
+        elif any(x % pivot[0] for x in pivot[1:]):
             a = [list(col) for col in zip(pivot, *a)]
         else:
             diag[found] = abs(pivot[0])
@@ -193,6 +186,16 @@ def _leading_minors_positive(mat: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _unimodular(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff a square integer matrix has determinant +-1: folding its columns in
+    turn leaves a triangular matrix of the same |det|, so each pivot must be +-1."""
+    for k in range(len(rows)):
+        top, rows = _fold(rows, k)
+        if top is None or abs(top[k]) != 1:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # quadratic space and vectors
 # ---------------------------------------------------------------------------
@@ -203,6 +206,12 @@ def _fraction() -> type[Fraction]:
     never loads `fractions` (nor `decimal` and `numbers`, which it imports)."""
     from fractions import Fraction
     return Fraction
+
+
+@cache
+def _zero() -> Fraction:
+    """``Fraction(0)``, built on the first call and shared by every zero coordinate."""
+    return _fraction()(0)
 
 
 def _is_exact(x: object) -> bool:
@@ -260,7 +269,7 @@ class QuadraticSpace(Frozen):
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale", scale)
         n = len(labels)
-        basis = tuple(RationalVector(self, tuple(int(i == k) for i in range(n))) for k in range(n))
+        basis = tuple(_normal_vector(self, tuple([int(i == k) for i in range(n)]), 1) for k in range(n))
         object.__setattr__(self, "basis", basis)
 
     def _key(self) -> tuple:
@@ -289,7 +298,7 @@ class QuadraticSpace(Frozen):
         return self.basis[self.index(label)]
 
     def zero(self) -> "RationalVector":
-        return RationalVector(self, (0,) * self.dim)
+        return _normal_vector(self, (0,) * self.dim, 1)
 
     def vector(self, values: Sequence[int | Fraction] | Mapping[str, int | Fraction]) -> "RationalVector":
         """Build a vector from a coordinate sequence or a label -> value mapping
@@ -401,12 +410,12 @@ class RationalVector(Frozen):
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        Fraction, den = _fraction(), self.den
-        zero = Fraction(0)
+        Fraction, den, zero = _fraction(), self.den, _zero()
         return tuple([Fraction(x, den) if x else zero for x in self.nums])
 
     def coeff(self, label: str) -> Fraction:
-        return _fraction()(self.nums[self.space.index(label)], self.den)
+        x = self.nums[self.space.index(label)]
+        return _fraction()(x, self.den) if x else _zero()
 
     def dot(self, other: "RationalVector") -> Fraction:
         return self.space.inner(self, other)
@@ -442,7 +451,7 @@ class RationalVector(Frozen):
         )
 
     def __neg__(self) -> "RationalVector":
-        return RationalVector(self.space, tuple(-a for a in self.nums), self.den)
+        return _normal_vector(self.space, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, scalar: int | Fraction) -> "RationalVector":
         if not _is_exact(scalar):
@@ -686,7 +695,8 @@ class SublatticeModel(Frozen):
 
     def is_isometry(self, images: Mapping[str, RationalVector]) -> bool:
         """True iff the map defined on the basis labels preserves the form and
-        carries this lattice bijectively onto itself."""
+        carries this lattice bijectively onto itself: the images of the Z-basis
+        lie in the lattice, and their HNF coordinates form a unimodular matrix."""
         if set(images) != set(self.space.labels):
             raise LatticeError("images must be given for every basis label")
         rows = [images[label] for label in self.space.labels]
@@ -695,12 +705,15 @@ class SublatticeModel(Frozen):
         diag = [scale // self.space.scale * w for w in self.space.weights]
         if table != [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]:
             return False
-        # the images of a Z-basis must span this same lattice; an HNF row is
-        # den times a Z-basis vector, so its image is divided by den once
-        den, hnf, _ = self._scaled
-        mapped, image_den = self.space.map_rows(rows, hnf)
-        image_of_zbasis = [RationalVector(self.space, row, den * image_den) for row in mapped]
-        return self.same_lattice(SublatticeModel(self.space, image_of_zbasis))
+        # an HNF row is the denominator times a Z-basis vector, so the mapped
+        # row over the images' denominator is the scaled image to reduce
+        mapped, image_den = self.space.map_rows(rows, self._scaled[1])
+        if image_den != 1:
+            if any(x % image_den for row in mapped for x in row):
+                return False
+            mapped = [[x // image_den for x in row] for row in mapped]
+        coords = [self._reduce(row) for row in mapped]
+        return None not in coords and _unimodular(coords)
 
     def coordinate_section(self, labels: Iterable[str]) -> "SublatticeModel":
         """Sublattice of all lattice vectors supported on the given labels.
@@ -716,12 +729,8 @@ class SublatticeModel(Frozen):
         keep = {self.space.index(label) for label in labels}
         den, rows, _ = self._scaled
         for c in range(self.space.dim):
-            hits = [] if c in keep else [row for row in rows if row[c]]
-            if hits:
-                rows = [row for row in rows if not row[c]]
-                for row in hits[1:]:
-                    hits[0], row = _combine(hits[0], row, c)
-                    rows.append(row)
+            if c not in keep:
+                _, rows = _fold(rows, c)
         hnf, pivots = _hnf_rows(rows, self.space.dim)
         g = gcd(den, *(x for row in hnf for x in row))
         section = SublatticeModel.__new__(SublatticeModel)

@@ -11,7 +11,7 @@ from kummerlab.kummer_ns import (
     jacobian_kummer_ns,
     trope_support,
 )
-from kummerlab.labels import BASIS_LABELS, NODE_LABELS, TROPE_LABELS
+from kummerlab.labels import BASIS_LABELS, INDEX_PAIRS, NODE_LABELS, TROPE_LABELS
 from kummerlab.lattice import SublatticeModel
 from kummerlab.nodecode import (
     EMPTY,
@@ -193,11 +193,16 @@ class TestEvenEights:
                 seen.add(s)
         assert len(seen) == 15
 
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            even_eight(2, 2)
-        with pytest.raises(ValueError):
-            even_eight(0, 3)
+    def test_table_against_formula(self):
+        # the former per-call construction: bit k is the node of INDEX_PAIRS[k - 1]
+        for i, j in INDEX_PAIRS:
+            formula = NodeSet(sum(1 << k for k, p in enumerate(INDEX_PAIRS, 1) if (i in p) != (j in p)))
+            assert even_eight(i, j) == formula
+
+    @pytest.mark.parametrize("pair", [(2, 2), (2, 1), (0, 3), (1, 7), ("1", "2"), ([1], 2)])
+    def test_bad_indices(self, pair):
+        with pytest.raises(ValueError, match=r"need 1 <= i < j <= 6, got"):
+            even_eight(*pair)
 
 
 class TestScan:

@@ -24,6 +24,7 @@ from kummerlab.lattice import (
     _leading_minors_positive,
     _over_one_denominator,
     _smith_normal_form,
+    _unimodular,
     _xgcd,
     vector_from_json,
     vector_to_json,
@@ -908,6 +909,115 @@ def _old_is_isometry(lat, images):
     return None not in coords and abs(_det_int(coords)) == 1
 
 
+def _same_lattice_is_isometry(lat, images):
+    """The former verdict: the form is kept on the basis, and the mapped
+    Z-basis spans a second lattice that `same_lattice` compares."""
+    space = lat.space
+    rows = [images[label] for label in space.labels]
+    table, scale = space.gram(rows)
+    diag = [scale // space.scale * w for w in space.weights]
+    if table != [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]:
+        return False
+    den, hnf, _ = lat._scaled
+    mapped, image_den = space.map_rows(rows, hnf)
+    image_of_zbasis = [RationalVector(space, row, den * image_den) for row in mapped]
+    return lat.same_lattice(SublatticeModel(space, image_of_zbasis))
+
+
+def _reflection(space, v):
+    """The basis images of x -> x - 2<x, v>/<v, v> v, an isometry of the space."""
+    vv = space.inner(v, v)
+    return {lab: space.combination([1, -2 * space.inner(b, v) / vv], [b, v])
+            for lab, b in zip(space.labels, space.basis)}
+
+
+def _signed_node_maps(seed):
+    """Seeded signed permutations of the sixteen nodes, L fixed: ten permute the
+    index symbols 1..6, which keeps the lattice, and ten permute the nodes at random."""
+    rng = random.Random(seed)
+    maps = []
+    for k in range(20):
+        if k < 10:
+            sigma = dict(zip(range(1, 7), rng.sample(range(1, 7), 6)))
+            target = {"E0": "E0"} | {f"E{a}{b}": "E%d%d" % tuple(sorted((sigma[a], sigma[b]))) for a, b in INDEX_PAIRS}
+        else:
+            target = dict(zip(NODE_LABELS, rng.sample(NODE_LABELS, 16)))
+        maps.append({"L": basis("L")} | {n: rng.choice((1, -1)) * basis(target[n]) for n in NODE_LABELS})
+    return maps
+
+
+class TestIsometryAgainstSameLattice:
+    """The verdict read off HNF coordinates agrees with the former comparison
+    of a second lattice spanned by the mapped Z-basis."""
+
+    def test_identity_involution_and_sign_flip_fault(self):
+        identity = {lab: basis(lab) for lab in SPACE.labels}
+        # the images of the pinned fault that flips the sign of L's E0 coefficient
+        flipped = dict(identity, L=3 * basis("L") + 4 * basis("E0"), E0=2 * basis("L") - 3 * basis("E0"))
+        for images, expected in ((identity, True), (MODEL.covering_involution_images(), True), (flipped, False)):
+            assert MODEL.ns.is_isometry(images) == _same_lattice_is_isometry(MODEL.ns, images) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_signed_node_permutations(self, seed):
+        maps = _signed_node_maps(seed)
+        verdicts = [MODEL.ns.is_isometry(images) for images in maps]
+        assert verdicts == [_same_lattice_is_isometry(MODEL.ns, images) for images in maps]
+        # every symbol permutation keeps the lattice; a random one almost never does
+        assert all(verdicts[:10]) and not all(verdicts[10:])
+
+    def test_non_integral_images(self):
+        # the reflection in a trope keeps the lattice, the one in the half-sum
+        # of four nodes, not an even set, does not; both have half-integer images
+        keeps = _reflection(SPACE, MODEL.trope_class("C0"))
+        breaks = _reflection(SPACE, basis("E13") + basis("E14") + basis("E23") + basis("E24"))
+        assert not all(v.is_integral for v in keeps.values()) and not all(v.is_integral for v in breaks.values())
+        assert MODEL.ns.is_isometry(keeps) and _same_lattice_is_isometry(MODEL.ns, keeps)
+        assert not MODEL.ns.is_isometry(breaks) and not _same_lattice_is_isometry(MODEL.ns, breaks)
+
+    def test_rank_8_lattice(self):
+        nik = nikulin_lattice()
+        space, c = nik.space, nik.space.basis
+        rng = random.Random(8)
+        signed = [{lab: rng.choice((1, -1)) * c[k] for lab, k in zip(space.labels, rng.sample(range(8), 8))}
+                  for _ in range(5)]
+        cases = [(images, True) for images in signed] + [
+            (_reflection(space, c[0] + c[1] + c[2] + c[3]), False),
+            (_reflection(space, nik.halfsum), False),
+            (_reflection(space, c[0] + c[1]), True),
+        ]
+        for images, expected in cases:
+            assert nik.lattice.is_isometry(images) == _same_lattice_is_isometry(nik.lattice, images) == expected
+
+
+@st.composite
+def unimodular_candidates(draw):
+    """Square integer matrices up to 6 x 6: products of elementary row steps,
+    unimodular, or such a product with one entry changed, mostly not."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        mat[j] = [x + c * y for x, y in zip(mat[j], mat[i])]
+        if draw(st.booleans()):
+            mat[i], mat[j] = mat[j], [-x for x in mat[i]]
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mat[i][j] += draw(st.integers(-2, 2))
+    return mat
+
+
+class TestUnimodular:
+    @given(unimodular_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_against_bareiss_determinant(self, mat):
+        assert _unimodular(mat) == (abs(_det_int(mat)) == 1)
+
+    def test_small_cases(self):
+        assert _unimodular([]) and _unimodular([[-1]]) and _unimodular([[3, 2], [4, 3]])
+        assert not _unimodular([[2]]) and not _unimodular([[0, 1], [0, 1]]) and not _unimodular([[2, 0], [1, 1]])
+
+
 def _combination_is_isometry(lat, images):
     """The former verdict: the form is kept on the basis, and the images of
     the HNF rows, each one `combination` of the images, span the lattice."""
@@ -1388,6 +1498,11 @@ class TestSparseCoords:
         assert all(type(c) is Fraction for c in v.coords)
         assert tuple(v.coeff(label) for label in v.space.labels) == v.coords
         assert all(type(v.coeff(label)) is Fraction for label in v.space.labels)
+
+    def test_zero_coordinates_share_one_zero(self):
+        v, w = basis("L"), SPACE.vector([0, Fraction(1, 2)] + [0] * 15)
+        zeros = [v.coords[1], v.coeff("E56"), w.coords[0], w.coeff("E12"), SPACE.zero().coords[3]]
+        assert all(z is zeros[0] for z in zeros) and zeros[0] == 0 and type(zeros[0]) is Fraction
 
 
 class _EqualToAll:
