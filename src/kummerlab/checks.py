@@ -4,7 +4,8 @@ Every finite claim the package certifies appears here exactly once: an
 ``@check`` decorator on the function that computes it gives a stable
 identifier, a one-line description of what is computed, and the mathematical
 claim being verified.  Checks marked ``flagged`` record known ambiguities in
-the source material; they never fail a run.
+the source material; their verdicts never fail a run, but a flagged body that
+raises is a defect and reports ``fail`` like any other check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .lattice import RationalVector, _quotient
 from .nodecode import (
     BinaryCode,
     NodeSet,
-    check_affine_hyperplane_family,
+    _affine_hyperplane_defect,
     code_from_even_sets,
     weight_enumerator,
 )
@@ -234,8 +235,8 @@ def _code_weights(ctx: CheckContext):
     "distinct even eights meet in 0 or 4 nodes and complements are members",
 )
 def _code_affine(ctx: CheckContext):
-    ok = check_affine_hyperplane_family(ctx.eights)
-    return ok, "weight-8 words pairwise meet in 0 or 4 nodes, complements included", None
+    defect = _affine_hyperplane_defect(ctx.eights)
+    return defect is None, defect or "weight-8 words pairwise meet in 0 or 4 nodes, complements included", None
 
 
 @check(
@@ -265,9 +266,11 @@ def _tropes_contained(ctx: CheckContext):
     missing = [
         t for t in TROPE_LABELS if not ctx.model.ns.contains(ctx.model.trope_class(t))
     ]
-    return not missing, "all sixteen half-integer trope classes lie in the lattice", {
-        "missing": missing
-    }
+    if missing:
+        detail = f"{len(missing)} of the sixteen trope classes lie outside the lattice: {', '.join(missing)}"
+    else:
+        detail = "all sixteen half-integer trope classes lie in the lattice"
+    return not missing, detail, {"missing": missing}
 
 
 @check(
@@ -408,8 +411,10 @@ def _containment_1235(ctx: CheckContext):
     "two independent order-2 classes in the discriminant group",
 )
 def _disc_elements(ctx: CheckContext):
-    ok = ctx.model.independent_discriminant_elements()
-    return ok, "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice", None
+    broken = [text for text, held in ctx.model._discriminant_conditions().items() if not held]
+    if broken:
+        return False, f"{len(broken)} of five conditions broken: {'; '.join(broken)}", None
+    return True, "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice", None
 
 
 @check(

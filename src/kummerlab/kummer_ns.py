@@ -117,17 +117,10 @@ class JacobianKummerNS:
         except (KeyError, TypeError):
             raise ValueError(f"unknown trope label {label!r}") from None
 
-    def _node_indicator(self, s: NodeSet, den: int) -> RationalVector:
-        """The sum of the node classes of s, divided by den: bit k of the mask
-        is coordinate k + 1, after L."""
-        nums = (0, *[s.bits >> k & 1 for k in range(len(NODE_LABELS))])
-        return RationalVector(self.space, nums, den)
-
-    def node_set_sum(self, s: NodeSet) -> RationalVector:
-        return self._node_indicator(s, 1)
-
     def half_sum(self, s: NodeSet) -> RationalVector:
-        return self._node_indicator(s, 2)
+        """Half the node sum of s: bit k of the mask is coordinate k + 1, after L."""
+        nums = (0, *[s.bits >> k & 1 for k in range(len(NODE_LABELS))])
+        return RationalVector(self.space, nums, 2)
 
     # -- configuration -----------------------------------------------------
 
@@ -220,18 +213,24 @@ class JacobianKummerNS:
 
     # -- dual-lattice elements ----------------------------------------------
 
+    def _discriminant_conditions(self) -> dict[str, bool]:
+        """The five conditions of `independent_discriminant_elements`, each keyed
+        by the text that says it is broken."""
+        v1 = self.half_sum(NodeSet.from_labels(["E13", "E14", "E23", "E24"]))
+        v2 = self.half_sum(NodeSet.from_labels(["E12", "E23", "E15", "E35"]))
+        a, b = "(E13+E14+E23+E24)/2", "(E12+E23+E15+E35)/2"
+        return {
+            f"{a} is not in the dual lattice": self.ns.in_dual(v1),
+            f"{b} is not in the dual lattice": self.ns.in_dual(v2),
+            f"{a} lies in the lattice": not self.ns.contains(v1),
+            f"{b} lies in the lattice": not self.ns.contains(v2),
+            "their sum lies in the lattice": not self.ns.contains(v1 + v2),
+        }
+
     def independent_discriminant_elements(self) -> bool:
         """Both distinguished half-sums of four nodes lie in the dual lattice,
         outside the lattice, with classes independent modulo the lattice."""
-        v1 = self.half_sum(NodeSet.from_labels(["E13", "E14", "E23", "E24"]))
-        v2 = self.half_sum(NodeSet.from_labels(["E12", "E23", "E15", "E35"]))
-        return (
-            self.ns.in_dual(v1)
-            and self.ns.in_dual(v2)
-            and not self.ns.contains(v1)
-            and not self.ns.contains(v2)
-            and not self.ns.contains(v1 + v2)
-        )
+        return all(self._discriminant_conditions().values())
 
 
 @cache

@@ -226,26 +226,19 @@ def _quotient(n: int, d: int) -> int | Fraction:
     return _fraction()(n, d)
 
 
-def _exact(values: Iterable[int | Fraction]) -> tuple[int | Fraction, ...]:
-    """The values as a tuple; any value that is not an exact rational raises."""
-    values = tuple(values)
-    for x in values:
-        if not _is_exact(x):
-            raise LatticeError(f"expected an int or a Fraction, got {x!r}")
-    return values
-
-
 def _over_one_denominator(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
     """``(nums, den)`` with ``values[i] == nums[i] / den``, den the lcm of the reduced
     denominators, each value read once by ``as_integer_ratio()``.  A value that is not
-    an int (not a bool) or a Fraction raises, through `_exact` (an IntEnum passes).
+    an int (not a bool) or a Fraction raises LatticeError (an IntEnum passes).
     Ints alone are returned as they are, over 1, without importing `fractions`."""
     values = tuple(values)
     types = set(map(type, values))
     if types <= {int}:
         return values, 1
     if not types <= {int, _fraction()}:
-        _exact(values)
+        for x in values:
+            if not _is_exact(x):
+                raise LatticeError(f"expected an int or a Fraction, got {x!r}")
     pairs = [x.as_integer_ratio() for x in values]
     den = lcm(*{d for _, d in pairs})
     return tuple([n * (den // d) for n, d in pairs]), den
@@ -321,22 +314,14 @@ class QuadraticSpace(Frozen):
     def combination(
         self, coeffs: Sequence[int | Fraction], vectors: Sequence["RationalVector"]
     ) -> "RationalVector":
-        """The vector sum_i coeffs[i] * vectors[i], summed in one pass over a
-        common denominator, so only the result is built."""
-        coeffs, vectors = _exact(coeffs), tuple(vectors)
-        if len(coeffs) != len(vectors):
-            raise LatticeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-        for v in vectors:
-            self._check_member(v)
-        terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
-        den = lcm(*(c.denominator * v.den for c, v in terms))
-        total = [0] * self.dim
-        for c, v in terms:
-            f = c.numerator * (den // (c.denominator * v.den))
-            for k, x in enumerate(v.nums):
-                if x:
-                    total[k] += f * x
-        return RationalVector(self, tuple(total), den)
+        """The vector sum_i coeffs[i] * vectors[i]: the coefficients over one
+        denominator are a single integer row, summed through `map_rows`."""
+        nums, den = _over_one_denominator(coeffs)
+        vectors = tuple(vectors)
+        if len(nums) != len(vectors):
+            raise LatticeError(f"{len(nums)} coefficients for {len(vectors)} vectors")
+        (total,), image_den = self.map_rows(vectors, (nums,))
+        return RationalVector(self, total, den * image_den)
 
     def map_rows(
         self, images: Sequence["RationalVector"], rows: Sequence[Sequence[int]]
@@ -358,16 +343,12 @@ class QuadraticSpace(Frozen):
             mapped.append(total)
         return mapped, den
 
-    def _pair(self, v: "RationalVector", w: "RationalVector") -> tuple[int, int]:
-        """``(n, d)`` with <v, w> == n / d, not reduced."""
+    def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
+        """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
         self._check_member(v)
         self._check_member(w)
         total = sum(c * a * b for c, a, b in zip(self.weights, v.nums, w.nums) if a and b)
-        return total, self.scale * v.den * w.den
-
-    def inner(self, v: "RationalVector", w: "RationalVector") -> Fraction:
-        """The diagonal form sum_i diag[i] * v_i * w_i, computed exactly."""
-        return _fraction()(*self._pair(v, w))
+        return _fraction()(total, self.scale * v.den * w.den)
 
     def gram(self, vectors: Sequence["RationalVector"]) -> tuple[list[list[int]], int]:
         """``(table, scale)`` with <v_i, v_j> == table[i][j] / scale: the
@@ -393,9 +374,7 @@ class RationalVector(Frozen):
             raise LatticeError(f"expected {space.dim} coordinates, got {len(nums)}")
         if not {type(den), *map(type, nums)} <= {int} or not den:
             raise LatticeError("a vector is int numerators over a nonzero int denominator")
-        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-        if g != 1:
-            nums, den = tuple(x // g for x in nums), den // g
+        nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -430,25 +409,13 @@ class RationalVector(Frozen):
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def _binop_space(self, other: "RationalVector") -> None:
-        if self.space is not other.space and self.space != other.space:
-            raise LatticeError("vectors belong to different quadratic spaces")
-
     def __add__(self, other: "RationalVector") -> "RationalVector":
-        self._binop_space(other)
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        return RationalVector(
-            self.space, tuple(f * a + g * b for a, b in zip(self.nums, other.nums)), den
-        )
+        (nums,), den = self.space.map_rows((self, other), ((1, 1),))
+        return RationalVector(self.space, nums, den)
 
     def __sub__(self, other: "RationalVector") -> "RationalVector":
-        self._binop_space(other)
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        return RationalVector(
-            self.space, tuple(f * a - g * b for a, b in zip(self.nums, other.nums)), den
-        )
+        (nums,), den = self.space.map_rows((self, other), ((1, -1),))
+        return RationalVector(self.space, nums, den)
 
     def __neg__(self) -> "RationalVector":
         return _normal_vector(self.space, tuple([-a for a in self.nums]), self.den)
@@ -462,6 +429,12 @@ class RationalVector(Frozen):
         )
 
     __rmul__ = __mul__
+
+
+def _lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den for den != 0 with gcd(den, *nums) divided out and den made positive."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return (nums, den) if g == 1 else (tuple([x // g for x in nums]), den // g)
 
 
 _set_space, _set_nums, _set_den = (RationalVector.__dict__[name].__set__ for name in RationalVector.__slots__)
@@ -521,9 +494,7 @@ def vector_from_json(space: QuadraticSpace, payload: Mapping) -> RationalVector:
     if basis != space.labels or len(pairs) != space.dim:
         raise LatticeError("serialized basis labels or coordinate count do not match the target space")
     den = lcm(*dens)
-    nums = [n * (den // d) for n, d in pairs]
-    g = gcd(den, *nums)
-    return _normal_vector(space, tuple([x // g for x in nums]) if g != 1 else tuple(nums), den // g)
+    return _normal_vector(space, *_lowest_terms(tuple([n * (den // d) for n, d in pairs]), den))
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +645,13 @@ class SublatticeModel(Frozen):
         return DiscriminantGroup(d for d in diag if d > 1)
 
     def in_dual(self, v: RationalVector) -> bool:
-        """True iff v pairs integrally with every generator, read off numerators."""
+        """True iff v pairs integrally with the lattice, so with each Z-basis vector:
+        v's nonzero weighted numerators against each scaled HNF row, in integers."""
         self.space._check_member(v)
-        return all(n % d == 0 for n, d in (self.space._pair(v, g) for g in self.generators))
+        den, hnf, _ = self._scaled
+        scale = self.space.scale * v.den * den
+        terms = [(k, w * x) for k, (w, x) in enumerate(zip(self.space.weights, v.nums)) if x]
+        return all(sum(x * row[k] for k, x in terms) % scale == 0 for row in hnf)
 
     def is_even(self) -> bool:
         """Integral Gram with even diagonal, i.e. every vector has even norm."""

@@ -145,16 +145,8 @@ def f2_span(masks: Iterable[int]) -> set[int]:
 
 
 def code_from_even_sets(evens: Iterable[NodeSet]) -> BinaryCode:
-    """Linear closure of the given family; the family itself must already be closed."""
-    given = {s.bits for s in evens}
-    closure = f2_span(given)
-    extra = closure - given
-    if extra:
-        sample = NodeSet(min(extra)).labels()
-        raise CodeError(
-            f"even-set family not linear: closure adds {len(extra)} words, e.g. {list(sample)}"
-        )
-    return BinaryCode(frozenset(NodeSet(b) for b in closure))
+    """The given family as a code; `BinaryCode` raises unless it is already linear."""
+    return BinaryCode(evens)
 
 
 def weight_enumerator(code: BinaryCode) -> dict[int, int]:
@@ -165,13 +157,23 @@ def weight_enumerator(code: BinaryCode) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def check_affine_hyperplane_family(eights: Iterable[NodeSet]) -> bool:
-    """True iff the weight-8 sets pairwise meet in 0 or 4 points and are
-    closed under complement, as the hyperplane family of AG(4, 2) must be."""
+def _affine_hyperplane_defect(eights: Iterable[NodeSet]) -> str | None:
+    """What keeps the weight-8 sets from the hyperplane family of AG(4, 2), in
+    which distinct sets meet in 0 or 4 points and complements are members:
+    a missing complement or a pair that meets otherwise, or None."""
     masks = {s.bits for s in eights}
     for m in masks:
         if m.bit_count() != 8:
             raise CodeError(f"expected weight-8 sets, got weight {m.bit_count()}")
-    if any(m ^ _FULL_MASK not in masks for m in masks):
-        return False
-    return all((a & b).bit_count() in (0, 4) for a, b in combinations(masks, 2))
+    for m in sorted(masks):
+        if m ^ _FULL_MASK not in masks:
+            return f"the complement of {list(NodeSet(m).labels())} is missing"
+    for a, b in combinations(sorted(masks), 2):
+        if (meet := (a & b).bit_count()) not in (0, 4):
+            return f"{list(NodeSet(a).labels())} and {list(NodeSet(b).labels())} meet in {meet} nodes"
+    return None
+
+
+def check_affine_hyperplane_family(eights: Iterable[NodeSet]) -> bool:
+    """True iff the weight-8 sets form the hyperplane family of AG(4, 2)."""
+    return _affine_hyperplane_defect(eights) is None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerlab import __version__, checks, covers, fibration, kummer_ns, lattice, nikulin
+from kummerlab import __version__, checks, cli, covers, fibration, kummer_ns, lattice, nikulin
 from kummerlab.checks import (
     FAIL,
     PASS,
@@ -119,6 +119,10 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="no.such"):
             run_checks(["no.such", "ns.rank17"])
         assert [r.id for r in run_checks(["ns.rank17"])] == ["ns.rank17"]
+
+    def test_passing_details(self):
+        # a failing detail says what broke; a passing one states the claim
+        assert {r.id: r.detail for r in run_checks(list(PASSING_DETAILS))} == PASSING_DETAILS
 
     @pytest.mark.parametrize("flagged", [False, True])
     def test_raising_body_fails(self, flagged):
@@ -569,6 +573,13 @@ FAULT_MATRIX = {
     "trope_class_off_by_half_e12": ({"ns.tropes_contained"}, set()),
 }
 
+# the passing details of three checks whose failing details say what broke
+PASSING_DETAILS = {
+    "ns.tropes_contained": "all sixteen half-integer trope classes lie in the lattice",
+    "ns.disc_elements": "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice",
+    "code.affine_hyperplanes": "weight-8 words pairwise meet in 0 or 4 nodes, complements included",
+}
+
 # the claims that no pinned fault fails by their own comparison, with the reason
 FAULT_EXEMPT = {
     "nikulin.eps1_none": "the half-integer branch is empty whatever the weights, since eight odd"
@@ -684,7 +695,19 @@ class TestFaultInjection:
         # pencil that C23 meets once discovers it as a fifth ramification
         # section, and the others find E13 or E23 outside a star or an
         # isolated fiber
-        assert self.failing() == FAULT_MATRIX["trope_support_altered"]
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["trope_support_altered"]
+        # the (1,2) half-sum now pairs with C23 in a half-integer, and the
+        # (2,3) eight holds E0 in place of E12, meeting the (1,3) eight in 7
+        assert results["ns.disc_elements"].detail == (
+            "1 of five conditions broken: (E12+E23+E15+E35)/2 is not in the dual lattice"
+        )
+        assert results["code.affine_hyperplanes"].detail == (
+            "['E0', 'E14', 'E15', 'E16', 'E23', 'E34', 'E35', 'E36'] and"
+            " ['E12', 'E14', 'E15', 'E16', 'E23', 'E34', 'E35', 'E36'] meet in 7 nodes"
+        )
+        for i in ("ns.disc_elements", "code.affine_hyperplanes"):
+            assert results[i].detail != PASSING_DETAILS[i]
 
     def test_covering_involution_sign_flipped(self, monkeypatch):
         def flipped(self, v):
@@ -925,6 +948,11 @@ class TestFaultInjection:
         assert self.failing(results) == FAULT_MATRIX["star_leaf_moved"]
         for i in saturations:
             assert results[i].data["index"] == 4 and not results[i].detail.startswith("error:")
+        assert results["code.affine_hyperplanes"].detail == (
+            "['E13', 'E14', 'E15', 'E16', 'E23', 'E24', 'E25', 'E26'] and"
+            " ['E12', 'E14', 'E15', 'E16', 'E23', 'E26', 'E34', 'E35'] meet in 5 nodes"
+        )
+        assert results["code.affine_hyperplanes"].detail != PASSING_DETAILS["code.affine_hyperplanes"]
 
     def test_each_sweep_fails_by_its_own_comparison(self, monkeypatch):
         # every fibration.sweep.ij can fail on its own verdict, not only
@@ -1032,6 +1060,9 @@ class TestFaultInjection:
         results = self.results()
         assert self.failing(results) == FAULT_MATRIX["trope_class_off_by_half_e12"]
         assert results["ns.tropes_contained"].data == {"missing": list(TROPE_LABELS)}
+        detail = results["ns.tropes_contained"].detail
+        assert detail == "16 of the sixteen trope classes lie outside the lattice: " + ", ".join(TROPE_LABELS)
+        assert detail != PASSING_DETAILS["ns.tropes_contained"]
 
     def test_fault_matrix(self):
         # every test above asserts its own entry; together the pinned faults
@@ -1243,3 +1274,17 @@ class TestMain:
         assert main(["--check", "oq.*"]) == 0
         out = capsys.readouterr().out
         assert "0 fail" in out
+
+    def test_flagged_check_that_raises_fails_the_run(self, capsys, monkeypatch):
+        # a flagged item's verdict never fails a run, but a flagged body that
+        # raises is a defect: it reports FAIL with an error: detail, and exit 1
+        def body(ctx):
+            raise ZeroDivisionError("boom")
+
+        registry = (CheckDef("oq.raises", "d", "c", body, flagged=True),)
+        monkeypatch.setattr(checks, "REGISTRY", registry)
+        monkeypatch.setattr(cli, "REGISTRY", registry)
+        assert main(["--report", "json"]) == 1
+        (result,) = json.loads(capsys.readouterr().out)["checks"]
+        assert result["status"] == FAIL
+        assert result["detail"] == "error: ZeroDivisionError in body: boom"

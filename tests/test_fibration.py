@@ -234,7 +234,7 @@ def even_eight_by_vectors(fib, model):
     bits = [node_bit(v) for comps in stars for v, m in comps if m == 1]
     identity_rhs = model.space.combination((2, -2, -2), (fib.fiber_class, *centers))
     nodes_ok = len(bits) == len(set(bits)) == 8 and sum(bits) == eight.bits
-    return model.node_set_sum(eight) == identity_rhs and nodes_ok
+    return 2 * model.half_sum(eight) == identity_rhs and nodes_ok
 
 
 def recentred(fib, centre_label):
@@ -255,7 +255,7 @@ class TestEvenEightIdentity:
         assert mult_one == set(even_eight(1, 2).labels())
 
     def test_wrong_trope_breaks_identity(self):
-        lhs = MODEL.node_set_sum(even_eight(1, 2))
+        lhs = 2 * MODEL.half_sum(even_eight(1, 2))
         f1 = weighted_sum(FIB, FIB.fibers[0])
         f2 = weighted_sum(FIB, FIB.fibers[1])
         good = f1 + f2 - 2 * (MODEL.trope_class("C0") + MODEL.trope_class("C12"))

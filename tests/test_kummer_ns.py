@@ -276,8 +276,8 @@ class TestGrayCodeScan:
 
 
 def mapping_sums(s):
-    """The former node_set_sum and half_sum: a label -> value mapping built
-    into a vector by `QuadraticSpace.vector`."""
+    """A node set's sum and half-sum, each a label -> value mapping built into
+    a vector by `QuadraticSpace.vector`."""
     return (
         vec({label: 1 for label in s.labels()}),
         vec({label: HALF for label in s.labels()}),
@@ -288,15 +288,15 @@ class TestNodeSums:
     def test_even_sets_match_mapping_construction(self):
         assert len(MODEL.even_sets) == 32
         for s in MODEL.even_sets:
-            assert (MODEL.node_set_sum(s), MODEL.half_sum(s)) == mapping_sums(s)
+            assert (2 * MODEL.half_sum(s), MODEL.half_sum(s)) == mapping_sums(s)
 
     @given(st.integers(min_value=0, max_value=FULL.bits))
     @settings(max_examples=200, deadline=None)
     def test_random_masks_match_mapping_construction(self, bits):
         s = NodeSet(bits)
-        total, half = MODEL.node_set_sum(s), MODEL.half_sum(s)
-        assert (total, half) == mapping_sums(s)
-        assert half.den == (2 if bits else 1) and 2 * half == total
+        half = MODEL.half_sum(s)
+        assert (2 * half, half) == mapping_sums(s)
+        assert half.den == (2 if bits else 1)
 
 
 class TestEvenEightIdentity:
@@ -314,7 +314,7 @@ class TestEvenEightIdentity:
             - 2 * MODEL.trope_class("C12")
             - 2 * MODEL.node_class("E12")
         )
-        rhs = MODEL.node_set_sum(even_eight(1, 2))
+        rhs = 2 * MODEL.half_sum(even_eight(1, 2))
         assert lhs == rhs
         assert lhs + e0 != rhs
 

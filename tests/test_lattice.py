@@ -22,6 +22,7 @@ from kummerlab.lattice import (
     _hnf_rows,
     _integral_table,
     _leading_minors_positive,
+    _lowest_terms,
     _over_one_denominator,
     _smith_normal_form,
     _unimodular,
@@ -257,6 +258,19 @@ def combination_cases(draw):
     return space, rows, draw(st.lists(coeff, min_size=m, max_size=m))
 
 
+def _loop_combination(space, coeffs, vectors):
+    """The former `combination`: its own loop over the terms with nonzero
+    coefficients, summed over their common denominator."""
+    terms = [(Fraction(c), v) for c, v in zip(coeffs, vectors) if c]
+    den = lcm(*(c.denominator * v.den for c, v in terms))
+    total = [0] * space.dim
+    for c, v in terms:
+        f = c.numerator * (den // (c.denominator * v.den))
+        for k, x in enumerate(v.nums):
+            total[k] += f * x
+    return RationalVector(space, tuple(total), den)
+
+
 class TestCombination:
     @given(combination_cases())
     @settings(max_examples=100, deadline=None)
@@ -287,7 +301,8 @@ class TestCombination:
         assert type(den) is int and den > 0 and len(mapped) == len(int_rows)
         for row, out in zip(int_rows, mapped):
             assert all(type(x) is int for x in out)
-            assert space.vector([Fraction(x, den) for x in out]) == space.combination(row, images)
+            assert space.vector([Fraction(x, den) for x in out]) == _loop_combination(space, row, images)
+            assert space.combination(row, images) == _loop_combination(space, row, images)
 
     @given(combination_cases())
     @settings(max_examples=30, deadline=None)
@@ -753,6 +768,94 @@ class TestDiscriminantGroup:
         lat = SublatticeModel(space, (space.basis_vector("a"), space.basis_vector("b")))
         with pytest.raises(LatticeError):
             lat.discriminant_group()
+
+
+def _generator_in_dual(lat, v):
+    """The former `in_dual`: v pairs integrally with each generator, every
+    pairing read as numerator over denominator."""
+    space = lat.space
+    if v.space != space:
+        raise LatticeError("vector belongs to a different quadratic space")
+    for g in lat.generators:
+        total = sum(c * a * b for c, a, b in zip(space.weights, v.nums, g.nums))
+        if total % (space.scale * v.den * g.den):
+            return False
+    return True
+
+
+def _seeded_vectors(space, seed, count=40):
+    """Vectors with denominators 1, 2 and 4 and few nonzero coordinates."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nums = [rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(space.dim)]
+        out.append(RationalVector(space, nums, rng.choice((1, 2, 4))))
+    return out
+
+
+class TestDualAgainstGeneratorRule:
+    """`in_dual` reads the scaled HNF rows; the former rule paired v with every
+    generator.  A Z-basis pairs integrally exactly when every lattice vector does."""
+
+    def agree(self, lat, vectors):
+        verdicts = [lat.in_dual(v) for v in vectors]
+        assert verdicts == [_generator_in_dual(lat, v) for v in vectors]
+        return verdicts
+
+    def test_model_generators(self):
+        assert len(MODEL.ns.generators) == 33
+        assert all(self.agree(MODEL.ns, MODEL.ns.generators))
+
+    def test_four_node_half_sums(self):
+        halves = [MODEL.half_sum(NodeSet.from_labels(labels)) for labels in
+                  (["E13", "E14", "E23", "E24"], ["E12", "E23", "E15", "E35"])]
+        assert self.agree(MODEL.ns, halves) == [True, True]
+
+    @pytest.mark.parametrize("lat", MODEL_LATTICES, ids=["ns", "nikulin"])
+    def test_half_basis_vectors(self, lat):
+        self.agree(lat, [Fraction(1, 2) * v for v in lat.space.basis])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lat", MODEL_LATTICES, ids=["ns", "nikulin"])
+    def test_seeded_vectors(self, lat, seed):
+        verdicts = self.agree(lat, _seeded_vectors(lat.space, seed))
+        assert len(set(verdicts)) == 2  # both verdicts are exercised
+
+    def test_rank8_generators(self):
+        lat = nikulin_lattice().lattice
+        assert lat.rank == 8 and all(self.agree(lat, lat.generators))
+
+    @pytest.mark.parametrize("lat", MODEL_LATTICES, ids=["ns", "nikulin"])
+    def test_foreign_vector_raises(self, lat):
+        foreign = QuadraticSpace([f"y{i}" for i in range(lat.space.dim)], lat.space.diag)
+        v = foreign.basis[0]
+        with pytest.raises(LatticeError, match="different quadratic space"):
+            lat.in_dual(v)
+        with pytest.raises(LatticeError, match="different quadratic space"):
+            _generator_in_dual(lat, v)
+
+
+class TestLowestTerms:
+    """`RationalVector(...)` and `vector_from_json` share one normaliser."""
+
+    @pytest.mark.parametrize(
+        "nums, den, expected",
+        [
+            ((1, -2, 0), -3, ((-1, 2, 0), 3)),  # negative denominator
+            ((0, 0, 0), -5, ((0, 0, 0), 1)),  # zero vector
+            ((6, -9, 0), 3, ((2, -3, 0), 1)),  # common factor
+            ((4, 6, 8), -10, ((-2, -3, -4), 5)),  # both
+            ((1, 2, 3), 4, ((1, 2, 3), 4)),  # already normal
+        ],
+    )
+    def test_pinned(self, nums, den, expected):
+        assert _lowest_terms(nums, den) == expected
+        space = QuadraticSpace(("a", "b", "c"), [1, -2, 3])
+        v = RationalVector(space, nums, den)
+        assert (v.nums, v.den) == expected
+        payload = {"basis": ["a", "b", "c"], "coords": [[str(x), str(den)] for x in nums]}
+        back = vector_from_json(space, payload)
+        assert back == v and (back.nums, back.den) == expected
 
 
 class TestDual:

@@ -76,7 +76,7 @@ class TestCodeConstruction:
     def test_non_linear_family_rejected(self):
         a = NodeSet.from_labels(["E12"])
         b = NodeSet.from_labels(["E13"])
-        with pytest.raises(CodeError, match="not linear"):
+        with pytest.raises(CodeError, match="do not form a linear code"):
             code_from_even_sets([EMPTY, a, b])
 
     def test_missing_empty_rejected(self):
