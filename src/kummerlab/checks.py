@@ -26,7 +26,7 @@ from .lattice import RationalVector, _quotient
 from .nodecode import (
     BinaryCode,
     NodeSet,
-    _affine_hyperplane_defect,
+    affine_hyperplane_defect,
     code_from_even_sets,
     weight_enumerator,
 )
@@ -153,6 +153,15 @@ def _labels(sets) -> list[list[str]]:
     return [list(s.labels()) for s in sets]
 
 
+def _held(conditions: dict[str, bool], passing: str) -> tuple[bool, str]:
+    """The verdict and detail of a check that holds iff each condition does: the
+    passing text, or how many conditions broke and the text each is keyed by."""
+    broken = [text for text, held in conditions.items() if not held]
+    if not broken:
+        return True, passing
+    return False, f"{len(broken)} of {len(conditions)} conditions broken: {'; '.join(broken)}"
+
+
 def _four_sections(f: fib_mod.Fibration, model: JacobianKummerNS) -> bool:
     """The pencil has four sections, each meeting the fiber class once."""
     return len(f.sections) == 4 and all(f.pairings[s] == model.curve_table.scale for s in f.sections)
@@ -235,7 +244,7 @@ def _code_weights(ctx: CheckContext):
     "distinct even eights meet in 0 or 4 nodes and complements are members",
 )
 def _code_affine(ctx: CheckContext):
-    defect = _affine_hyperplane_defect(ctx.eights)
+    defect = affine_hyperplane_defect(ctx.eights)
     return defect is None, defect or "weight-8 words pairwise meet in 0 or 4 nodes, complements included", None
 
 
@@ -246,11 +255,12 @@ def _code_affine(ctx: CheckContext):
 )
 def _sixteen_six(ctx: CheckContext):
     table = ctx.model.incidence_matrix()
-    zero_one = all(x in (0, 1) for row in table for x in row)
-    rows = all(sum(row) == 6 for row in table)
-    cols = all(sum(table[r][c] for r in range(16)) == 6 for c in range(16))
-    ok = zero_one and rows and cols
-    return ok, "each trope meets six nodes and each node meets six tropes", {
+    ok, detail = _held({
+        "an entry is not 0 or 1": all(x in (0, 1) for row in table for x in row),
+        "a trope meets other than six nodes": all(sum(row) == 6 for row in table),
+        "a node meets other than six tropes": all(sum(col) == 6 for col in zip(*table)),
+    }, "each trope meets six nodes and each node meets six tropes")
+    return ok, detail, {
         "tropes": list(TROPE_LABELS),
         "nodes": list(NODE_LABELS),
         "matrix": table,
@@ -284,8 +294,12 @@ def _trope_pairings(ctx: CheckContext):
     norms = all(t.table[a][a] == -2 * t.scale for a in tropes)
     degrees = all(t.table[0][a] == 2 * t.scale for a in tropes)
     orthogonal = all(t.table[a][b] == 0 for a in tropes for b in tropes if a < b)
-    ok = norms and degrees and orthogonal
-    return ok, "trope norms -2, degree 2 against L, mutually orthogonal", {
+    ok, detail = _held({
+        "a trope norm is not -2": norms,
+        "a trope meets L other than twice": degrees,
+        "two tropes meet": orthogonal,
+    }, "trope norms -2, degree 2 against L, mutually orthogonal")
+    return ok, detail, {
         "norms_ok": norms,
         "degrees_ok": degrees,
         "orthogonal": orthogonal,
@@ -352,8 +366,14 @@ def _alpha(ctx: CheckContext):
     # alpha^2(E0) = 2(3L - 4E0) - 3(2L - 3E0) = E0, so those premises are the
     # involution: fixed[0] is C0 and moved[0] is C23
     involution = fixes_nodes and fixed[0] and moved[0]
-    ok = isometry and involution and fixes_nodes and fixes_tropes and moves_tropes
-    return ok, "covering involution is an involutive isometry with the stated action", {
+    ok, detail = _held({
+        "not an isometry of the lattice": isometry,
+        "not an involution": involution,
+        "a node is moved": fixes_nodes,
+        "a ramification trope is moved": fixes_tropes,
+        "a conic trope is not translated by L - 2E0": moves_tropes,
+    }, "covering involution is an involutive isometry with the stated action")
+    return ok, detail, {
         "isometry": isometry,
         "involution": involution,
         "fixes_nodes": fixes_nodes,
@@ -411,10 +431,11 @@ def _containment_1235(ctx: CheckContext):
     "two independent order-2 classes in the discriminant group",
 )
 def _disc_elements(ctx: CheckContext):
-    broken = [text for text, held in ctx.model._discriminant_conditions().items() if not held]
-    if broken:
-        return False, f"{len(broken)} of five conditions broken: {'; '.join(broken)}", None
-    return True, "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice", None
+    ok, detail = _held(
+        ctx.model.discriminant_conditions(),
+        "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice",
+    )
+    return ok, detail, None
 
 
 @check(
@@ -442,9 +463,8 @@ def _nik_roots(ctx: CheckContext):
 )
 def _nik_eps1(ctx: CheckContext):
     count = sum(1 for v in ctx.roots if not v.is_integral)
-    return count == 0, "the half-integer branch of the enumeration is empty", {
-        "count": count
-    }
+    branch = f"holds {count} vectors" if count else "is empty"
+    return count == 0, f"the half-integer branch of the enumeration {branch}", {"count": count}
 
 
 @check(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 import time
-from fnmatch import fnmatchcase
 
 from . import __version__
 from ._frozen import Frozen
@@ -40,6 +39,9 @@ def select_ids(patterns: list[str] | None) -> list[str]:
     """
     if not patterns:
         return [d.id for d in REGISTRY]
+    # only a selection needs `fnmatch`, which imports `re` and `enum`
+    from fnmatch import fnmatchcase
+
     chosen: set[str] = set()
     for pattern in patterns:
         matched = [d.id for d in REGISTRY if fnmatchcase(d.id, pattern)]

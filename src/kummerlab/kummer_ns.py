@@ -213,9 +213,10 @@ class JacobianKummerNS:
 
     # -- dual-lattice elements ----------------------------------------------
 
-    def _discriminant_conditions(self) -> dict[str, bool]:
-        """The five conditions of `independent_discriminant_elements`, each keyed
-        by the text that says it is broken."""
+    def discriminant_conditions(self) -> dict[str, bool]:
+        """Both distinguished half-sums of four nodes lie in the dual lattice,
+        outside the lattice, with classes independent modulo the lattice: the
+        five conditions, each keyed by the text that says it is broken."""
         v1 = self.half_sum(NodeSet.from_labels(["E13", "E14", "E23", "E24"]))
         v2 = self.half_sum(NodeSet.from_labels(["E12", "E23", "E15", "E35"]))
         a, b = "(E13+E14+E23+E24)/2", "(E12+E23+E15+E35)/2"
@@ -226,11 +227,6 @@ class JacobianKummerNS:
             f"{b} lies in the lattice": not self.ns.contains(v2),
             "their sum lies in the lattice": not self.ns.contains(v1 + v2),
         }
-
-    def independent_discriminant_elements(self) -> bool:
-        """Both distinguished half-sums of four nodes lie in the dual lattice,
-        outside the lattice, with classes independent modulo the lattice."""
-        return all(self._discriminant_conditions().values())
 
 
 @cache

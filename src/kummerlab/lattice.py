@@ -293,15 +293,10 @@ class QuadraticSpace(Frozen):
     def zero(self) -> "RationalVector":
         return _normal_vector(self, (0,) * self.dim, 1)
 
-    def vector(self, values: Sequence[int | Fraction] | Mapping[str, int | Fraction]) -> "RationalVector":
-        """Build a vector from a coordinate sequence or a label -> value mapping
-        of ints and Fractions: the one entry point for rational coordinates.
-        den is the lcm of reduced denominators, so den > 0 and gcd(den, *nums) == 1."""
-        if type(values) is not list and type(values) is not tuple and isinstance(values, Mapping):
-            coords: list[int | Fraction] = [0] * self.dim
-            for label, value in values.items():
-                coords[self.index(label)] = value
-            values = coords
+    def vector(self, values: Sequence[int | Fraction]) -> "RationalVector":
+        """Build a vector from a coordinate sequence of ints and Fractions: the one
+        entry point for rational coordinates.  den is the lcm of reduced
+        denominators, so den > 0 and gcd(den, *nums) == 1."""
         nums, den = _over_one_denominator(values)
         if len(nums) != self.dim:
             raise LatticeError(f"expected {self.dim} coordinates, got {len(nums)}")
@@ -310,6 +305,14 @@ class QuadraticSpace(Frozen):
     def _check_member(self, v: "RationalVector") -> None:
         if v.space is not self and v.space != self:
             raise LatticeError("vector belongs to a different quadratic space")
+
+    def _common_rows(self, vectors: Sequence["RationalVector"]) -> tuple[list[Sequence[int]], int]:
+        """``(rows, den)`` with rows[i] / den == vectors[i], den the lcm of the
+        vectors' denominators; each vector must lie in this space."""
+        for v in vectors:
+            self._check_member(v)
+        den = lcm(*(v.den for v in vectors))
+        return [v.nums if (f := den // v.den) == 1 else [x * f for x in v.nums] for v in vectors], den
 
     def combination(
         self, coeffs: Sequence[int | Fraction], vectors: Sequence["RationalVector"]
@@ -329,10 +332,8 @@ class QuadraticSpace(Frozen):
         """``(mapped, den)`` with mapped[r] / den == sum_i rows[r][i] * images[i]:
         each image is held once as its nonzero numerators over the images'
         common denominator, and every integer row is summed through them."""
-        for v in images:
-            self._check_member(v)
-        den = lcm(*(v.den for v in images))
-        sparse = [[(k, x * (den // v.den)) for k, x in enumerate(v.nums) if x] for v in images]
+        common, den = self._common_rows(images)
+        sparse = [[(k, x) for k, x in enumerate(row) if x] for row in common]
         mapped = []
         for row in rows:
             total = [0] * self.dim
@@ -353,10 +354,7 @@ class QuadraticSpace(Frozen):
     def gram(self, vectors: Sequence["RationalVector"]) -> tuple[list[list[int]], int]:
         """``(table, scale)`` with <v_i, v_j> == table[i][j] / scale: the
         numerators over one common denominator, their pairings in integers."""
-        for v in vectors:
-            self._check_member(v)
-        den = lcm(*(v.den for v in vectors))
-        rows = [v.nums if v.den == den else [x * (den // v.den) for x in v.nums] for v in vectors]
+        rows, den = self._common_rows(vectors)
         return _gram_table(self.weights, rows), den * den * self.scale
 
 
@@ -392,15 +390,8 @@ class RationalVector(Frozen):
         Fraction, den, zero = _fraction(), self.den, _zero()
         return tuple([Fraction(x, den) if x else zero for x in self.nums])
 
-    def coeff(self, label: str) -> Fraction:
-        x = self.nums[self.space.index(label)]
-        return _fraction()(x, self.den) if x else _zero()
-
     def dot(self, other: "RationalVector") -> Fraction:
         return self.space.inner(self, other)
-
-    def norm(self) -> Fraction:
-        return self.space.inner(self, self)
 
     @property
     def is_integral(self) -> bool:
@@ -546,9 +537,8 @@ class SublatticeModel(Frozen):
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(denominator D, HNF rows of D * generators, pivot columns)."""
-        den = lcm(*(g.den for g in self.generators))
-        int_rows = [g.nums if g.den == den else [x * (den // g.den) for x in g.nums] for g in self.generators]
-        hnf, pivots = _hnf_rows(int_rows, self.space.dim)
+        rows, den = self.space._common_rows(self.generators)
+        hnf, pivots = _hnf_rows(rows, self.space.dim)
         return den, tuple(tuple(r) for r in hnf), tuple(pivots)
 
     @property
@@ -626,11 +616,6 @@ class SublatticeModel(Frozen):
         """(M, s) with Z-basis Gram = M / s; M is integral and s > 0."""
         den, hnf, _ = self._scaled
         return _gram_table(self.space.weights, hnf), den * den * self.space.scale
-
-    def gram_zbasis(self) -> list[list[Fraction]]:
-        Fraction = _fraction()
-        gram, scale = self._zgram
-        return [[Fraction(x, scale) for x in row] for row in gram]
 
     def discriminant_group(self) -> DiscriminantGroup:
         """Smith normal form of the Z-basis Gram matrix."""

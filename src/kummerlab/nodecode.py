@@ -72,15 +72,6 @@ class NodeSet(Frozen):
             raise CodeError(f"unknown node label {label!r}") from None
         return bool(self.bits >> k & 1)
 
-    def __xor__(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(self.bits ^ other.bits)
-
-    def __and__(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(self.bits & other.bits)
-
-    def __or__(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(self.bits | other.bits)
-
     def complement(self) -> "NodeSet":
         return NodeSet(self.bits ^ _FULL_MASK)
 
@@ -157,7 +148,7 @@ def weight_enumerator(code: BinaryCode) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def _affine_hyperplane_defect(eights: Iterable[NodeSet]) -> str | None:
+def affine_hyperplane_defect(eights: Iterable[NodeSet]) -> str | None:
     """What keeps the weight-8 sets from the hyperplane family of AG(4, 2), in
     which distinct sets meet in 0 or 4 points and complements are members:
     a missing complement or a pair that meets otherwise, or None."""
@@ -172,8 +163,3 @@ def _affine_hyperplane_defect(eights: Iterable[NodeSet]) -> str | None:
         if (meet := (a & b).bit_count()) not in (0, 4):
             return f"{list(NodeSet(a).labels())} and {list(NodeSet(b).labels())} meet in {meet} nodes"
     return None
-
-
-def check_affine_hyperplane_family(eights: Iterable[NodeSet]) -> bool:
-    """True iff the weight-8 sets form the hyperplane family of AG(4, 2)."""
-    return _affine_hyperplane_defect(eights) is None

@@ -32,7 +32,7 @@ from kummerlab.nodecode import (
     EMPTY,
     FULL,
     NodeSet,
-    check_affine_hyperplane_family,
+    affine_hyperplane_defect,
     code_from_even_sets,
     weight_enumerator,
 )
@@ -67,7 +67,7 @@ def test_criterion_02_code_structure():
     code = code_from_even_sets(MODEL.even_sets)
     eights = MODEL.even_eights()
     pairwise = all(
-        (a & b).weight in (0, 4)
+        (a.bits & b.bits).bit_count() in (0, 4)
         for idx, a in enumerate(eights)
         for b in eights[idx + 1 :]
     )
@@ -75,7 +75,7 @@ def test_criterion_02_code_structure():
         code.dimension == 5
         and weight_enumerator(code) == {0: 1, 8: 30, 16: 1}
         and pairwise
-        and check_affine_hyperplane_family(eights)
+        and affine_hyperplane_defect(eights) is None
     )
     _verdict(2, "even sets form a dimension-5 code with enumerator 1 + 30z^8 + z^16; eights meet in 0 or 4", ok)
 
@@ -136,7 +136,7 @@ def test_criterion_06_containment_and_discriminant():
     # complement of the (5,6) eight, which holds E0
     containment_ok = restricted == {even_eight(1, 2), even_eight(3, 4)}
     full_ok = set(matches) == restricted | {even_eight(5, 6).complement()}
-    ok = containment_ok and full_ok and MODEL.independent_discriminant_elements()
+    ok = containment_ok and full_ok and all(MODEL.discriminant_conditions().values())
     _verdict(6, "containment query yields the (1,2) and (3,4) eights among E0-avoiding ones; the two half-sums are independent dual classes", ok)
 
 
@@ -149,14 +149,14 @@ def test_criterion_07_fibration():
         f = build_fibration(MODEL, i, j)
         o = transform_double_cover(f, even_eight(i, j), MODEL)
         sweep = sweep and (
-            f.fiber_class.norm() == 0
+            f.fiber_class.dot(f.fiber_class) == 0
             and f.euler == 24
             and even_eight_from_fibers(f, MODEL)
             and sum(1 for x in o.fibers if x.kodaira_type == "I2") == 12
             and o.euler == 24
         )
     ok = (
-        fib.fiber_class.norm() == 0
+        fib.fiber_class.dot(fib.fiber_class) == 0
         and len(fib.sections) == 4
         and all(MODEL.curve_table.classes[s].dot(fib.fiber_class) == 1 for s in fib.sections)
         and types == ["I0*", "I0*"] + ["I2"] * 6

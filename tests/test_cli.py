@@ -120,6 +120,11 @@ class TestRunChecks:
             run_checks(["no.such", "ns.rank17"])
         assert [r.id for r in run_checks(["ns.rank17"])] == ["ns.rank17"]
 
+    def test_held_names_each_broken_condition(self):
+        conditions = {"a broke": True, "b broke": False, "c broke": False}
+        assert checks._held(conditions, "all held") == (False, "2 of 3 conditions broken: b broke; c broke")
+        assert checks._held(dict.fromkeys(conditions, True), "all held") == (True, "all held")
+
     def test_passing_details(self):
         # a failing detail says what broke; a passing one states the claim
         assert {r.id: r.detail for r in run_checks(list(PASSING_DETAILS))} == PASSING_DETAILS
@@ -568,22 +573,29 @@ FAULT_MATRIX = {
         {"nikulin.disc64", "nikulin.eps1_none", "nikulin.roots16"},
     ),
     "half_sum_generator_dropped": ({"nikulin.disc64"}, set()),
+    "nikulin_lattice_on_four_labels": (
+        {"nikulin.disc64", "nikulin.eps1_none", "nikulin.even_negdef", "nikulin.roots16"}
+        | {f"nikulin.saturation.{i}{j}" for i, j in INDEX_PAIRS},
+        set(),
+    ),
     "root_dropped_from_enumeration": ({"nikulin.roots16"}, set()),
     "hermite_form_drops_last_row": (HNF_COMPARED | HNF_RAISED, HNF_RAISED),
     "trope_class_off_by_half_e12": ({"ns.tropes_contained"}, set()),
 }
 
-# the passing details of three checks whose failing details say what broke
+# the passing details of the checks whose failing details say what broke
 PASSING_DETAILS = {
     "ns.tropes_contained": "all sixteen half-integer trope classes lie in the lattice",
     "ns.disc_elements": "both half-sums of four nodes are dual-lattice classes, independent modulo the lattice",
     "code.affine_hyperplanes": "weight-8 words pairwise meet in 0 or 4 nodes, complements included",
+    "config.sixteen_six": "each trope meets six nodes and each node meets six tropes",
+    "ns.trope_pairings": "trope norms -2, degree 2 against L, mutually orthogonal",
+    "alpha.isometry": "covering involution is an involutive isometry with the stated action",
+    "nikulin.eps1_none": "the half-integer branch of the enumeration is empty",
 }
 
 # the claims that no pinned fault fails by their own comparison, with the reason
 FAULT_EXEMPT = {
-    "nikulin.eps1_none": "the half-integer branch is empty whatever the weights, since eight odd"
-    " squares exceed the budget 4; the c8 fault reaches it only through the enumeration's raise",
     "polarization.type12": "the polarization arithmetic reads no model, surface or lattice",
 }
 
@@ -700,13 +712,21 @@ class TestFaultInjection:
         # the (1,2) half-sum now pairs with C23 in a half-integer, and the
         # (2,3) eight holds E0 in place of E12, meeting the (1,3) eight in 7
         assert results["ns.disc_elements"].detail == (
-            "1 of five conditions broken: (E12+E23+E15+E35)/2 is not in the dual lattice"
+            "1 of 5 conditions broken: (E12+E23+E15+E35)/2 is not in the dual lattice"
         )
         assert results["code.affine_hyperplanes"].detail == (
             "['E0', 'E14', 'E15', 'E16', 'E23', 'E34', 'E35', 'E36'] and"
             " ['E12', 'E14', 'E15', 'E16', 'E23', 'E34', 'E35', 'E36'] meet in 7 nodes"
         )
-        for i in ("ns.disc_elements", "code.affine_hyperplanes"):
+        # E0 now meets seven tropes and E12 five, C23 shares other than two
+        # nodes with some trope, and C23 is the moved trope of the
+        # involution's premise
+        assert results["config.sixteen_six"].detail == "1 of 3 conditions broken: a node meets other than six tropes"
+        assert results["ns.trope_pairings"].detail == "1 of 3 conditions broken: two tropes meet"
+        assert results["alpha.isometry"].detail == (
+            "2 of 5 conditions broken: not an involution; a conic trope is not translated by L - 2E0"
+        )
+        for i in ("ns.disc_elements", "code.affine_hyperplanes", "config.sixteen_six", "ns.trope_pairings"):
             assert results[i].detail != PASSING_DETAILS[i]
 
     def test_covering_involution_sign_flipped(self, monkeypatch):
@@ -717,7 +737,19 @@ class TestFaultInjection:
         monkeypatch.setattr(kummer_ns.JacobianKummerNS, "covering_involution", flipped)
         # L -> 3L + 4E0 is neither an isometry nor an involution; no other
         # check applies the involution
-        assert self.failing() == FAULT_MATRIX["covering_involution_sign_flipped"]
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["covering_involution_sign_flipped"]
+        assert results["alpha.isometry"].detail == (
+            "4 of 5 conditions broken: not an isometry of the lattice; not an involution;"
+            " a ramification trope is moved; a conic trope is not translated by L - 2E0"
+        )
+        assert results["alpha.isometry"].data == {
+            "isometry": False,
+            "involution": False,
+            "fixes_nodes": True,
+            "fixes_ramification_tropes": False,
+            "translates_conic_tropes": False,
+        }
 
     def test_wrong_branch_for_one_cover(self, monkeypatch):
         branch_13_for_pencil_12(monkeypatch)
@@ -1014,6 +1046,27 @@ class TestFaultInjection:
         assert self.failing(results) == FAULT_MATRIX["half_sum_generator_dropped"]
         assert results["nikulin.disc64"].data == {"invariant_factors": [2] * 8, "order": 256}
 
+    def test_nikulin_lattice_on_four_labels(self, monkeypatch, fresh_nikulin):
+        def four_labels(self):
+            self.space = QuadraticSpace(nikulin.ROOT_BASIS_LABELS[:4], [-2] * 4)
+            self.halfsum = RationalVector(self.space, (1,) * 4, 2)
+            gens = self.space.basis + (self.halfsum,)
+            self.lattice = SublatticeModel(self.space, gens)
+            self.canonical_gram = lattice._integral_table(*self.space.gram(gens))
+
+        monkeypatch.setattr(nikulin.NikulinLattice, "__init__", four_labels)
+        # c1..c4 and their half-sum span D4: four odd coordinates reach the
+        # budget 4, so the half-integer branch holds the 16 vectors
+        # (+-1, ..., +-1)/2 beside the 8 signed basis vectors; every saturated
+        # eight's Gram differs from the 5 x 5 canonical one
+        results = self.results()
+        assert self.failing(results) == FAULT_MATRIX["nikulin_lattice_on_four_labels"]
+        assert results["nikulin.roots16"].data == {"count": 24}
+        assert results["nikulin.eps1_none"].data == {"count": 16}
+        detail = results["nikulin.eps1_none"].detail
+        assert detail == "the half-integer branch of the enumeration holds 16 vectors"
+        assert detail != PASSING_DETAILS["nikulin.eps1_none"]
+
     def test_root_dropped_from_enumeration(self, monkeypatch):
         original = nikulin._parity_tuples
 
@@ -1074,7 +1127,7 @@ class TestFaultInjection:
         claims = {d.id for d in REGISTRY if not d.flagged}
         assert len(claims) == 82 and FAULT_EXEMPT.keys() <= claims
         assert by_comparison == claims - FAULT_EXEMPT.keys()
-        assert (len(by_comparison), len(FAULT_EXEMPT)) == (80, 2)
+        assert (len(by_comparison), len(FAULT_EXEMPT)) == (81, 1)
 
 
 class TestReport:

@@ -84,7 +84,7 @@ class TestClassification:
         fiber_class = FIB.fiber_class
         node = MODEL.node_class("E45")
         first = fiber_class - node
-        assert first.norm() == -2
+        assert first.dot(first) == -2
         assert first.dot(node) == 2
         # an isolated curve is completed by F minus it; C13 meets F once
         t, f = sub_table(["E45", "C13"], fiber_class)
@@ -167,7 +167,7 @@ class TestClassification:
 
 class TestJacobianFibration:
     def test_fiber_class_is_isotropic(self):
-        assert FIB.fiber_class.norm() == 0
+        assert FIB.fiber_class.dot(FIB.fiber_class) == 0
 
     def test_component_sums(self):
         for fiber in FIB.fibers:
@@ -399,7 +399,7 @@ class TestSweep:
             for j in range(i + 1, 7):
                 fib = build_fibration(MODEL, i, j)
                 assert fib.pair == (i, j)
-                assert fib.fiber_class.norm() == 0
+                assert fib.fiber_class.dot(fib.fiber_class) == 0
                 types = sorted(f.kodaira_type for f in fib.fibers)
                 assert types == ["I0*", "I0*"] + ["I2"] * 6
                 assert fib.euler == 24
@@ -419,7 +419,7 @@ class TestInvariants:
         for fiber in FIB.fibers:
             comps = [v for v, _ in component_classes(FIB, fiber)]
             for c in comps:
-                assert c.norm() == -2
+                assert c.dot(c) == -2
             for a in range(len(comps)):
                 for b in range(a + 1, len(comps)):
                     assert comps[a].dot(comps[b]) >= 0
@@ -453,12 +453,13 @@ def hand_sorted_fibration(model, i, j):
         centre = ramification_trope(center_index)
         comps = [(model.trope_class(centre), 2)] + [(model.node_class(label), 1) for label in nodes]
         assert space.combination([m for _, m in comps], [v for v, _ in comps]) == fiber_class
-        assert all(v.norm() == -2 for v, _ in comps)
+        assert all(v.dot(v) == -2 for v, _ in comps)
         assert all(comps[0][0].dot(v) == 1 for v, _ in comps[1:])
         fibers.append(Fiber(((row[centre], 2), *[(row[label], 1) for label in nodes]), I0_STAR))
     for label in i2_nodes:
         node = model.node_class(label)
-        assert node.norm() == (fiber_class - node).norm() == -2 and (fiber_class - node).dot(node) == 2
+        other = fiber_class - node
+        assert node.dot(node) == other.dot(other) == -2 and other.dot(node) == 2
         fibers.append(Fiber(((~row[label], 1), (row[label], 1)), "I2"))
     sections = tuple(row[ramification_trope(k)] for k in range(1, 7) if k not in stars)
     pairings = tuple(model.curve_table.scale * fiber_class.dot(c) for c in model.curve_table.classes)

@@ -7,9 +7,10 @@ annotations are strings.  Running the report adds neither `argparse` (with
 `gettext`, which imports `locale` for its messages) nor `json`, whose
 decoder and scanner come with its encoder, nor `fractions`, which imports
 `decimal` and `numbers`: the report reads integers, and only the public
-views that return one rational import `fractions`, inside the call.  A cold
-``kummerlab --report json`` pays for every module it imports, so these stay
-off its path.
+views that return one rational import `fractions`, inside the call.  Nor does
+it add `fnmatch`, which imports `re` and `enum`: only ``--check GLOB`` reads
+it.  A cold ``kummerlab --report json`` pays for every module it imports, so
+these stay off its path.
 """
 
 import ast
@@ -22,7 +23,7 @@ import kummerlab
 
 SRC_DIR = pathlib.Path(kummerlab.__file__).parent
 HEAVY = ("dataclasses", "inspect", "typing")
-CLI_HEAVY = ("argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers")
+CLI_HEAVY = ("argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers", "fnmatch", "re", "enum")
 
 
 def test_cli_import_adds_no_heavy_module():

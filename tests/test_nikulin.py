@@ -81,7 +81,7 @@ class TestRoots:
         assert all(v.is_integral for v in roots(LATTICE))
 
     def test_halfsum_norm(self):
-        assert LATTICE.halfsum.norm() == -4
+        assert LATTICE.halfsum.dot(LATTICE.halfsum) == -4
 
     def test_closed_under_negation_no_duplicates(self):
         found = roots(LATTICE)
@@ -92,7 +92,7 @@ class TestRoots:
 
     def test_every_root_has_norm_minus_two(self):
         for v in roots(LATTICE):
-            assert v.norm() == -2
+            assert v.dot(v) == -2
 
     def test_order_is_coordinate_order(self):
         # roots sorts integer t-tuples; sorting the vectors by their Fraction
